@@ -12,6 +12,7 @@ pub mod perf;
 use std::fmt::Write as _;
 
 use xsfq_aig::opt::Effort;
+use xsfq_aig::pass::Script;
 use xsfq_baselines::pbmap_with_effort;
 use xsfq_cells::{CellKind, CellLibrary};
 use xsfq_core::{OutputPolarity, PolarityMode, SynthesisFlow};
@@ -165,7 +166,7 @@ impl EvalRow {
 /// Run one circuit through both flows.
 pub fn evaluate(name: &str, effort: Effort) -> EvalRow {
     let aig = xsfq_benchmarks::by_name(name).unwrap_or_else(|| panic!("unknown circuit {name}"));
-    let flow = SynthesisFlow::new().effort(effort);
+    let flow = SynthesisFlow::new().script(Script::preset(effort));
     let r = flow.run(&aig).expect("flow");
     let b = pbmap_with_effort(&aig, effort);
     EvalRow {
@@ -185,7 +186,7 @@ pub fn table3() -> Vec<(String, f64)> {
     for b in xsfq_benchmarks::table3_circuits() {
         let aig = (b.build)();
         let r = SynthesisFlow::new()
-            .effort(EVAL_EFFORT)
+            .script(Script::preset(EVAL_EFFORT))
             .run(&aig)
             .expect("flow");
         rows.push((b.name.to_string(), r.report.duplication_percent));
@@ -284,7 +285,7 @@ pub fn table5() -> Vec<Table5Row> {
     let mut rows = Vec::new();
     for stages in [0usize, 1, 2] {
         let r = SynthesisFlow::new()
-            .effort(EVAL_EFFORT)
+            .script(Script::preset(EVAL_EFFORT))
             .pipeline_stages(stages)
             .run(&aig)
             .expect("flow");

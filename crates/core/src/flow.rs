@@ -4,10 +4,12 @@
 //! cells, insert pipeline ranks and splitters, and report the numbers the
 //! evaluation tables are built from.
 //!
-//! Every stage is observable ([`FlowObserver`]), the optimization recipe is
-//! a first-class [`Script`] (the legacy [`Effort`] knob is a facade over
-//! the `fast`/`standard`/`high` presets), and whole designs batch across
-//! the executor with [`SynthesisFlow::run_many`].
+//! The optimization recipe is a first-class [`Script`]. Every entry point —
+//! [`SynthesisFlow::run`], [`SynthesisFlow::run_many`],
+//! [`SynthesisFlow::run_many_isolated`] and [`SynthesisFlow::run_job`] —
+//! runs each design as one fault-isolated job that records per-stage and
+//! per-pass telemetry; the batch entry points schedule whole designs
+//! across the executor.
 
 use std::error::Error;
 use std::fmt;
@@ -16,13 +18,14 @@ use std::time::{Duration, Instant};
 
 use xsfq_aig::opt::Effort;
 use xsfq_aig::pass::{
-    CompiledScript, GuardKind, PassArenas, PassCtx, PassGuards, PassObserver, PassRegistry,
-    PassStat, Script, ScriptError,
+    self, CompiledScript, GuardKind, PassArenas, PassCtx, PassGuards, PassRegistry, PassStat,
+    Script, ScriptError,
 };
 use xsfq_aig::Aig;
 use xsfq_cells::{CellKind, InterconnectStyle};
 use xsfq_exec::{panic_message, CancelCause, CancelToken, ThreadPool};
 use xsfq_lint::{CheckLevel, Diag, NetlistProfile};
+use xsfq_netlist::writers::json_escape;
 use xsfq_netlist::Netlist;
 
 use crate::map::{map_with_assignment_pool, MapOptions, MappedDesign};
@@ -43,8 +46,8 @@ pub fn flow_registry() -> PassRegistry {
 #[derive(Clone, Debug)]
 pub struct FlowOptions {
     /// AIG optimization pass script (see [`xsfq_aig::pass`] for the
-    /// grammar). Defaults to the `standard` preset; the legacy
-    /// [`SynthesisFlow::effort`] builder swaps in the matching preset.
+    /// grammar). Defaults to the `standard` preset ([`Script::preset`]);
+    /// a script ending in `f` adds SAT sweeping.
     pub script: Script,
     /// Output polarity strategy.
     pub polarity: PolarityMode,
@@ -54,10 +57,6 @@ pub struct FlowOptions {
     pub pipeline_stages: usize,
     /// Window (in levels) for the min-width rank placement search.
     pub rank_window: u32,
-    /// Append a SAT-sweeping pass ([`xsfq_sat::pass::FraigPass`]) after the
-    /// script, merging functionally equivalent nodes the rewriting passes
-    /// cannot see. (Compatibility knob — scripts can simply end in `f`.)
-    pub fraig: bool,
     /// Prove the mapped netlist equivalent to the source (combinational
     /// designs; sequential designs are validated by the pulse simulator).
     pub verify: bool,
@@ -93,8 +92,10 @@ pub struct FlowOptions {
     /// to a build without the timing subsystem.
     pub timing: Option<TimingOptions>,
     /// Deterministic fault-injection plan, applied per batch design index
-    /// by [`SynthesisFlow::run_many_isolated`] (solo [`SynthesisFlow::run`]
-    /// ignores it). Test-only; see [`xsfq_aig::chaos`].
+    /// by [`SynthesisFlow::run_many`] and
+    /// [`SynthesisFlow::run_many_isolated`]; [`SynthesisFlow::run`] and
+    /// [`SynthesisFlow::run_job`] are design 0. Test-only; see
+    /// [`xsfq_aig::chaos`].
     #[cfg(feature = "chaos")]
     pub chaos: Option<xsfq_aig::chaos::FaultPlan>,
 }
@@ -107,7 +108,6 @@ impl Default for FlowOptions {
             style: InterconnectStyle::Abutted,
             pipeline_stages: 0,
             rank_window: 3,
-            fraig: false,
             verify: false,
             threads: None,
             cancel: None,
@@ -121,7 +121,7 @@ impl Default for FlowOptions {
     }
 }
 
-/// Error raised by [`SynthesisFlow::run`].
+/// Error raised by [`SynthesisFlow::run`] and [`SynthesisFlow::run_many`].
 #[derive(Debug)]
 pub enum FlowError {
     /// The optimization script failed to parse or compile.
@@ -191,9 +191,10 @@ impl From<ScriptError> for FlowError {
     }
 }
 
-/// Structured failure of one job of a [`SynthesisFlow::run_many_isolated`]
-/// batch: which design, what went wrong, which pass was in flight, how long
-/// the job ran, and the per-pass telemetry accumulated before the fault.
+/// Structured failure of one flow job ([`SynthesisFlow::run_job`], or one
+/// design of a [`SynthesisFlow::run_many_isolated`] batch): which design,
+/// what went wrong, which pass was in flight, how long the job ran, and the
+/// per-pass telemetry accumulated before the fault.
 #[derive(Debug)]
 pub struct JobError {
     /// Index of the design in the batch slice.
@@ -257,6 +258,21 @@ impl Error for JobError {
         match &self.kind {
             JobErrorKind::Flow(e) => Some(e),
             _ => None,
+        }
+    }
+}
+
+impl JobError {
+    /// The verdict as a plain [`FlowError`] for the non-isolated entry
+    /// points: a cancelled or deadline-expired job becomes
+    /// [`FlowError::Cancelled`], and a panicked job re-raises its panic
+    /// with this error's message.
+    fn into_flow_error(self) -> FlowError {
+        match self.kind {
+            JobErrorKind::Panicked { .. } => panic::panic_any(self.to_string()),
+            JobErrorKind::Cancelled => FlowError::Cancelled(CancelCause::Explicit),
+            JobErrorKind::DeadlineExpired => FlowError::Cancelled(CancelCause::Deadline),
+            JobErrorKind::Flow(e) => e,
         }
     }
 }
@@ -332,52 +348,27 @@ pub struct StageStat {
     pub wall_ns: u64,
 }
 
-/// Observer over a flow run: stage completions plus the per-pass telemetry
-/// of the optimization script.
-///
-/// All methods default to no-ops so implementors subscribe only to what
-/// they need. [`SynthesisFlow::run_observed`] drives it; plain
-/// [`SynthesisFlow::run`] records the same telemetry into
-/// [`FlowReport::passes`] / [`FlowReport::stages`] without callbacks.
-pub trait FlowObserver {
-    /// Called after every stage, in execution order.
-    fn on_stage(&mut self, _stat: &StageStat) {}
-    /// Called before every optimization pass starts. Fault isolation uses
-    /// this to attribute a panic or stall to the pass that was in flight.
-    fn on_pass_start(&mut self, _name: &str) {}
-    /// Called after every optimization pass, in execution order.
-    fn on_pass(&mut self, _stat: &PassStat) {}
-}
-
-/// Owns the optional [`FlowObserver`] for one flow run: forwards
-/// script-engine pass telemetry (as a [`PassObserver`]) and stage
-/// completions to it. Under [`CheckLevel::Paranoid`] it also validates
-/// the graph after every pass (via [`PassObserver::on_graph`], which
-/// sees the post-rollback graph) and accumulates any findings.
-struct ObserverProxy<'o> {
-    obs: Option<&'o mut dyn FlowObserver>,
+/// One job's pass recorder, handed to the pass engine as its
+/// [`pass::PassObserver`]. It lives outside the job's `catch_unwind`
+/// boundary, so the completed-pass telemetry and the name of the pass in
+/// flight survive a panic and land in the [`JobError`]. Under
+/// [`CheckLevel::Paranoid`] it also validates the graph after every pass
+/// (via [`pass::PassObserver::on_graph`], which sees the post-rollback
+/// graph) and accumulates any findings.
+struct PassObserver {
     check: CheckLevel,
     lint: Vec<Diag>,
+    passes: Vec<PassStat>,
+    in_flight: Option<String>,
 }
 
-impl ObserverProxy<'_> {
-    fn on_stage(&mut self, stat: &StageStat) {
-        if let Some(obs) = self.obs.as_deref_mut() {
-            obs.on_stage(stat);
-        }
-    }
-}
-
-impl PassObserver for ObserverProxy<'_> {
+impl pass::PassObserver for PassObserver {
     fn on_pass_start(&mut self, name: &str) {
-        if let Some(obs) = self.obs.as_deref_mut() {
-            obs.on_pass_start(name);
-        }
+        self.in_flight = Some(name.to_string());
     }
     fn on_pass(&mut self, stat: &PassStat) {
-        if let Some(obs) = self.obs.as_deref_mut() {
-            obs.on_pass(stat);
-        }
+        self.passes.push(stat.clone());
+        self.in_flight = None;
     }
     fn on_graph(&mut self, aig: &Aig) {
         if self.check >= CheckLevel::Paranoid {
@@ -434,23 +425,6 @@ pub struct FlowReport {
     /// [`FlowOptions::timing`] was unset (and then absent from the JSON,
     /// keeping untimed reports byte-identical to earlier releases).
     pub timing: Option<TimingSummary>,
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control bytes).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// A JSON number token: finite floats print as-is, non-finite as `null`
@@ -574,57 +548,13 @@ impl FlowResult {
     }
 }
 
-/// Per-job runtime setup threaded into [`SynthesisFlow::run_compiled`]:
-/// the job's cancellation token and (under the `chaos` feature) its fault
-/// injector.
-struct JobSetup {
-    token: CancelToken,
-    #[cfg(feature = "chaos")]
-    chaos: Option<xsfq_aig::chaos::Injector>,
-}
-
-/// External telemetry recorder for fault-isolated jobs: unlike the
-/// [`PassCtx`]'s internal sink, it lives *outside* the `catch_unwind`
-/// boundary, so the completed-pass stats and the name of the in-flight
-/// pass survive a panic and land in the [`JobError`].
-#[derive(Default)]
-struct JobTrace {
-    passes: Vec<PassStat>,
-    current_pass: Option<String>,
-}
-
-impl FlowObserver for JobTrace {
-    fn on_pass_start(&mut self, name: &str) {
-        self.current_pass = Some(name.to_string());
-    }
-    fn on_pass(&mut self, stat: &PassStat) {
-        self.passes.push(stat.clone());
-        self.current_pass = None;
-    }
-}
-
-/// The pool a flow runs on: private when `threads(n)` was set, otherwise
-/// the process-wide executor.
-enum FlowPool {
-    Private(ThreadPool),
-    Global,
-}
-
-impl FlowPool {
-    fn get(&self) -> &ThreadPool {
-        match self {
-            FlowPool::Private(pool) => pool,
-            FlowPool::Global => ThreadPool::global(),
-        }
-    }
-}
-
 /// The xSFQ synthesis flow.
 ///
 /// The optimization recipe is a pass script: either a preset via
-/// [`SynthesisFlow::effort`] or any ABC-style script via
-/// [`SynthesisFlow::script_str`] (grammar in [`xsfq_aig::pass`]). Batches
-/// of designs run concurrently through [`SynthesisFlow::run_many`].
+/// [`SynthesisFlow::script`] with [`Script::preset`] or any ABC-style
+/// script via [`SynthesisFlow::script_str`] (grammar in
+/// [`xsfq_aig::pass`]). Batches of designs run concurrently through
+/// [`SynthesisFlow::run_many`].
 ///
 /// ```
 /// use xsfq_aig::{Aig, build};
@@ -669,14 +599,6 @@ impl SynthesisFlow {
         SynthesisFlow { options }
     }
 
-    /// Set the optimization effort — a compatibility facade that installs
-    /// the matching preset script ([`Script::preset`]).
-    #[must_use]
-    pub fn effort(mut self, effort: Effort) -> Self {
-        self.options.script = Script::preset(effort);
-        self
-    }
-
     /// Set the optimization pass script.
     #[must_use]
     pub fn script(mut self, script: Script) -> Self {
@@ -712,13 +634,6 @@ impl SynthesisFlow {
     #[must_use]
     pub fn pipeline_stages(mut self, stages: usize) -> Self {
         self.options.pipeline_stages = stages;
-        self
-    }
-
-    /// Enable or disable the post-script SAT-sweeping (fraig) pass.
-    #[must_use]
-    pub fn fraig(mut self, fraig: bool) -> Self {
-        self.options.fraig = fraig;
         self
     }
 
@@ -785,9 +700,9 @@ impl SynthesisFlow {
         self
     }
 
-    /// Install a deterministic fault-injection plan for
-    /// [`SynthesisFlow::run_many_isolated`] (see [`xsfq_aig::chaos`]).
-    /// Solo [`SynthesisFlow::run`] ignores the plan.
+    /// Install a deterministic fault-injection plan (see
+    /// [`xsfq_aig::chaos`]), addressed by batch design index;
+    /// [`SynthesisFlow::run`] and [`SynthesisFlow::run_job`] are design 0.
     #[cfg(feature = "chaos")]
     #[must_use]
     pub fn chaos_plan(mut self, plan: xsfq_aig::chaos::FaultPlan) -> Self {
@@ -800,35 +715,19 @@ impl SynthesisFlow {
         &self.options
     }
 
-    /// The effective script (options script plus the compatibility `fraig`
-    /// suffix), compiled against [`flow_registry`].
-    fn compiled_script(&self) -> Result<CompiledScript, FlowError> {
-        let mut script = self.options.script.clone();
-        if self.options.fraig {
-            script = script.then(Script::single("f"));
-        }
-        Ok(script.compile(&flow_registry())?)
+    /// The options script compiled against [`flow_registry`].
+    fn compiled_script(&self) -> Result<CompiledScript, ScriptError> {
+        self.options.script.compile(&flow_registry())
     }
 
-    /// The cancellation token one job polls: the configured batch token
-    /// (or a never-cancelled default), tightened by the per-job deadline
-    /// measured from now — so this must be called at job start.
-    fn job_token(&self) -> CancelToken {
-        let base = self.options.cancel.clone().unwrap_or_default();
-        match self.options.job_deadline {
-            Some(deadline) => base.with_timeout(deadline),
-            None => base,
-        }
+    /// The private pool `threads(n)` asks for; `None` means the
+    /// process-wide executor.
+    fn private_pool(&self) -> Option<ThreadPool> {
+        self.options.threads.map(ThreadPool::new)
     }
 
-    fn flow_pool(&self) -> FlowPool {
-        match self.options.threads {
-            Some(n) => FlowPool::Private(ThreadPool::new(n)),
-            None => FlowPool::Global,
-        }
-    }
-
-    /// Run the flow on a design.
+    /// Run the flow on a design: [`SynthesisFlow::run_job`] on the flow's
+    /// pool with fresh arenas.
     ///
     /// # Errors
     ///
@@ -836,30 +735,14 @@ impl SynthesisFlow {
     /// against [`flow_registry`]; [`FlowError::PipelineOnSequential`] when
     /// pipeline stages are requested for a design with latches;
     /// [`FlowError::Verification`] when the mapped netlist fails the
-    /// equivalence proof.
+    /// equivalence proof; [`FlowError::Cancelled`] when the token fired or
+    /// the job deadline expired. A panicking job re-raises its panic with
+    /// the [`JobError`] message.
     pub fn run(&self, aig: &Aig) -> Result<FlowResult, FlowError> {
-        let compiled = self.compiled_script()?;
-        let pool = self.flow_pool();
-        self.run_compiled(aig, &compiled, pool.get(), None, None, self.solo_setup())
-    }
-
-    /// [`SynthesisFlow::run`] with an observer receiving stage and
-    /// per-pass telemetry as the flow executes.
-    pub fn run_observed(
-        &self,
-        aig: &Aig,
-        observer: &mut dyn FlowObserver,
-    ) -> Result<FlowResult, FlowError> {
-        let compiled = self.compiled_script()?;
-        let pool = self.flow_pool();
-        self.run_compiled(
-            aig,
-            &compiled,
-            pool.get(),
-            Some(observer),
-            None,
-            self.solo_setup(),
-        )
+        let pool = self.private_pool();
+        let pool = pool.as_ref().unwrap_or_else(|| ThreadPool::global());
+        self.run_job(aig, pool, &mut PassArenas::default())
+            .map_err(JobError::into_flow_error)
     }
 
     /// Run the flow over a batch of designs, scheduling **whole designs**
@@ -882,23 +765,10 @@ impl SynthesisFlow {
     /// panicked re-raises its panic (message preserved); a cancelled or
     /// deadline-expired job surfaces as [`FlowError::Cancelled`].
     pub fn run_many(&self, designs: &[Aig]) -> Result<Vec<FlowResult>, FlowError> {
-        let mut out = Vec::with_capacity(designs.len());
-        for result in self.run_many_isolated(designs) {
-            match result {
-                Ok(res) => out.push(res),
-                Err(job) => {
-                    return Err(match job.kind {
-                        JobErrorKind::Panicked { .. } => panic::panic_any(job.to_string()),
-                        JobErrorKind::Cancelled => FlowError::Cancelled(CancelCause::Explicit),
-                        JobErrorKind::DeadlineExpired => {
-                            FlowError::Cancelled(CancelCause::Deadline)
-                        }
-                        JobErrorKind::Flow(e) => e,
-                    })
-                }
-            }
-        }
-        Ok(out)
+        self.run_many_isolated(designs)
+            .into_iter()
+            .map(|verdict| verdict.map_err(JobError::into_flow_error))
+            .collect()
     }
 
     /// Fault-isolated batch runner: like [`SynthesisFlow::run_many`], but
@@ -919,36 +789,17 @@ impl SynthesisFlow {
     // (`FlowResult`) is larger still, so boxing the error buys nothing.
     #[allow(clippy::result_large_err)]
     pub fn run_many_isolated(&self, designs: &[Aig]) -> Vec<Result<FlowResult, JobError>> {
-        let compiled = match self.compiled_script() {
-            Ok(c) => c,
-            Err(FlowError::Script(e)) => {
-                // Config error: no job can run; report it per design so the
-                // caller still gets one verdict per input.
-                return designs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, aig)| {
-                        Err(JobError {
-                            design: i,
-                            name: aig.name().to_string(),
-                            kind: JobErrorKind::Flow(FlowError::Script(e.clone())),
-                            pass: None,
-                            elapsed: Duration::ZERO,
-                            passes: Vec::new(),
-                        })
-                    })
-                    .collect();
-            }
-            Err(_) => unreachable!("compiled_script only fails with Script errors"),
-        };
-        let pool = self.flow_pool();
-        pool.get().map_init_coarse(
-            designs,
-            || (ThreadPool::new(1), PassArenas::default()),
-            |(inner, arenas), design, aig| {
-                self.run_one_isolated(aig, design, &compiled, inner, arenas)
-            },
-        )
+        let compiled = self.compiled_script();
+        let pool = self.private_pool();
+        pool.as_ref()
+            .unwrap_or_else(|| ThreadPool::global())
+            .map_init_coarse(
+                designs,
+                || (ThreadPool::new(1), PassArenas::default()),
+                |(inner, arenas), design, aig| {
+                    self.job(aig, design, compiled.as_ref(), inner, arenas)
+                },
+            )
     }
 
     /// One fault-isolated job on a caller-owned pool: the serving daemon's
@@ -958,8 +809,8 @@ impl SynthesisFlow {
     /// `pool` (cap it per job with
     /// [`xsfq_exec::ThreadPool::scoped_budget`]), reusing the caller's warm
     /// [`PassArenas`] across jobs. Every failure mode surfaces as a
-    /// structured [`JobError`] with `design == 0`; a chaos plan installed
-    /// via [`SynthesisFlow::chaos_plan`] addresses this job as design 0.
+    /// structured [`JobError`] with `design == 0`, which is also the index
+    /// a chaos plan (test-only `chaos` feature) addresses it by.
     ///
     /// Must not be called from inside a parallel section of `pool` (the
     /// executor forbids nested sections).
@@ -970,164 +821,129 @@ impl SynthesisFlow {
         pool: &ThreadPool,
         arenas: &mut PassArenas,
     ) -> Result<FlowResult, JobError> {
-        let compiled = match self.compiled_script() {
-            Ok(c) => c,
-            Err(e) => {
-                return Err(JobError {
-                    design: 0,
-                    name: aig.name().to_string(),
-                    kind: JobErrorKind::Flow(e),
-                    pass: None,
-                    elapsed: Duration::ZERO,
-                    passes: Vec::new(),
-                })
-            }
-        };
-        self.run_one_isolated(aig, 0, &compiled, pool, arenas)
+        self.job(aig, 0, self.compiled_script().as_ref(), pool, arenas)
     }
 
-    /// One fault-isolated job: run the compiled flow under `catch_unwind`
-    /// with an external telemetry recorder, so pass stats and the in-flight
-    /// pass name survive a panic, and map every failure mode to a
-    /// [`JobError`].
+    /// The job core every entry point runs through. It sets the job up —
+    /// the token with its deadline, the chaos injector for `design`, the
+    /// pass recorder — runs the stage body under `catch_unwind`, and maps
+    /// every failure mode to a [`JobError`].
     #[allow(clippy::result_large_err)]
-    fn run_one_isolated(
+    fn job(
         &self,
         aig: &Aig,
         design: usize,
-        compiled: &CompiledScript,
-        inner: &ThreadPool,
+        compiled: Result<&CompiledScript, &ScriptError>,
+        pool: &ThreadPool,
         arenas: &mut PassArenas,
     ) -> Result<FlowResult, JobError> {
-        // The deadline starts counting at job start, not batch start.
-        let setup = self.batch_setup(design);
-        let token = setup.token.clone();
+        // The configured token (or a never-cancelled default), tightened by
+        // the job deadline: it counts from job start, not batch start.
+        let token = self.options.cancel.clone().unwrap_or_default();
+        let token = match self.options.job_deadline {
+            Some(deadline) => token.with_timeout(deadline),
+            None => token,
+        };
+        #[cfg(feature = "chaos")]
+        let chaos = self
+            .options
+            .chaos
+            .as_ref()
+            .and_then(|p| p.for_design(design));
+        let mut observer = PassObserver {
+            check: self.options.check,
+            lint: Vec::new(),
+            passes: Vec::new(),
+            in_flight: None,
+        };
         let started = Instant::now();
-        let mut trace = JobTrace::default();
-        // The recorder and arenas stay valid across an unwind: the trace
-        // only ever holds completed records, and a poisoned arena set is
-        // discarded with the job (the worker rebuilds cold arenas).
-        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-            self.run_compiled(aig, compiled, inner, Some(&mut trace), Some(arenas), setup)
-        }));
-        let elapsed = started.elapsed();
-        let job_error = |kind, trace: JobTrace| JobError {
+        // The recorder and arenas stay valid across an unwind: the recorder
+        // only holds completed pass records and the in-flight pass name,
+        // and a poisoned arena set is discarded with the job (the caller's
+        // store is left with cold arenas).
+        let outcome = match compiled {
+            Ok(compiled) => panic::catch_unwind(AssertUnwindSafe(|| {
+                self.run_stages(
+                    aig,
+                    compiled,
+                    pool,
+                    arenas,
+                    &token,
+                    &mut observer,
+                    #[cfg(feature = "chaos")]
+                    chaos,
+                )
+            })),
+            Err(e) => Ok(Err(FlowError::Script(e.clone()))),
+        };
+        let kind = match outcome {
+            Ok(Ok(result)) => return Ok(result),
+            Ok(Err(FlowError::Cancelled(CancelCause::Explicit))) => JobErrorKind::Cancelled,
+            Ok(Err(FlowError::Cancelled(CancelCause::Deadline))) => JobErrorKind::DeadlineExpired,
+            Ok(Err(e)) => JobErrorKind::Flow(e),
+            // A stalled-then-cancelled pass can also panic (safety caps);
+            // cancellation verdicts take precedence when the token fired.
+            Err(payload) => match token.cause() {
+                Some(CancelCause::Deadline) => JobErrorKind::DeadlineExpired,
+                Some(CancelCause::Explicit) => JobErrorKind::Cancelled,
+                None => JobErrorKind::Panicked {
+                    message: panic_message(payload.as_ref()).to_string(),
+                },
+            },
+        };
+        // `in_flight` is still `Some` when a pass was announced but never
+        // completed: a panic inside it, or a cancellation that hit inside
+        // the pass boundary. Either way it names the faulting pass.
+        Err(JobError {
             design,
             name: aig.name().to_string(),
             kind,
-            pass: trace.current_pass,
-            elapsed,
-            passes: trace.passes,
-        };
-        match outcome {
-            Ok(Ok(result)) => Ok(result),
-            Ok(Err(e)) => {
-                // `current_pass` is still `Some` only when a pass was
-                // announced but never ran — a cancellation that hit inside
-                // the pass boundary; keep the attribution.
-                let kind = match e {
-                    FlowError::Cancelled(CancelCause::Explicit) => JobErrorKind::Cancelled,
-                    FlowError::Cancelled(CancelCause::Deadline) => JobErrorKind::DeadlineExpired,
-                    other => JobErrorKind::Flow(other),
-                };
-                Err(job_error(kind, trace))
-            }
-            Err(payload) => {
-                // A stalled-then-cancelled pass can also panic (safety
-                // caps); cancellation verdicts take precedence when the
-                // token fired.
-                let kind = match token.cause() {
-                    Some(CancelCause::Deadline) => JobErrorKind::DeadlineExpired,
-                    Some(CancelCause::Explicit) => JobErrorKind::Cancelled,
-                    None => JobErrorKind::Panicked {
-                        message: panic_message(payload.as_ref()).to_string(),
-                    },
-                };
-                Err(job_error(kind, trace))
-            }
-        }
-    }
-
-    /// Per-job runtime setup: the cancellation token (batch token tightened
-    /// by the job deadline) plus the design's chaos injector, if any.
-    fn solo_setup(&self) -> JobSetup {
-        JobSetup {
-            token: self.job_token(),
-            #[cfg(feature = "chaos")]
-            chaos: None,
-        }
-    }
-
-    /// [`SynthesisFlow::solo_setup`] plus the chaos plan slice for batch
-    /// design `design`.
-    #[allow(unused_variables)]
-    fn batch_setup(&self, design: usize) -> JobSetup {
-        JobSetup {
-            token: self.job_token(),
-            #[cfg(feature = "chaos")]
-            chaos: self
-                .options
-                .chaos
-                .as_ref()
-                .and_then(|plan| plan.for_design(design)),
-        }
+            pass: observer.in_flight,
+            elapsed: started.elapsed(),
+            passes: observer.passes,
+        })
     }
 
     /// The staged pipeline body: Optimize → Pipeline → Polarity → Map →
     /// [Timing] → Verify (Timing only when configured), with per-stage
-    /// timing, (optional) observer callbacks, and cancellation checks at
-    /// every stage boundary.
-    fn run_compiled(
+    /// timing and cancellation checks at every stage boundary.
+    #[allow(clippy::too_many_arguments)]
+    fn run_stages(
         &self,
         aig: &Aig,
         compiled: &CompiledScript,
         pool: &ThreadPool,
-        observer: Option<&mut dyn FlowObserver>,
-        arenas: Option<&mut PassArenas>,
-        setup: JobSetup,
+        arenas: &mut PassArenas,
+        token: &CancelToken,
+        observer: &mut PassObserver,
+        #[cfg(feature = "chaos")] chaos: Option<xsfq_aig::chaos::Injector>,
     ) -> Result<FlowResult, FlowError> {
         let o = &self.options;
         if o.pipeline_stages > 0 && aig.num_latches() > 0 {
             return Err(FlowError::PipelineOnSequential);
         }
-        let token = setup.token;
-        let cancelled = |token: &CancelToken| {
-            FlowError::Cancelled(token.cause().unwrap_or(CancelCause::Explicit))
-        };
-        let mut proxy = ObserverProxy {
-            obs: observer,
-            check: o.check,
-            lint: Vec::new(),
-        };
+        let cancelled = || FlowError::Cancelled(token.cause().unwrap_or(CancelCause::Explicit));
         let mut stages: Vec<StageStat> = Vec::new();
-        let note = |stage: FlowStage,
-                    start: Instant,
-                    stages: &mut Vec<StageStat>,
-                    proxy: &mut ObserverProxy<'_>| {
-            let stat = StageStat {
+        let mut note = |stage: FlowStage, start: Instant| {
+            stages.push(StageStat {
                 stage,
                 wall_ns: start.elapsed().as_nanos() as u64,
-            };
-            proxy.on_stage(&stat);
-            stages.push(stat);
+            });
         };
 
-        // -- Optimize: the pass script, with per-pass telemetry. A batch
-        // driver hands in its worker's warm arena set; it is returned after
-        // the script so the next design reuses it.
+        // -- Optimize: the pass script, with per-pass telemetry. The caller
+        // hands in its warm arena set; it is returned after the script so
+        // the next design reuses it.
         let start = Instant::now();
         let (optimized, passes, degraded, guard_trip, arena_lint) = {
-            let mut ctx = PassCtx::with_observer(pool, &mut proxy);
+            let mut ctx = PassCtx::with_observer(pool, observer);
             ctx.set_token(token.clone());
             ctx.set_guards(o.guards.clone());
             #[cfg(feature = "chaos")]
-            if let Some(injector) = setup.chaos {
+            if let Some(injector) = chaos {
                 ctx.set_chaos(injector);
             }
-            let mut arenas = arenas;
-            if let Some(store) = &mut arenas {
-                ctx.reuse_arenas(std::mem::take(*store));
-            }
+            ctx.reuse_arenas(std::mem::take(arenas));
             let optimized = compiled.run(aig, &mut ctx);
             let passes = ctx.take_telemetry();
             // Audit the cut arena while the ctx still owns it — the CSR
@@ -1138,23 +954,21 @@ impl SynthesisFlow {
             } else {
                 Vec::new()
             };
-            if let Some(store) = arenas {
-                *store = ctx.take_arenas();
-            }
+            *arenas = ctx.take_arenas();
             let guard_trip = ctx
                 .guard_trip()
                 .map(|(pass, kind)| (pass.to_string(), kind));
             (optimized, passes, ctx.degraded(), guard_trip, arena_lint)
         };
-        note(FlowStage::Optimize, start, &mut stages, &mut proxy);
+        note(FlowStage::Optimize, start);
         if token.is_cancelled() {
-            return Err(cancelled(&token));
+            return Err(cancelled());
         }
         if let Some((pass, kind)) = guard_trip {
             return Err(FlowError::GuardTripped { pass, kind });
         }
         if o.check >= CheckLevel::Stage {
-            let mut diags = std::mem::take(&mut proxy.lint);
+            let mut diags = std::mem::take(&mut observer.lint);
             diags.extend(arena_lint);
             diags.extend(xsfq_lint::lint_aig(&optimized));
             if xsfq_lint::has_errors(&diags) {
@@ -1165,14 +979,14 @@ impl SynthesisFlow {
         // -- Pipeline: rank-level selection (no-op for 0 stages).
         let start = Instant::now();
         let rank_levels = choose_rank_levels(&optimized, o.pipeline_stages, o.rank_window);
-        note(FlowStage::Pipeline, start, &mut stages, &mut proxy);
+        note(FlowStage::Pipeline, start);
 
         // -- Polarity: output phase assignment (parallel candidate costing).
         let start = Instant::now();
         let (assignment, _requirements) = assign_polarities_with_pool(&optimized, o.polarity, pool);
-        note(FlowStage::Polarity, start, &mut stages, &mut proxy);
+        note(FlowStage::Polarity, start);
         if token.is_cancelled() {
-            return Err(cancelled(&token));
+            return Err(cancelled());
         }
 
         // -- Map: dual-rail mapping (parallel requirements sweep, sequential
@@ -1188,9 +1002,9 @@ impl SynthesisFlow {
             assignment,
             pool,
         );
-        note(FlowStage::Map, start, &mut stages, &mut proxy);
+        note(FlowStage::Map, start);
         if token.is_cancelled() {
-            return Err(cancelled(&token));
+            return Err(cancelled());
         }
         if o.check >= CheckLevel::Stage {
             let mut diags = xsfq_lint::lint_netlist(&mapped.logical, NetlistProfile::Logical);
@@ -1215,9 +1029,9 @@ impl SynthesisFlow {
             if let Some(balanced) = outcome.netlist {
                 mapped.physical = balanced;
             }
-            note(FlowStage::Timing, start, &mut stages, &mut proxy);
+            note(FlowStage::Timing, start);
             if token.is_cancelled() {
-                return Err(cancelled(&token));
+                return Err(cancelled());
             }
             // Full balancing promises sub-tolerance residual skew; hold it
             // to that promise at Stage level (Budget/Off residue is the
@@ -1238,7 +1052,7 @@ impl SynthesisFlow {
         if o.verify && aig.num_latches() == 0 {
             let start = Instant::now();
             let verdict = verify_mapping(&optimized, &mapped, o.polarity);
-            note(FlowStage::Verify, start, &mut stages, &mut proxy);
+            note(FlowStage::Verify, start);
             verdict.map_err(FlowError::Verification)?;
         }
 
@@ -1338,23 +1152,14 @@ mod tests {
         g.output_word("o", &outs);
         let base = SynthesisFlow::new().verify(true).run(&g).unwrap();
         let swept = SynthesisFlow::new()
-            .fraig(true)
-            .verify(true)
-            .run(&g)
-            .unwrap();
-        assert!(swept.report.aig_nodes <= base.report.aig_nodes);
-        // The compatibility knob appends `f` to the script: its telemetry
-        // row must be there.
-        assert_eq!(swept.report.passes.last().unwrap().name, "f");
-        // And `script_str("standard; f")` is the same flow.
-        let scripted = SynthesisFlow::new()
             .script_str("standard; f")
             .unwrap()
             .verify(true)
             .run(&g)
             .unwrap();
-        assert_eq!(scripted.optimized.nodes(), swept.optimized.nodes());
-        assert_eq!(scripted.report.jj_total, swept.report.jj_total);
+        assert!(swept.report.aig_nodes <= base.report.aig_nodes);
+        // The sweep left its telemetry row.
+        assert_eq!(swept.report.passes.last().unwrap().name, "f");
     }
 
     #[test]
@@ -1443,20 +1248,7 @@ mod tests {
     }
 
     #[test]
-    fn observer_sees_stages_and_passes() {
-        #[derive(Default)]
-        struct Recorder {
-            stages: Vec<FlowStage>,
-            passes: usize,
-        }
-        impl FlowObserver for Recorder {
-            fn on_stage(&mut self, stat: &StageStat) {
-                self.stages.push(stat.stage);
-            }
-            fn on_pass(&mut self, _stat: &PassStat) {
-                self.passes += 1;
-            }
-        }
+    fn report_lists_stages_in_execution_order() {
         let mut g = Aig::new("fa");
         let a = g.input("a");
         let b = g.input("b");
@@ -1464,13 +1256,10 @@ mod tests {
         let (s, co) = build::full_adder(&mut g, a, b, c);
         g.output("s", s);
         g.output("cout", co);
-        let mut rec = Recorder::default();
-        let r = SynthesisFlow::new()
-            .verify(true)
-            .run_observed(&g, &mut rec)
-            .unwrap();
+        let r = SynthesisFlow::new().verify(true).run(&g).unwrap();
+        let stages: Vec<FlowStage> = r.report.stages.iter().map(|s| s.stage).collect();
         assert_eq!(
-            rec.stages,
+            stages,
             vec![
                 FlowStage::Optimize,
                 FlowStage::Pipeline,
@@ -1479,11 +1268,7 @@ mod tests {
                 FlowStage::Verify
             ]
         );
-        assert_eq!(rec.passes, r.report.passes.len());
-        assert!(rec.passes > 0);
-        // Report telemetry matches the observed stage sequence.
-        let reported: Vec<FlowStage> = r.report.stages.iter().map(|s| s.stage).collect();
-        assert_eq!(reported, rec.stages);
+        assert!(!r.report.passes.is_empty());
     }
 
     #[test]
@@ -1497,7 +1282,7 @@ mod tests {
             g.output_word("p", &p);
             designs.push(g);
         }
-        let flow = SynthesisFlow::new().effort(Effort::Fast);
+        let flow = SynthesisFlow::new().script(Script::preset(Effort::Fast));
         let batch = flow.run_many(&designs).unwrap();
         assert_eq!(batch.len(), designs.len());
         for (g, r) in designs.iter().zip(&batch) {

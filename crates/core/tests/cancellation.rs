@@ -6,13 +6,12 @@
 //! process-wide executor, because the token is polled inside the parallel
 //! evaluate loops too and the pool must come back healthy.
 
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use xsfq_aig::pass::PassStat;
+use xsfq_aig::pass::{PassCtx, PassObserver, PassStat, Script};
 use xsfq_aig::{build, Aig, Lit};
-use xsfq_core::{FlowError, FlowObserver, JobErrorKind, SynthesisFlow};
-use xsfq_exec::{CancelCause, CancelToken};
+use xsfq_core::{flow_registry, FlowError, JobErrorKind, SynthesisFlow};
+use xsfq_exec::{CancelCause, CancelToken, ThreadPool};
 
 fn adder() -> Aig {
     let mut g = Aig::new("adder4");
@@ -34,19 +33,14 @@ fn flows() -> Vec<(&'static str, SynthesisFlow)> {
     ]
 }
 
-/// Observer that cancels the token after the first completed pass.
+/// Observer that cancels the token once the first pass completes.
 struct CancelAfterFirstPass {
     token: CancelToken,
-    seen: Arc<Mutex<Vec<PassStat>>>,
 }
 
-impl FlowObserver for CancelAfterFirstPass {
-    fn on_pass(&mut self, stat: &PassStat) {
-        let mut seen = self.seen.lock().unwrap();
-        seen.push(stat.clone());
-        if seen.len() == 1 {
-            self.token.cancel();
-        }
+impl PassObserver for CancelAfterFirstPass {
+    fn on_pass(&mut self, _stat: &PassStat) {
+        self.token.cancel();
     }
 }
 
@@ -76,37 +70,44 @@ fn pre_cancelled_token_runs_zero_passes() {
 }
 
 /// Cancelling mid-run stops the script at the next pass boundary: exactly
-/// one pass completes, and the flow returns promptly (the latency bound is
+/// one pass completes, and the run returns promptly (the latency bound is
 /// generous — the contract is "no further pass", not a wall-clock SLA).
+/// Driven through the pass engine the flow's Optimize stage runs; how the
+/// flow maps a fired token to a verdict is pinned by
+/// `pre_cancelled_token_runs_zero_passes`.
 #[test]
 fn cancel_after_first_pass_stops_at_the_boundary() {
     let g = adder();
     // A long keep-best loop: without cancellation this runs 64 rounds.
-    let script = "repeat 64 { b; rw; rf; rwz }";
-    for (label, flow) in flows() {
+    let compiled = Script::parse("repeat 64 { b; rw; rf; rwz }")
+        .unwrap()
+        .compile(&flow_registry())
+        .unwrap();
+    let (one, four) = (ThreadPool::new(1), ThreadPool::new(4));
+    let pools = [
+        ("threads(1)", &one),
+        ("threads(4)", &four),
+        ("global", ThreadPool::global()),
+    ];
+    for (label, pool) in pools {
         let token = CancelToken::default();
-        let flow = flow.cancel_token(token.clone()).script_str(script).unwrap();
-        let seen = Arc::new(Mutex::new(Vec::new()));
         let mut observer = CancelAfterFirstPass {
             token: token.clone(),
-            seen: seen.clone(),
         };
+        let mut ctx = PassCtx::with_observer(pool, &mut observer);
+        ctx.set_token(token);
         let cancelled_at = Instant::now();
-        let err = flow.run_observed(&g, &mut observer).expect_err(label);
+        compiled.run(&g, &mut ctx);
         let latency = cancelled_at.elapsed();
-        assert!(
-            matches!(err, FlowError::Cancelled(CancelCause::Explicit)),
-            "{label}: {err:?}"
-        );
-        let seen = seen.lock().unwrap();
+        assert!(ctx.cancelled(), "{label}: the run must report the cancel");
         assert_eq!(
-            seen.len(),
+            ctx.telemetry().len(),
             1,
             "{label}: the pass after the cancel must not run"
         );
         assert!(
             latency < Duration::from_secs(30),
-            "{label}: flow took {latency:?} to honor the cancellation"
+            "{label}: the run took {latency:?} to honor the cancellation"
         );
     }
 }

@@ -16,6 +16,7 @@
 use proptest::prelude::*;
 
 use xsfq_aig::opt::Effort;
+use xsfq_aig::pass::Script;
 use xsfq_aig::{Aig, Lit};
 use xsfq_cells::InterconnectStyle;
 use xsfq_core::{CheckLevel, PolarityMode, SynthesisFlow};
@@ -34,9 +35,9 @@ fn verilog(flow_result: &xsfq_core::FlowResult) -> Vec<u8> {
 #[test]
 fn epfl_suite_is_lint_clean_at_stage_and_identical_to_unchecked() {
     let checked = SynthesisFlow::new()
-        .effort(Effort::Fast)
+        .script(Script::preset(Effort::Fast))
         .check(CheckLevel::Stage);
-    let unchecked = SynthesisFlow::new().effort(Effort::Fast);
+    let unchecked = SynthesisFlow::new().script(Script::preset(Effort::Fast));
     for b in xsfq_benchmarks::all()
         .iter()
         .filter(|b| b.suite == xsfq_benchmarks::Suite::Epfl)
@@ -161,7 +162,7 @@ proptest! {
             InterconnectStyle::Abutted
         };
         let result = SynthesisFlow::new()
-            .effort(effort)
+            .script(Script::preset(effort))
             .polarity(mode)
             .style(style)
             .pipeline_stages(stages)

@@ -21,6 +21,7 @@
 use proptest::prelude::*;
 
 use xsfq_aig::opt::Effort;
+use xsfq_aig::pass::Script;
 use xsfq_aig::{Aig, Lit};
 use xsfq_cells::CellKind;
 use xsfq_core::verify::{netlist_to_comb_aig, prove_equivalent};
@@ -80,7 +81,7 @@ fn assert_balancing_invariants(name: &str, before: &Netlist, after: &Netlist) {
 /// X011 audit comes back clean.
 #[test]
 fn epfl_suite_balances_clean_under_full() {
-    let flow = SynthesisFlow::new().effort(Effort::Fast);
+    let flow = SynthesisFlow::new().script(Script::preset(Effort::Fast));
     let opts = TimingOptions::default();
     for b in xsfq_benchmarks::all()
         .iter()
@@ -131,7 +132,10 @@ fn untimed_flow_is_byte_identical_and_stage_free() {
         "default flow must not pay for timing"
     );
     let aig = xsfq_benchmarks::by_name("int2float").unwrap();
-    let untimed = SynthesisFlow::new().effort(Effort::Fast).run(&aig).unwrap();
+    let untimed = SynthesisFlow::new()
+        .script(Script::preset(Effort::Fast))
+        .run(&aig)
+        .unwrap();
     assert!(untimed.report.timing.is_none());
     let json = untimed.report.to_json();
     assert!(
@@ -146,7 +150,7 @@ fn untimed_flow_is_byte_identical_and_stage_free() {
     // The timed flow differs from the untimed one only by inserted JTLs and
     // the extra report fields.
     let timed = SynthesisFlow::new()
-        .effort(Effort::Fast)
+        .script(Script::preset(Effort::Fast))
         .check(CheckLevel::Stage)
         .timing(TimingOptions::default())
         .run(&aig)
@@ -175,7 +179,10 @@ fn balancing_is_identical_across_pools() {
     let opts = TimingOptions::default();
     for name in ["ctrl", "int2float", "dec", "router"] {
         let aig = xsfq_benchmarks::by_name(name).unwrap();
-        let result = SynthesisFlow::new().effort(Effort::Fast).run(&aig).unwrap();
+        let result = SynthesisFlow::new()
+            .script(Script::preset(Effort::Fast))
+            .run(&aig)
+            .unwrap();
         let physical = &result.mapped.physical;
         let seq = balance_netlist(physical, &opts, None);
         let one = ThreadPool::new(1);
@@ -216,7 +223,10 @@ fn golden_epfl_analyse_reports() {
     };
     for (name, critical, skew, endpoints, joins, buffers) in golden {
         let aig = xsfq_benchmarks::by_name(name).unwrap();
-        let result = SynthesisFlow::new().effort(Effort::Fast).run(&aig).unwrap();
+        let result = SynthesisFlow::new()
+            .script(Script::preset(Effort::Fast))
+            .run(&aig)
+            .unwrap();
         let analysis = TimingAnalysis::analyze(&result.mapped.physical, &analyse);
         let round = |v: f64| (v * 10.0).round() / 10.0;
         assert_eq!(
@@ -294,7 +304,7 @@ proptest! {
             _ => BalanceMode::Off,
         };
         let result = SynthesisFlow::new()
-            .effort(Effort::Fast)
+            .script(Script::preset(Effort::Fast))
             .polarity(mode)
             .run(&g)
             .unwrap();

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use xsfq_netlist::writers::json_escape;
+
 /// How bad a finding is.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum Severity {
@@ -185,22 +187,6 @@ fn site_json(site: &Site) -> String {
         Site::Port(name) => format!("{{\"kind\":\"port\",\"name\":\"{}\"}}", json_escape(name)),
         Site::Node(i) => format!("{{\"kind\":\"node\",\"index\":{i}}}"),
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// How much static checking the synthesis flow runs.

@@ -1,4 +1,5 @@
-//! Netlist exporters: structural Verilog and Graphviz DOT.
+//! Netlist exporters: structural Verilog and Graphviz DOT, plus the JSON
+//! string escaping the workspace's JSON reports share ([`json_escape`]).
 //!
 //! Port names pass through a collision-free sanitizer before they become
 //! Verilog identifiers: invalid characters map to `_` (which would merge
@@ -257,6 +258,25 @@ fn dot_label(name: &str) -> String {
             }
         })
         .collect()
+}
+
+/// Escape `s` for use inside a JSON string literal: quotes, backslashes
+/// and every control character (`\n`, `\r`, `\t` by name, the rest as
+/// `\u00XX`), so any name read from a design file stays valid JSON.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 #[cfg(test)]

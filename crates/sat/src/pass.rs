@@ -14,8 +14,7 @@ use crate::sweep::{fraig_with_stats, SweepOptions};
 
 /// The SAT-sweeping (`fraig`) pass: merge proven-equivalent nodes, keeping
 /// the result only when it is strictly smaller than its input (sweeping
-/// never helps when nothing merges, and the flow's legacy `fraig(true)`
-/// knob had exactly this accept rule).
+/// never helps when nothing merges).
 #[derive(Default, Debug, Clone)]
 pub struct FraigPass {
     opts: SweepOptions,

@@ -16,9 +16,9 @@ use xsfq_aig::digest::canonical_digest;
 use xsfq_aig::io::read_netlist_auto;
 use xsfq_aig::pass::{PassArenas, PassGuards, Script};
 use xsfq_core::SynthesisFlow;
-use xsfq_exec::{CancelToken, ThreadPool};
+use xsfq_exec::{panic_message, CancelToken, ThreadPool};
 use xsfq_lint::{has_errors, lint_aig, render_json, CheckLevel};
-use xsfq_netlist::writers::write_verilog;
+use xsfq_netlist::writers::{json_escape, write_verilog};
 use xsfq_timing::TimingOptions;
 
 use crate::cache::{CacheKey, ResultCache};
@@ -156,22 +156,6 @@ struct Shared {
     /// depends on (guards, deadline presence, flow defaults).
     guard_fp: String,
     default_script: String,
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The structured failure verdict (`xsfq-serve-verdict/1`).
@@ -509,7 +493,10 @@ fn worker_loop(sh: Arc<Shared>) {
             // The arenas were abandoned mid-pass; start fresh rather than
             // trust their internal invariants.
             arenas = PassArenas::default();
-            let detail = panic_message(payload.as_ref());
+            let detail = format!(
+                "job processing panicked: {}",
+                panic_message(payload.as_ref())
+            );
             let v = verdict_json("panicked", &name, None, attempt, 0, &detail);
             // Ordering: Relaxed — counter-before-journal, as finish_err.
             sh.stats.failed.fetch_add(1, Ordering::Relaxed);
@@ -520,16 +507,6 @@ fn worker_loop(sh: Arc<Shared>) {
                 &protocol::encode_err("panicked", v.as_bytes()),
             );
         }
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        format!("job processing panicked: {s}")
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        format!("job processing panicked: {s}")
-    } else {
-        "job processing panicked".into()
     }
 }
 

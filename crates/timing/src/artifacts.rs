@@ -3,6 +3,7 @@
 //! numeric fields use fixed-precision formatting so golden tests can pin
 //! outputs byte-for-byte.
 
+use xsfq_netlist::writers::json_escape;
 use xsfq_netlist::Netlist;
 
 use crate::analysis::{EndpointKind, TimingAnalysis};
@@ -191,10 +192,6 @@ pub fn render_sdc(netlist: &Netlist, analysis: &TimingAnalysis, summary: &Timing
     s
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// Quote a CSV field only when it needs it (commas or quotes).
 fn csv_field(s: &str) -> String {
     if s.contains(',') || s.contains('"') {
@@ -243,6 +240,22 @@ mod tests {
         assert!(js.contains("\"balance\":\"full\""));
         assert!(js.contains("\"buffers_inserted\":1"));
         assert!(js.contains("\"kind\":\"output\""));
+    }
+
+    #[test]
+    fn json_report_escapes_control_bytes_in_names() {
+        let mut n = Netlist::new("sample", CellLibrary::xsfq_abutted());
+        let a = n.add_input("a");
+        let b = n.add_input("b");
+        let la = n.add_cell(CellKind::La, &[a, b])[0];
+        n.add_output("y\tz\u{1}\"q", la);
+        let out = balance_netlist(&n, &TimingOptions::default(), None);
+        let js = render_json_report(&n, &out.analysis, &out.summary);
+        assert!(js.contains(r#""name":"y\tz\u0001\"q""#), "{js}");
+        assert!(
+            !js.chars().any(char::is_control),
+            "raw control byte: {js:?}"
+        );
     }
 
     #[test]

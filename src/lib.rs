@@ -43,7 +43,12 @@
 //! | [`benchmarks`] | ISCAS85 / EPFL / ISCAS89 functional equivalents |
 //! | [`baselines`] | clocked RSFQ baselines (PBMap-like, qSeq-like) |
 //! | [`serve`] | crash-tolerant synthesis daemon: TCP + watched-dir jobs, journal, result cache |
-//! | [`lint`] | static design-rule checker: netlist DRC (X001–X008), AIG/arena validators, diagnostics |
+//! | [`lint`] | static design-rule checker: netlist DRC, AIG/arena validators and a post-balancing skew check (codes X001–X011, W101–W102), diagnostics |
+//! | [`timing`] | static timing analysis and slack-matching JTL insertion for mapped netlists |
+//!
+//! The workspace's `xsfq-model` crate, a bounded concurrency model checker
+//! for the executor and the daemon's queue, is test-only and not
+//! re-exported.
 
 pub use xsfq_aig as aig;
 pub use xsfq_baselines as baselines;
@@ -57,3 +62,4 @@ pub use xsfq_pulse as pulse;
 pub use xsfq_sat as sat;
 pub use xsfq_serve as serve;
 pub use xsfq_spice as spice;
+pub use xsfq_timing as timing;

@@ -1,12 +1,30 @@
-//! Batch synthesis: `SynthesisFlow::run_many` over EPFL benchmark designs
-//! must return exactly the reports sequential `run` calls produce (the
-//! acceptance criterion of the pass-manager redesign), while scheduling
-//! whole designs across the executor pool.
+//! Batch synthesis: `SynthesisFlow::run_many` over EPFL and ISCAS89
+//! benchmark designs must return exactly the results sequential `run`
+//! calls produce (the acceptance criterion of the pass-manager redesign),
+//! while scheduling whole designs across the executor pool — and so must
+//! the other entry points, `run_many_isolated` and `run_job`.
 
-use xsfq::aig::pass::Script;
-use xsfq::core::SynthesisFlow;
+use xsfq::aig::pass::{PassArenas, Script};
+use xsfq::core::{FlowResult, SynthesisFlow};
+use xsfq::exec::ThreadPool;
 
-const DESIGNS: [&str; 4] = ["int2float", "dec", "priority", "cavlc"];
+const DESIGNS: [&str; 5] = ["int2float", "dec", "priority", "cavlc", "s27"];
+
+/// `report.to_json()` with every `wall_ns` value zeroed: wall-clock time
+/// is the one report field that differs between identical runs.
+fn scrubbed_json(result: &FlowResult) -> String {
+    const KEY: &str = "\"wall_ns\":";
+    let json = result.report.to_json();
+    let mut out = String::with_capacity(json.len());
+    let mut rest = json.as_str();
+    while let Some(at) = rest.find(KEY) {
+        out.push_str(&rest[..at + KEY.len()]);
+        out.push('0');
+        rest = rest[at + KEY.len()..].trim_start_matches(|c: char| c.is_ascii_digit());
+    }
+    out.push_str(rest);
+    out
+}
 
 #[test]
 fn run_many_over_epfl_matches_sequential_runs() {
@@ -17,28 +35,43 @@ fn run_many_over_epfl_matches_sequential_runs() {
     let flow = SynthesisFlow::new().script(Script::named("fast").unwrap());
     let batch = flow.run_many(&designs).unwrap();
     assert_eq!(batch.len(), designs.len());
-    for (g, r) in designs.iter().zip(&batch) {
+    let isolated: Vec<FlowResult> = flow
+        .run_many_isolated(&designs)
+        .into_iter()
+        .map(|verdict| verdict.unwrap())
+        .collect();
+    // The daemon's shape: one caller-owned pool and one warm arena set
+    // reused across every design.
+    let pool = ThreadPool::new(1);
+    let mut arenas = PassArenas::default();
+    let jobs: Vec<FlowResult> = designs
+        .iter()
+        .map(|g| flow.run_job(g, &pool, &mut arenas).unwrap())
+        .collect();
+    for (i, g) in designs.iter().enumerate() {
         let single = flow.run(g).unwrap();
-        assert_eq!(r.report.name, single.report.name);
-        // Bit-identical optimization result…
-        assert_eq!(r.optimized.nodes(), single.optimized.nodes());
-        assert_eq!(r.optimized.outputs(), single.optimized.outputs());
-        // …and identical mapped numbers.
-        assert_eq!(r.report.aig_nodes, single.report.aig_nodes);
-        assert_eq!(r.report.aig_depth, single.report.aig_depth);
-        assert_eq!(r.report.la_fa, single.report.la_fa);
-        assert_eq!(r.report.splitters, single.report.splitters);
-        assert_eq!(r.report.jj_total, single.report.jj_total);
-        assert_eq!(r.report.depth_logic, single.report.depth_logic);
-        // Same pass sequence executed (telemetry row per pass).
-        let names: Vec<&str> = r.report.passes.iter().map(|p| p.name.as_str()).collect();
-        let single_names: Vec<&str> = single
-            .report
-            .passes
-            .iter()
-            .map(|p| p.name.as_str())
-            .collect();
-        assert_eq!(names, single_names);
+        for (path, r) in [
+            ("run_many", &batch[i]),
+            ("run_many_isolated", &isolated[i]),
+            ("run_job", &jobs[i]),
+        ] {
+            let name = g.name();
+            // Bit-identical optimization result…
+            assert_eq!(
+                r.optimized.nodes(),
+                single.optimized.nodes(),
+                "{path}: {name}"
+            );
+            assert_eq!(
+                r.optimized.outputs(),
+                single.optimized.outputs(),
+                "{path}: {name}"
+            );
+            // …the same physical netlist…
+            assert_eq!(r.netlist(), single.netlist(), "{path}: {name}");
+            // …and the same report, pass and stage sequence included.
+            assert_eq!(scrubbed_json(r), scrubbed_json(&single), "{path}: {name}");
+        }
     }
 }
 
