@@ -70,28 +70,40 @@ impl ResultCache {
 
     /// Look up a result, refreshing its recency on a hit.
     pub fn get(&self, key: &CacheKey) -> Option<Arc<Vec<u8>>> {
+        let found = self.lookup(key);
+        // Ordering: Relaxed — hit/miss counters are telemetry only;
+        // readers tolerate momentary skew and no data rides on them.
+        match found {
+            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
+            None => self.misses.fetch_add(1, Ordering::Relaxed),
+        };
+        found
+    }
+
+    /// Look up again a request whose [`get`](Self::get) missed, e.g. a job
+    /// that queued while a twin filled the cache. A hit moves the
+    /// request's count from misses to hits; a miss counts nothing, so each
+    /// request is counted once.
+    pub fn recheck(&self, key: &CacheKey) -> Option<Arc<Vec<u8>>> {
+        let found = self.lookup(key);
+        if found.is_some() {
+            // Ordering: Relaxed — telemetry counters, as in `get`.
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.misses.fetch_sub(1, Ordering::Relaxed);
+        }
+        found
+    }
+
+    fn lookup(&self, key: &CacheKey) -> Option<Arc<Vec<u8>>> {
         if self.budget == 0 {
-            // Ordering: Relaxed — hit/miss counters are telemetry only;
-            // readers tolerate momentary skew and no data rides on them.
-            self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
         let mut s = self.state.lock().unwrap();
         s.clock += 1;
         let stamp = s.clock;
-        match s.map.get_mut(key) {
-            Some(e) => {
-                e.stamp = stamp;
-                // Ordering: Relaxed — telemetry counter, as above.
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&e.bytes))
-            }
-            None => {
-                // Ordering: Relaxed — telemetry counter, as above.
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let e = s.map.get_mut(key)?;
+        e.stamp = stamp;
+        Some(Arc::clone(&e.bytes))
     }
 
     /// Insert a result, evicting LRU entries to fit the budget. Values
@@ -186,6 +198,17 @@ mod tests {
         let (_, _, entries, used) = c.stats();
         assert_eq!(entries, 3);
         assert!(used <= budget);
+    }
+
+    #[test]
+    fn recheck_moves_a_miss_to_the_hits() {
+        let c = ResultCache::new(1 << 20);
+        assert!(c.get(&key(1, "s")).is_none());
+        assert!(c.recheck(&key(1, "s")).is_none(), "still absent");
+        assert_eq!(c.stats().1, 1, "a missed recheck counts nothing");
+        c.put(key(1, "s"), b"x".to_vec());
+        assert_eq!(c.recheck(&key(1, "s")).unwrap().as_slice(), b"x");
+        assert_eq!((c.stats().0, c.stats().1), (1, 0), "one request, one hit");
     }
 
     #[test]

@@ -3,6 +3,9 @@
 use std::path::PathBuf;
 use std::sync::mpsc;
 
+use xsfq_aig::Aig;
+
+use crate::cache::CacheKey;
 use crate::protocol::FaultSpec;
 
 /// Where a finished job's response goes.
@@ -23,17 +26,30 @@ pub enum JobSink {
     Discard,
 }
 
-/// One admitted synthesis job.
+/// A job's input as admission left it: the netlist parsed once, and the
+/// key its result is cached under.
+#[derive(Debug)]
+pub struct Input {
+    /// The parsed input netlist.
+    pub aig: Aig,
+    /// The result-cache key: the AIG's canonical digest, the pass script
+    /// (post-defaulting, so it is never empty) and the server fingerprint.
+    pub key: CacheKey,
+}
+
+/// One queued synthesis job: a submission that missed the result cache at
+/// admission and was journaled. Admission parsed the netlist once, so the
+/// job carries the AIG and its cache key; the raw bytes live on only in
+/// the journal's spool file, for crash recovery.
 #[derive(Debug)]
 pub struct Job {
     /// Journal id — unique across daemon restarts.
     pub id: u64,
     /// Design name (client override or netlist-derived); display only.
     pub name: String,
-    /// Pass script; empty means the server default.
-    pub script: String,
-    /// Raw netlist bytes (BLIF or AIGER, sniffed by content).
-    pub data: Vec<u8>,
+    /// The parsed netlist and its cache key, boxed: a job moves by value
+    /// through the queue, and the AIG is most of its size.
+    pub input: Box<Input>,
     /// Chaos fault request (chaos builds only).
     pub fault: Option<FaultSpec>,
     /// Response destination.

@@ -1,13 +1,16 @@
 //! Append-only job journal: crash recovery as a replay problem.
 //!
-//! Every accepted job is made durable *before* it is queued: its full
-//! submit payload is spooled to `state_dir/spool/<id>.job` (the wire
-//! encoding, reused verbatim) and an `S <id> <spool-file>` line is
-//! appended — and flushed — to `state_dir/journal.log`. Completion (in
-//! any terminal state) appends `D <id> <status>`. A daemon killed at any
-//! point therefore restarts into one of three cases per job, all safe:
+//! Every job that reaches the queue is made durable *before* it is
+//! queued: its full submit payload is spooled to
+//! `state_dir/spool/<id>.job` (the wire encoding, reused verbatim) and an
+//! `S <id> <spool-file>` line is appended — and flushed — to
+//! `state_dir/journal.log`. Completion (in any terminal state) appends
+//! `D <id> <status>`. A daemon killed at any point therefore restarts into
+//! one of three cases per job, all safe:
 //!
-//! * no `S` line — the client never got an acceptance; nothing to do;
+//! * no `S` line — the client never got an acceptance, or the submission
+//!   was answered at admission (a cache hit, a `parse` or `rejected`
+//!   verdict) and its reply was its only effect; nothing to do;
 //! * `S` without `D` — accepted but not finished: the spool file replays
 //!   the job through the normal path (at-least-once semantics);
 //! * `S` and `D` — finished; the spool file is deleted at compaction.
@@ -287,6 +290,49 @@ mod tests {
         assert_eq!(recovered.len(), 1);
         assert_eq!(recovered[0].request.name, "kept");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn spools_round_trip_and_torn_spools_never_decode() {
+        let request = req("spooled");
+        let base = Path::new("/tmp/out/spooled");
+        assert_eq!(
+            decode_spool(&encode_spool(&request, None)),
+            Some((request.clone(), None))
+        );
+        let bytes = encode_spool(&request, Some(base));
+        assert_eq!(
+            decode_spool(&bytes),
+            Some((request, Some(base.to_path_buf())))
+        );
+        for cut in 0..bytes.len() {
+            assert!(decode_spool(&bytes[..cut]).is_none(), "torn at {cut}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Spool files are read back after a crash, so any bytes must
+        /// decode or be refused; they must never panic recovery.
+        #[test]
+        fn decode_spool_is_total_on_bytes(
+            data in proptest::prop::collection::vec(proptest::any::<u8>(), 0..256),
+        ) {
+            let _ = decode_spool(&data);
+        }
+
+        /// A well-formed tag line reaches the submit payload decoder.
+        #[test]
+        fn decode_spool_is_total_past_the_tag(
+            dir: bool,
+            body in proptest::prop::collection::vec(proptest::any::<u8>(), 0..256),
+        ) {
+            let mut data = if dir { b"dir:/tmp/x\n".to_vec() } else { b"tcp\n".to_vec() };
+            data.push(crate::protocol::VERSION);
+            data.extend_from_slice(&body);
+            let _ = decode_spool(&data);
+        }
     }
 
     #[test]

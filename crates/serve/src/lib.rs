@@ -45,21 +45,32 @@
 //!
 //! ## Operational guide
 //!
-//! **Admission and backpressure.** The daemon holds at most
-//! `queue_capacity` waiting jobs. Beyond that, submissions are *shed*: the
-//! client gets BUSY with a retry-after hint (milliseconds, scaled by queue
-//! depth) and the daemon's memory stays bounded no matter the offered
-//! load. Watched-directory jobs are never lost by shedding — the file
-//! stays in the directory and is retried on the next poll.
+//! **Admission and backpressure.** Admission parses each submission once,
+//! on the thread that received it (connection or directory watcher), lints
+//! it, and looks it up in the result cache. A cache hit, a netlist that
+//! does not parse (a `parse` verdict) and an ill-formed or refused
+//! submission (a `rejected` verdict) are answered right there; only a miss
+//! becomes a job. The daemon holds at most `queue_capacity` waiting jobs.
+//! Beyond that, misses are *shed*: the client gets BUSY with a retry-after
+//! hint (milliseconds, scaled by queue depth) and the daemon's memory
+//! stays bounded no matter the offered load. A hit needs no queue slot, so
+//! it is answered even while the queue is full. Watched-directory jobs are
+//! never lost by shedding — the file stays in the directory and is retried
+//! on the next poll.
 //!
-//! **Durability.** Every accepted job is journaled (`state_dir/journal.log`
-//! plus a spool file with the full submission) *before* it is queued, and
-//! marked done when it reaches a terminal state. A daemon killed at any
-//! point — including `kill -9` mid-synthesis — restarts, replays the
-//! journal, and requeues exactly the accepted-but-unfinished jobs
-//! (at-least-once semantics). Recovered TCP jobs re-run for the result
-//! cache and the journal's completion record (their clients are gone);
-//! recovered directory jobs still write their result files.
+//! **Durability.** Every job that reaches the queue is journaled
+//! (`state_dir/journal.log` plus a spool file with the full submission)
+//! *before* it is queued, and marked done when it reaches a terminal
+//! state. A daemon killed at any point — including `kill -9`
+//! mid-synthesis — restarts, replays the journal, and requeues exactly the
+//! accepted-but-unfinished jobs (at-least-once semantics). Recovered TCP
+//! jobs re-run for the result cache and the journal's completion record
+//! (their clients are gone); recovered directory jobs still write their
+//! result files. Submissions answered at admission — hits and `parse` or
+//! `rejected` verdicts — leave no journal record and no spool file: the
+//! reply is their only effect, and it is idempotent, so a crash before it
+//! is sent looks to the client like a dropped connection, and a
+//! resubmission gets the same answer.
 //!
 //! **Deadlines and retries.** Each job runs under `job_deadline`
 //! (wall-clock, counted from job start) and the per-pass resource
@@ -76,8 +87,13 @@
 //! ([`xsfq_aig::digest::canonical_digest`]) is renaming- and
 //! node-order-independent, so the same circuit resubmitted from a
 //! different tool's writer hits. A hit returns the exact bytes the
-//! original run produced, flagged with `cache_hit = 1`. The cache is LRU
-//! under `cache_budget` bytes; 0 disables it.
+//! original run produced, flagged with `cache_hit = 1`, from the admitting
+//! thread: no journal write, no queue, no shard. A duplicate that missed
+//! at admission because its twin was still queued looks again when a
+//! shard takes it, and replays the twin's bytes instead of synthesizing
+//! the design a second time. Each cacheable submission counts once in the
+//! STATS `hits`/`misses`; fault-injected ones bypass the cache. The cache
+//! is LRU under `cache_budget` bytes; 0 disables it.
 //!
 //! **Static checking.** `check` sets the [`CheckLevel`] for admission and
 //! every job. At the default `Stage`, a submission that parses but is
@@ -85,9 +101,11 @@
 //! …) is *rejected at admission* — the client gets a `rejected` verdict
 //! whose `diags` field carries the lint findings as an
 //! `xsfq-lint-diags/1` array (stable codes like `X008`), and no shard
-//! time is spent on it. The same level is applied inside the flow, so a
-//! pass or mapper bug that produces an ill-formed intermediate surfaces
-//! as a `flow` verdict naming the lint codes instead of corrupt output.
+//! time is spent on it. Lint runs before the cache lookup, so an
+//! ill-formed submission is rejected even when its digest is cached. The
+//! same level is applied inside the flow, so a pass or mapper bug that
+//! produces an ill-formed intermediate surfaces as a `flow` verdict
+//! naming the lint codes instead of corrupt output.
 //! `Paranoid` additionally validates the AIG after every optimization
 //! pass and audits the cut arena — for debugging passes, not production
 //! (expect measurable per-job overhead). `Off` restores the unchecked
@@ -112,11 +130,12 @@
 //! emitted netlist instead of re-synthesizing.
 //!
 //! **Drain.** On SIGTERM/SIGINT (the `xsfq-serve` binary) or
-//! [`Server::shutdown`] (embedded), the daemon stops admitting — new
-//! submissions get BUSY — finishes queued and in-flight jobs, and after
-//! `drain_grace` cancels whatever is still running (those jobs journal as
-//! failed with a `cancelled` verdict). The journal is flushed at every
-//! step, so even a drain cut short by `kill -9` recovers cleanly.
+//! [`Server::shutdown`] (embedded), the daemon stops admitting — every new
+//! submission gets BUSY, cache hits included — finishes queued and
+//! in-flight jobs, and after `drain_grace` cancels whatever is still
+//! running (those jobs journal as failed with a `cancelled` verdict). The
+//! journal is flushed at every step, so even a drain cut short by
+//! `kill -9` recovers cleanly.
 //!
 //! **Sizing.** `shards` worker shards each own a `threads_per_job`-thread
 //! executor pool and a warm arena set reused across jobs. Designs under a

@@ -78,7 +78,8 @@ impl From<io::Error> for ProtocolError {
 }
 
 /// Read one frame; returns `(kind, payload)`, or `None` on clean EOF at a
-/// frame boundary.
+/// frame boundary. The kind byte is read on its own, so the payload lands
+/// in its own buffer without being shifted or copied.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<(u8, Vec<u8>)>, ProtocolError> {
     let mut len = [0u8; 4];
     match r.read_exact(&mut len) {
@@ -90,11 +91,11 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<(u8, Vec<u8>)>, ProtocolE
     if n == 0 || n > MAX_FRAME {
         return Err(ProtocolError::BadLength(n));
     }
-    let mut body = vec![0u8; n];
-    r.read_exact(&mut body)?;
-    let kind = body[0];
-    body.remove(0);
-    Ok(Some((kind, body)))
+    let mut kind = [0u8; 1];
+    r.read_exact(&mut kind)?;
+    let mut payload = vec![0u8; n - 1];
+    r.read_exact(&mut payload)?;
+    Ok(Some((kind[0], payload)))
 }
 
 /// Write one frame. The header and payload are coalesced into a single

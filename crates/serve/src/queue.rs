@@ -151,15 +151,24 @@ impl JobQueue {
 #[cfg(all(test, not(feature = "model")))]
 mod tests {
     use super::*;
-    use crate::job::{Job, JobSink};
+    use crate::cache::CacheKey;
+    use crate::job::{Input, Job, JobSink};
     use std::sync::Arc;
+    use xsfq_aig::digest::Digest;
+    use xsfq_aig::Aig;
 
     fn job(id: u64) -> Job {
         Job {
             id,
             name: format!("j{id}"),
-            script: String::new(),
-            data: Vec::new(),
+            input: Box::new(Input {
+                aig: Aig::default(),
+                key: CacheKey {
+                    digest: Digest([0; 16]),
+                    script: String::new(),
+                    guards: String::new(),
+                },
+            }),
             fault: None,
             sink: JobSink::Discard,
             attempt: 0,

@@ -22,7 +22,7 @@ use xsfq_netlist::writers::{json_escape, write_verilog};
 use xsfq_timing::TimingOptions;
 
 use crate::cache::{CacheKey, ResultCache};
-use crate::job::{Job, JobSink};
+use crate::job::{Input, Job, JobSink};
 use crate::journal::Journal;
 use crate::protocol::{
     self, read_frame, write_frame, SubmitRequest, KIND_BUSY, KIND_ERR, KIND_OK, KIND_PING,
@@ -54,7 +54,8 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Executor threads per shard pool.
     pub threads_per_job: usize,
-    /// Admission-queue capacity. Beyond it, submissions shed with BUSY.
+    /// Admission-queue capacity. Beyond it, submissions that miss the
+    /// result cache shed with BUSY; hits need no slot.
     pub queue_capacity: usize,
     /// Concurrent TCP connections; excess connections get one BUSY frame.
     pub max_connections: usize,
@@ -143,7 +144,8 @@ struct Shared {
     cancel: CancelToken,
     stop: AtomicBool,
     draining: AtomicBool,
-    connections: AtomicUsize,
+    /// Live TCP connections, each holding a [`ConnectionSlot`].
+    connections: Arc<AtomicUsize>,
     max_connections: usize,
     threads_per_job: usize,
     retry_limit: u32,
@@ -203,39 +205,49 @@ fn busy_hint_ms(queue_len: usize) -> u32 {
     (50 + 25 * queue_len as u32).min(2000)
 }
 
+/// How admission disposed of a submission.
 enum Admit {
+    /// Journaled and queued: the verdict reaches the job's sink once a
+    /// shard settles it.
     Queued,
+    /// Answered at admission: `(kind, body)` is the whole reply, a cache
+    /// hit (`OK`) or a `rejected`, `parse` or `panicked` verdict (`ERR`).
+    Answered(u8, Vec<u8>),
+    /// Shed (queue full, or draining); carries the retry-after hint in ms.
     Busy(u32),
-    Rejected {
-        msg: String,
-        /// Pre-rendered `xsfq-lint-diags/1` JSON array; `[]` for
-        /// rejections that carry no lint findings.
-        diags: String,
-    },
 }
 
-impl Admit {
-    fn rejected(msg: impl Into<String>) -> Admit {
-        Admit::Rejected {
-            msg: msg.into(),
+/// Why admission refused a submission: the verdict's kind, its detail,
+/// and a pre-rendered `xsfq-lint-diags/1` JSON array (`[]` without lint
+/// findings).
+struct Refusal {
+    kind: &'static str,
+    detail: String,
+    diags: String,
+}
+
+impl Refusal {
+    fn new(kind: &'static str, detail: String) -> Refusal {
+        Refusal {
+            kind,
+            detail,
             diags: "[]".into(),
         }
     }
 }
 
-/// The single admission path: validate, make durable, enqueue. Shared by
-/// TCP submissions, directory drops, and journal recovery (`recovered`
-/// jobs skip re-journaling — their `S` record already exists).
-fn admit(sh: &Arc<Shared>, request: SubmitRequest, sink: JobSink, recovered: Option<u64>) -> Admit {
-    if sh.draining.load(Ordering::SeqCst) && recovered.is_none() {
-        return Admit::Busy(busy_hint_ms(sh.queue.ready_len()));
-    }
+/// Admission's checks, in order: the fault request, the script, the one
+/// parse of the netlist, and at `Stage` the lint. Passing all of them
+/// yields the AIG and its result-cache key.
+fn vet(sh: &Shared, request: &SubmitRequest) -> Result<Input, Refusal> {
     if let Some(f) = request.fault {
         if !(1..=3).contains(&f.kind) {
-            return Admit::rejected(format!("unknown fault kind {}", f.kind));
+            let detail = format!("unknown fault kind {}", f.kind);
+            return Err(Refusal::new("rejected", detail));
         }
         if !cfg!(feature = "chaos") {
-            return Admit::rejected("fault injection requires a chaos build");
+            let detail = "fault injection requires a chaos build".into();
+            return Err(Refusal::new("rejected", detail));
         }
     }
     let script = if request.script.is_empty() {
@@ -244,23 +256,91 @@ fn admit(sh: &Arc<Shared>, request: SubmitRequest, sink: JobSink, recovered: Opt
         request.script.clone()
     };
     if let Err(e) = Script::parse(&script) {
-        return Admit::rejected(format!("bad script: {e}"));
+        return Err(Refusal::new("rejected", format!("bad script: {e}")));
     }
+    let aig = read_netlist_auto(&request.data).map_err(|e| Refusal::new("parse", e.to_string()))?;
     // Admission-time lint: a submission that parses but is structurally
     // ill-formed (duplicate ports, output shadowing an input, …) would
     // fail deep inside the flow — or worse, synthesize a netlist with
     // colliding dual-rail port names. Reject it here with the findings
-    // attached. Bytes that do not parse at all stay on the in-job path,
-    // which answers with the richer per-format `parse` verdict.
+    // attached, before the cache could answer for it.
     if sh.check >= CheckLevel::Stage {
-        if let Ok(aig) = read_netlist_auto(&request.data) {
-            let diags = lint_aig(&aig);
-            if has_errors(&diags) {
-                return Admit::Rejected {
-                    msg: format!("submission failed lint with {} finding(s)", diags.len()),
-                    diags: render_json(&diags),
-                };
-            }
+        let diags = lint_aig(&aig);
+        if has_errors(&diags) {
+            return Err(Refusal {
+                kind: "rejected",
+                detail: format!("submission failed lint with {} finding(s)", diags.len()),
+                diags: render_json(&diags),
+            });
+        }
+    }
+    let key = CacheKey {
+        digest: canonical_digest(&aig),
+        script,
+        guards: sh.guard_fp.clone(),
+    };
+    Ok(Input { aig, key })
+}
+
+/// Count an answer given at admission and return it. A fresh submission
+/// answered here leaves no journal record: the reply is its only effect,
+/// and the reply is idempotent — a crash before it is sent looks to the
+/// client like a dropped connection, and resubmitting gets the same
+/// answer. A recovered job was accepted by an earlier incarnation, so its
+/// answer appends the `D` record, counter first as in [`finish_ok`].
+fn answered(sh: &Shared, recovered: Option<u64>, kind: u8, body: Vec<u8>) -> Admit {
+    let ok = kind == KIND_OK;
+    // Ordering: Relaxed — telemetry counters (see the queued path below);
+    // the counter-before-journal order is finish_ok's.
+    if ok {
+        sh.stats.accepted.fetch_add(1, Ordering::Relaxed);
+        sh.stats.completed.fetch_add(1, Ordering::Relaxed);
+    } else if recovered.is_some() {
+        sh.stats.failed.fetch_add(1, Ordering::Relaxed);
+    }
+    if let Some(id) = recovered {
+        let _ = sh.journal.record_done(id, if ok { "ok" } else { "err" });
+    }
+    Admit::Answered(kind, body)
+}
+
+/// The single admission path, shared by TCP submissions, directory drops
+/// and journal recovery. It vets the submission, then looks it up in the
+/// result cache: refusals and hits are answered here, on the admitting
+/// thread; only a miss is made durable and queued. `recovered` jobs skip
+/// re-journaling — their `S` record already exists.
+fn admit(sh: &Arc<Shared>, request: SubmitRequest, sink: JobSink, recovered: Option<u64>) -> Admit {
+    if sh.draining.load(Ordering::SeqCst) && recovered.is_none() {
+        return Admit::Busy(busy_hint_ms(sh.queue.ready_len()));
+    }
+    let refuse = |r: Refusal| {
+        let v = verdict_json_diags(r.kind, &request.name, None, 0, 0, &r.detail, &r.diags);
+        answered(
+            sh,
+            recovered,
+            KIND_ERR,
+            protocol::encode_err(r.kind, v.as_bytes()),
+        )
+    };
+    // The parser, lint and digest read untrusted bytes on the admitting
+    // thread. A bug there must cost one verdict, not the directory
+    // watcher, nor a restart that panics on the same recovered spool.
+    let vetted = panic::catch_unwind(AssertUnwindSafe(|| vet(sh, &request)));
+    let input = match vetted {
+        Ok(Ok(vetted)) => vetted,
+        Ok(Err(r)) => return refuse(r),
+        Err(payload) => {
+            let detail = format!("admission panicked: {}", panic_message(payload.as_ref()));
+            return refuse(Refusal::new("panicked", detail));
+        }
+    };
+    // Fault-injected jobs bypass the cache in both directions: a hit would
+    // skip synthesis — and the requested fault with it — and a faulted
+    // run's output must never be served to healthy resubmissions.
+    if request.fault.is_none() {
+        if let Some(segments) = sh.cache.get(&input.key) {
+            let body = protocol::encode_ok_body(true, &segments);
+            return answered(sh, recovered, KIND_OK, body);
         }
     }
     let id = match recovered {
@@ -274,16 +354,23 @@ fn admit(sh: &Arc<Shared>, request: SubmitRequest, sink: JobSink, recovered: Opt
             // Durability before acceptance: a job the client saw admitted
             // must be recoverable. A journal write failure refuses the job.
             if let Err(e) = sh.journal.record_submit(id, &request, dir_base) {
-                return Admit::rejected(format!("journal write failed: {e}"));
+                return refuse(Refusal::new(
+                    "rejected",
+                    format!("journal write failed: {e}"),
+                ));
             }
             id
         }
     };
+    let name = if request.name.is_empty() {
+        input.aig.name().to_string()
+    } else {
+        request.name
+    };
     let job = Job {
         id,
-        name: request.name,
-        script,
-        data: request.data,
+        name,
+        input: Box::new(input),
         fault: request.fault,
         sink,
         attempt: 0,
@@ -315,12 +402,12 @@ fn admit(sh: &Arc<Shared>, request: SubmitRequest, sink: JobSink, recovered: Opt
 }
 
 /// Send a finished job's response to wherever it goes.
-fn deliver(sink: &JobSink, kind: u8, body: &[u8]) {
+fn deliver(sink: &JobSink, kind: u8, body: Vec<u8>) {
     match sink {
         JobSink::Tcp(tx) => {
             // A send error means the client hung up; the work is still
             // journaled and cached, which is all at-least-once promises.
-            let _ = tx.send((kind, body.to_vec()));
+            let _ = tx.send((kind, body));
         }
         JobSink::Dir { base } => {
             let write = |path: PathBuf, bytes: &[u8]| {
@@ -329,7 +416,7 @@ fn deliver(sink: &JobSink, kind: u8, body: &[u8]) {
                 }
                 let _ = fs::write(path, bytes);
             };
-            match protocol::decode_response(kind, body) {
+            match protocol::decode_response(kind, &body) {
                 Ok(protocol::Response::Ok {
                     netlist, report, ..
                 }) => {
@@ -349,7 +436,7 @@ fn deliver(sink: &JobSink, kind: u8, body: &[u8]) {
 /// Settle a successful job: counters, then journal, then response — so
 /// anyone who observes the durable `D` record (or reacts to the response)
 /// already sees the updated stats.
-fn finish_ok(sh: &Shared, job: &Job, body: &[u8]) {
+fn finish_ok(sh: &Shared, job: &Job, body: Vec<u8>) {
     // Ordering: Relaxed — the counter-before-journal *program* order is
     // what carries the invariant (observers of the durable D record see
     // the bump via the journal's lock); the counter itself publishes
@@ -367,35 +454,19 @@ fn finish_err(sh: &Shared, job: &Job, kind: &str, verdict: &str) {
     deliver(
         &job.sink,
         KIND_ERR,
-        &protocol::encode_err(kind, verdict.as_bytes()),
+        protocol::encode_err(kind, verdict.as_bytes()),
     );
 }
 
 /// Run one job to a terminal state (or requeue it for retry).
 fn process(sh: &Arc<Shared>, pool: &ThreadPool, arenas: &mut PassArenas, mut job: Job) {
-    let aig = match read_netlist_auto(&job.data) {
-        Ok(aig) => aig,
-        Err(e) => {
-            let v = verdict_json("parse", &job.name, None, job.attempt, 0, &e.to_string());
-            finish_err(sh, &job, "parse", &v);
-            return;
-        }
-    };
-    if job.name.is_empty() {
-        job.name = aig.name().to_string();
-    }
-    // Fault-injected jobs bypass the cache in both directions: a hit would
-    // skip synthesis — and the requested fault with it — and a faulted
-    // run's output must never be served to healthy resubmissions.
+    // Faulted jobs bypass the cache (see admit). Any other job missed at
+    // admission, but a twin queued ahead of it may have filled the cache
+    // since: replay that instead of synthesizing the design twice.
     let faulted = job.fault.is_some();
-    let key = CacheKey {
-        digest: canonical_digest(&aig),
-        script: job.script.clone(),
-        guards: sh.guard_fp.clone(),
-    };
     if !faulted {
-        if let Some(segments) = sh.cache.get(&key) {
-            finish_ok(sh, &job, &protocol::encode_ok_body(true, &segments));
+        if let Some(segments) = sh.cache.recheck(&job.input.key) {
+            finish_ok(sh, &job, protocol::encode_ok_body(true, &segments));
             return;
         }
     }
@@ -404,7 +475,7 @@ fn process(sh: &Arc<Shared>, pool: &ThreadPool, arenas: &mut PassArenas, mut job
         .guards(sh.guards.clone())
         .check(sh.check)
         .cancel_token(sh.cancel.clone())
-        .script_str(&job.script)
+        .script_str(&job.input.key.script)
     {
         Ok(flow) => flow,
         // Admission validated the script, so this only fires when a
@@ -434,17 +505,18 @@ fn process(sh: &Arc<Shared>, pool: &ThreadPool, arenas: &mut PassArenas, mut job
 
     // Tiny designs take the sequential path: the budget guard drops at the
     // end of the job, restoring the shard's full parallelism.
-    let _budget = (aig.num_ands() < SMALL_JOB_ANDS).then(|| pool.scoped_budget(1));
-    match flow.run_job(&aig, pool, arenas) {
+    let _budget = (job.input.aig.num_ands() < SMALL_JOB_ANDS).then(|| pool.scoped_budget(1));
+    match flow.run_job(&job.input.aig, pool, arenas) {
         Ok(result) => {
             let mut netlist = Vec::new();
             write_verilog(result.netlist(), &mut netlist).expect("write netlist to memory");
             let report = result.report.to_json();
             let segments = protocol::encode_result_segments(&netlist, report.as_bytes());
+            let body = protocol::encode_ok_body(false, &segments);
             if !faulted {
-                sh.cache.put(key, segments.clone());
+                sh.cache.put(job.input.key.clone(), segments);
             }
-            finish_ok(sh, &job, &protocol::encode_ok_body(false, &segments));
+            finish_ok(sh, &job, body);
         }
         Err(e) => {
             if e.kind.is_transient() && job.attempt < sh.retry_limit {
@@ -481,7 +553,7 @@ fn worker_loop(sh: Arc<Shared>) {
     let mut arenas = PassArenas::default();
     while let Some(job) = sh.queue.pop() {
         // The shard thread must survive any single job: a panic that
-        // escapes `process` (e.g. a parser bug on untrusted input) would
+        // escapes `process` (e.g. a mapper or writer bug on one design) would
         // otherwise kill the shard, and — because the job never reaches a
         // terminal journal state — replay and kill another one on every
         // restart. Catch it, settle the job as failed, and move on.
@@ -504,7 +576,7 @@ fn worker_loop(sh: Arc<Shared>) {
             deliver(
                 &sink,
                 KIND_ERR,
-                &protocol::encode_err("panicked", v.as_bytes()),
+                protocol::encode_err("panicked", v.as_bytes()),
             );
         }
     }
@@ -550,48 +622,56 @@ fn connection(sh: &Arc<Shared>, mut stream: TcpStream) {
                 }
             }
             KIND_SUBMIT => {
-                let reject = |stream: &mut TcpStream, msg: &str, diags: &str| {
-                    let v = verdict_json_diags("rejected", "", None, 0, 0, msg, diags);
-                    write_frame(
+                // The last word on a connection the daemon gives up on.
+                let reject = |stream: &mut TcpStream, msg: &str| {
+                    let v = verdict_json("rejected", "", None, 0, 0, msg);
+                    let _ = write_frame(
                         stream,
                         KIND_ERR,
                         &protocol::encode_err("rejected", v.as_bytes()),
-                    )
+                    );
                 };
                 let request = match SubmitRequest::decode(&payload) {
                     Ok(r) => r,
-                    Err(e) => {
-                        let _ = reject(&mut stream, &format!("bad submit payload: {e}"), "[]");
-                        return;
-                    }
+                    Err(e) => return reject(&mut stream, &format!("bad submit payload: {e}")),
                 };
                 let (tx, rx) = mpsc::channel();
-                match admit(sh, request, JobSink::Tcp(tx), None) {
+                let (kind, body) = match admit(sh, request, JobSink::Tcp(tx), None) {
                     Admit::Queued => match rx.recv() {
-                        Ok((kind, body)) => {
-                            if write_frame(&mut stream, kind, &body).is_err() {
-                                return;
-                            }
-                        }
-                        Err(_) => {
-                            let _ = reject(&mut stream, "server shut down mid-job", "[]");
-                            return;
-                        }
+                        Ok(reply) => reply,
+                        Err(_) => return reject(&mut stream, "server shut down mid-job"),
                     },
-                    Admit::Busy(ms) => {
-                        if write_frame(&mut stream, KIND_BUSY, &ms.to_be_bytes()).is_err() {
-                            return;
-                        }
-                    }
-                    Admit::Rejected { msg, diags } => {
-                        if reject(&mut stream, &msg, &diags).is_err() {
-                            return;
-                        }
-                    }
+                    Admit::Answered(kind, body) => (kind, body),
+                    Admit::Busy(ms) => (KIND_BUSY, ms.to_be_bytes().to_vec()),
+                };
+                if write_frame(&mut stream, kind, &body).is_err() {
+                    return;
                 }
             }
             _ => return, // unknown request kind: drop the connection
         }
+    }
+}
+
+/// One of the `max_connections` slots. Dropping it gives the slot back,
+/// so a connection thread that unwinds from a panic releases its slot too.
+struct ConnectionSlot(Arc<AtomicUsize>);
+
+impl ConnectionSlot {
+    /// Take a slot, or `None` when all `max` are held.
+    fn acquire(live: &Arc<AtomicUsize>, max: usize) -> Option<ConnectionSlot> {
+        if live.fetch_add(1, Ordering::SeqCst) < max {
+            Some(ConnectionSlot(Arc::clone(live)))
+        } else {
+            live.fetch_sub(1, Ordering::SeqCst);
+            None
+        }
+    }
+}
+
+impl Drop for ConnectionSlot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -601,15 +681,13 @@ fn accept_loop(sh: Arc<Shared>, listener: TcpListener) {
         .expect("nonblocking listener");
     while !sh.stop.load(Ordering::SeqCst) {
         match listener.accept() {
-            Ok((stream, _peer)) => {
-                let live = sh.connections.fetch_add(1, Ordering::SeqCst) + 1;
-                if live > sh.max_connections {
-                    sh.connections.fetch_sub(1, Ordering::SeqCst);
-                    let mut stream = stream;
+            Ok((mut stream, _peer)) => {
+                let Some(slot) = ConnectionSlot::acquire(&sh.connections, sh.max_connections)
+                else {
                     let _ = stream.set_nonblocking(false);
                     let _ = write_frame(&mut stream, KIND_BUSY, &1000u32.to_be_bytes());
                     continue;
-                }
+                };
                 stream.set_nonblocking(false).expect("blocking stream");
                 // Request-response frames; Nagle would only add
                 // delayed-ACK latency per exchange.
@@ -618,8 +696,8 @@ fn accept_loop(sh: Arc<Shared>, listener: TcpListener) {
                 // Connection threads are detached: they exit on client
                 // EOF. Shutdown does not wait for idle keep-alives.
                 thread::spawn(move || {
+                    let _slot = slot;
                     connection(&sh, stream);
-                    sh.connections.fetch_sub(1, Ordering::SeqCst);
                 });
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -669,30 +747,23 @@ fn watcher_loop(sh: Arc<Shared>, watch_dir: PathBuf, out_dir: PathBuf) {
                 .and_then(|s| s.to_str())
                 .unwrap_or("job")
                 .to_string();
+            let sink = JobSink::Dir {
+                base: out_dir.join(&stem),
+            };
             let request = SubmitRequest {
                 script: String::new(),
-                name: stem.clone(),
+                name: stem,
                 data,
                 fault: None,
             };
-            let base = out_dir.join(&stem);
-            match admit(&sh, request, JobSink::Dir { base: base.clone() }, None) {
-                Admit::Queued => {
-                    let _ = fs::remove_file(&path);
-                    sizes.remove(&path);
-                }
+            match admit(&sh, request, sink.clone(), None) {
+                Admit::Queued => {}
+                Admit::Answered(kind, body) => deliver(&sink, kind, body),
                 // Queue full: leave the file in place, retry next poll.
-                Admit::Busy(_) => {}
-                Admit::Rejected { msg, diags } => {
-                    let v = verdict_json_diags("rejected", &stem, None, 0, 0, &msg, &diags);
-                    if let Some(parent) = base.parent() {
-                        let _ = fs::create_dir_all(parent);
-                    }
-                    let _ = fs::write(base.with_extension("err.json"), v);
-                    let _ = fs::remove_file(&path);
-                    sizes.remove(&path);
-                }
+                Admit::Busy(_) => continue,
             }
+            let _ = fs::remove_file(&path);
+            sizes.remove(&path);
         }
         thread::sleep(Duration::from_millis(100));
     }
@@ -731,7 +802,7 @@ impl Server {
             cancel: CancelToken::new(),
             stop: AtomicBool::new(false),
             draining: AtomicBool::new(false),
-            connections: AtomicUsize::new(0),
+            connections: Arc::new(AtomicUsize::new(0)),
             max_connections: cfg.max_connections,
             threads_per_job: cfg.threads_per_job.max(1),
             retry_limit: cfg.retry_limit,
@@ -747,7 +818,14 @@ impl Server {
         // Requeue everything the previous incarnation accepted but never
         // finished. TCP jobs' clients are gone: they re-run for the cache
         // and the journal's completion record. Directory jobs still write
-        // their result files.
+        // their result files. A spool admission answers — one this build
+        // refuses (a script a newer parser rejects, a fault spec on a
+        // non-chaos build, netlist bytes that do not parse) or a cache
+        // hit — reaches its terminal journal state inside admit, so it is
+        // not replayed at the next startup. Recovered jobs bypass the
+        // capacity check and drain never starts before recovery, so Busy
+        // is unreachable; if it ever fires, admit journaled the job as
+        // shed.
         for r in recovered {
             let sink = match r.dir_base {
                 Some(base) => JobSink::Dir { base },
@@ -755,30 +833,9 @@ impl Server {
             };
             // Ordering: Relaxed — telemetry counter (see admit).
             shared.stats.recovered.fetch_add(1, Ordering::Relaxed);
-            let (id, name) = (r.id, r.request.name.clone());
-            match admit(&shared, r.request, sink.clone(), Some(r.id)) {
-                Admit::Queued => {}
-                // Recovered jobs bypass the capacity check and drain never
-                // starts before recovery, so Busy is unreachable; if it
-                // ever fires, admit has already journaled the job as shed.
-                Admit::Busy(_) => {}
-                // A spool this build no longer accepts (script rejected by
-                // a newer parser, fault spec on a non-chaos build) must
-                // still reach a terminal journal state, or it replays and
-                // is re-rejected at every startup and its spool file is
-                // never reclaimed.
-                Admit::Rejected { msg, diags } => {
-                    // Ordering: Relaxed — counter-before-journal, as
-                    // finish_err.
-                    shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-                    let _ = shared.journal.record_done(id, "err");
-                    let v = verdict_json_diags("rejected", &name, None, 0, 0, &msg, &diags);
-                    deliver(
-                        &sink,
-                        KIND_ERR,
-                        &protocol::encode_err("rejected", v.as_bytes()),
-                    );
-                }
+            if let Admit::Answered(kind, body) = admit(&shared, r.request, sink.clone(), Some(r.id))
+            {
+                deliver(&sink, kind, body);
             }
         }
 
@@ -853,5 +910,29 @@ impl Server {
         if let Some(t) = self.watcher.take() {
             let _ = t.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_connection_thread_gives_its_slot_back() {
+        let live = Arc::new(AtomicUsize::new(0));
+        let slot = ConnectionSlot::acquire(&live, 1).expect("a free slot");
+        assert!(ConnectionSlot::acquire(&live, 1).is_none(), "one slot only");
+        let died = thread::spawn(move || {
+            let _slot = slot;
+            panic!("connection thread dies holding its slot");
+        })
+        .join();
+        assert!(died.is_err());
+        assert_eq!(
+            live.load(Ordering::SeqCst),
+            0,
+            "the unwind released the slot"
+        );
+        assert!(ConnectionSlot::acquire(&live, 1).is_some());
     }
 }

@@ -22,17 +22,26 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
+use xsfq_aig::digest::Digest;
+use xsfq_aig::Aig;
 use xsfq_model::thread;
 use xsfq_model::Explorer;
-use xsfq_serve::job::{Job, JobSink};
+use xsfq_serve::cache::CacheKey;
+use xsfq_serve::job::{Input, Job, JobSink};
 use xsfq_serve::queue::JobQueue;
 
 fn job(id: u64) -> Job {
     Job {
         id,
         name: format!("j{id}"),
-        script: String::new(),
-        data: Vec::new(),
+        input: Box::new(Input {
+            aig: Aig::default(),
+            key: CacheKey {
+                digest: Digest([0; 16]),
+                script: String::new(),
+                guards: String::new(),
+            },
+        }),
         fault: None,
         sink: JobSink::Discard,
         attempt: 0,

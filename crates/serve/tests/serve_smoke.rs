@@ -2,7 +2,7 @@
 //! netlists + reports out, bit-identical to solo runs of the same flow.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use xsfq_aig::io::write_blif;
@@ -58,6 +58,45 @@ fn solo(aig: &Aig) -> (Vec<u8>, String) {
     let mut netlist = Vec::new();
     write_verilog(result.netlist(), &mut netlist).unwrap();
     (netlist, result.report.to_json())
+}
+
+/// The daemon's journal records, one per line.
+fn journal_lines(state: &Path) -> Vec<String> {
+    fs::read_to_string(state.join("journal.log"))
+        .unwrap_or_default()
+        .lines()
+        .map(str::to_owned)
+        .collect()
+}
+
+fn spool_files(state: &Path) -> usize {
+    fs::read_dir(state.join("spool")).map_or(0, |d| d.count())
+}
+
+/// Poll until `cond` holds, failing the test after two minutes.
+fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while !cond() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+fn stats_json(addr: std::net::SocketAddr) -> String {
+    let Response::Stats(json) = Client::connect(addr).unwrap().stats().unwrap() else {
+        panic!("expected Stats");
+    };
+    String::from_utf8(json).unwrap()
+}
+
+/// The value of the first `"key":<digits>` in `json`.
+fn json_u64(json: &str, key: &str) -> u64 {
+    let at = json.find(&format!("\"{key}\":")).expect(key) + key.len() + 3;
+    let digits: String = json[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().unwrap()
 }
 
 fn submit(client: &mut Client, name: &str, data: Vec<u8>) -> Response {
@@ -133,6 +172,15 @@ fn resubmission_hits_the_cache_with_identical_bytes() {
         }
         other => panic!("expected Ok, got {other:?}"),
     }
+    // The hit was answered at admission: it left no journal record and no
+    // spool file, so the journal holds only the miss's S and D records.
+    let lines = journal_lines(&state);
+    assert_eq!(lines.len(), 2, "{lines:?}");
+    assert!(
+        lines[0].starts_with("S ") && lines[1].starts_with("D "),
+        "{lines:?}"
+    );
+    assert_eq!(spool_files(&state), 0);
 
     // A different script is a different result — no false sharing.
     let other_script = client
@@ -216,6 +264,26 @@ fn watched_directory_jobs_produce_result_files() {
         !watch.join("int2float.blif").exists(),
         "ingested job files are consumed"
     );
+
+    // The same design dropped again is a cache hit answered at admission:
+    // the result files come back byte-identical and the input is consumed.
+    let report = fs::read(&ok_json).unwrap();
+    fs::remove_file(&ok_v).unwrap();
+    fs::remove_file(&ok_json).unwrap();
+    fs::write(watch.join("int2float.blif"), blif_bytes(&aig)).unwrap();
+    wait_for("the resubmitted design's result files", || {
+        !watch.join("int2float.blif").exists() && ok_v.exists() && ok_json.exists()
+    });
+    assert_eq!(
+        fs::read(&ok_v).unwrap(),
+        netlist,
+        "replayed netlist differs"
+    );
+    assert_eq!(
+        fs::read(&ok_json).unwrap(),
+        report,
+        "replayed report differs"
+    );
     server.shutdown();
     let _ = fs::remove_dir_all(&state);
 }
@@ -232,9 +300,17 @@ fn malformed_input_gets_a_structured_verdict_not_a_dead_server() {
             assert_eq!(kind, "parse");
             let v = String::from_utf8(verdict).unwrap();
             assert!(v.contains("\"schema\":\"xsfq-serve-verdict/1\""), "{v}");
+            assert!(v.contains("\"kind\":\"parse\""), "{v}");
         }
         other => panic!("expected Err, got {other:?}"),
     }
+    // Answered at admission: nothing was journaled or spooled for it.
+    assert!(
+        journal_lines(&state).is_empty(),
+        "{:?}",
+        journal_lines(&state)
+    );
+    assert_eq!(spool_files(&state), 0);
 
     // An unknown pass name parses as a script but fails script
     // compilation inside the flow: a structured `flow` verdict.
@@ -354,11 +430,30 @@ fn recovered_job_rejected_by_admission_reaches_a_terminal_state() {
             None,
         )
         .unwrap();
+        // A valid script over netlist bytes that do not parse: admission
+        // answers it with a `parse` verdict.
+        let id = j.next_id();
+        j.record_submit(
+            id,
+            &SubmitRequest {
+                script: String::new(),
+                name: "unparseable".into(),
+                data: b"\x00\x01 not a netlist".to_vec(),
+                fault: None,
+            },
+            None,
+        )
+        .unwrap();
     }
-    // First restart recovers the job; admission rejects it, which must
-    // still journal a terminal state — not leave it to replay forever.
+    // First restart recovers both jobs; admission answers them, which must
+    // still journal a terminal state — not leave them to replay forever.
     let server = Server::start(ServeConfig::new(&state)).unwrap();
     server.shutdown();
+    let done = journal_lines(&state)
+        .iter()
+        .filter(|l| l.starts_with("D ") && l.ends_with(" err"))
+        .count();
+    assert_eq!(done, 2, "{:?}", journal_lines(&state));
     let (_, recovered) = xsfq_serve::journal::Journal::open(&state).unwrap();
     assert!(
         recovered.is_empty(),
@@ -424,6 +519,110 @@ fn timed_daemon_carries_timing_summary_and_matches_timed_solo() {
             );
         }
         other => panic!("expected Ok, got {other:?}"),
+    }
+    server.shutdown();
+    let _ = fs::remove_dir_all(&state);
+}
+
+#[test]
+fn queued_twin_replays_its_twins_result() {
+    let state = tmpdir("twin");
+    let mut cfg = ServeConfig::new(&state);
+    cfg.shards = 1;
+    let server = Server::start(cfg).unwrap();
+    let addr = server.local_addr();
+
+    // A large design holds the only shard for seconds; the twins below are
+    // admitted in milliseconds...
+    let big = blif_bytes(&xsfq_benchmarks::by_name("sin").unwrap());
+    let holder =
+        std::thread::spawn(move || submit(&mut Client::connect(addr).unwrap(), "sin", big));
+    wait_for("the large design to occupy the shard", || {
+        let stats = stats_json(addr);
+        json_u64(&stats, "accepted") == 1 && json_u64(&stats, "queue_len") == 0
+    });
+    // ...while one small design arrives on two connections. Both miss the
+    // cache at admission and queue; the one the shard takes second must
+    // replay the first one's result instead of synthesizing it again.
+    let small = blif_bytes(&xsfq_benchmarks::by_name("ctrl").unwrap());
+    let twins: Vec<_> = (0..2)
+        .map(|_| {
+            let data = small.clone();
+            std::thread::spawn(move || submit(&mut Client::connect(addr).unwrap(), "ctrl", data))
+        })
+        .collect();
+    let replies: Vec<(bool, Vec<u8>, Vec<u8>)> = twins
+        .into_iter()
+        .map(|t| match t.join().unwrap() {
+            Response::Ok {
+                cache_hit,
+                netlist,
+                report,
+            } => (cache_hit, netlist, report),
+            other => panic!("expected Ok, got {other:?}"),
+        })
+        .collect();
+    assert!(matches!(holder.join().unwrap(), Response::Ok { .. }));
+    assert_ne!(
+        replies[0].0, replies[1].0,
+        "one twin synthesizes, one replays"
+    );
+    assert_eq!(
+        replies[0].1, replies[1].1,
+        "the replay carries identical bytes"
+    );
+    assert_eq!(replies[0].2, replies[1].2);
+    // Both twins were queued (journaled), so the replay happened on the
+    // shard, not at admission.
+    let submits = journal_lines(&state)
+        .iter()
+        .filter(|l| l.starts_with("S "))
+        .count();
+    assert_eq!(submits, 3, "{:?}", journal_lines(&state));
+    // Each cacheable request is counted once, and the replay as a hit.
+    let stats = stats_json(addr);
+    assert_eq!(json_u64(&stats, "hits"), 1, "{stats}");
+    assert_eq!(json_u64(&stats, "misses"), 2, "{stats}");
+    assert_eq!(json_u64(&stats, "completed"), 3, "{stats}");
+    server.shutdown();
+    let _ = fs::remove_dir_all(&state);
+}
+
+#[test]
+fn cache_hit_is_answered_while_the_queue_sheds() {
+    let state = tmpdir("hit-busy");
+    let aig = xsfq_benchmarks::by_name("ctrl").unwrap();
+    let request = SubmitRequest {
+        script: SCRIPT.into(),
+        name: "ctrl".into(),
+        data: blif_bytes(&aig),
+        fault: None,
+    };
+    // A job an earlier incarnation accepted: recovery queues it past the
+    // capacity check, which is the only way a capacity-0 daemon runs one.
+    {
+        let (j, _) = xsfq_serve::journal::Journal::open(&state).unwrap();
+        j.record_submit(j.next_id(), &request, None).unwrap();
+    }
+    let mut cfg = ServeConfig::new(&state);
+    cfg.queue_capacity = 0;
+    let server = Server::start(cfg).unwrap();
+    wait_for("the recovered job to finish", || {
+        journal_lines(&state).iter().any(|l| l.starts_with("D "))
+    });
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    match client.submit(&request).unwrap() {
+        Response::Ok { cache_hit, .. } => assert!(cache_hit, "a hit needs no queue slot"),
+        other => panic!("expected a cache hit, got {other:?}"),
+    }
+    // A miss still sheds.
+    match submit(
+        &mut client,
+        "dec",
+        blif_bytes(&xsfq_benchmarks::by_name("dec").unwrap()),
+    ) {
+        Response::Busy { .. } => {}
+        other => panic!("expected Busy, got {other:?}"),
     }
     server.shutdown();
     let _ = fs::remove_dir_all(&state);
