@@ -13,8 +13,12 @@
 //! into two phases per batch of nodes:
 //!
 //! * **evaluate** — per candidate cut: the cut function, the MFFC size and
-//!   the isolation-cost prefilter. These read only the *immutable input
-//!   graph* (plus the finished cut lists), so the batch fans out across the
+//!   the isolation-cost prefilter, which drops a cut whose isolation cost
+//!   exceeds its MFFC by more than 2. A function of `s` leaves costs at
+//!   least `s - 1` ANDs, so a cut with `s - 1 - mffc > 2` is dropped before
+//!   it is costed; the bound is exact (it drops only cuts the cost would),
+//!   so it changes no result. These read only the *immutable input graph*
+//!   (plus the finished cut lists), so the batch fans out across the
 //!   [`xsfq_exec::ThreadPool`] with one [`CutScratch`] + [`Synthesizer`]
 //!   arena per worker thread.
 //! * **commit** — the sharing-aware gain measurement (speculative build +
@@ -289,13 +293,14 @@ fn resynthesis_pass(aig: &Aig, mode: ResynthMode, ctx: &mut PassCtx) -> Aig {
     let mut map: Vec<Lit> = vec![Lit::FALSE; aig.num_nodes()];
     map_cis(aig, &mut out, &mut map);
     // One evaluate arena per executor participant, owned by the pass
-    // context so the cost memos stay warm for the whole pass — and for
+    // context so the plan memos stay warm for the whole pass — and for
     // every later pass of the same script. The commit phase reuses
-    // participant 0's synthesizer: its memo entries are pure function
-    // values, so sharing them between the phases (and across arbitrary
-    // evaluation schedules or earlier passes) never changes the committed
-    // graph — with one thread this collapses to the single-synthesizer
-    // walk the sequential pass always did.
+    // participant 0's synthesizer, so a plan its evaluate share made is
+    // built without re-planning: memo entries are pure function values,
+    // so sharing them between the phases (and across arbitrary evaluation
+    // schedules or earlier passes) never changes the committed graph —
+    // with one thread this collapses to the single-synthesizer walk the
+    // sequential pass always did.
     let token = ctx.token().clone();
     let states = &mut ctx.arenas;
     let mut commits = 0u64;
@@ -385,8 +390,13 @@ fn push_candidate(
     let tt = cuts::cut_function_with(aig, id, cut.leaves(), &mut st.scratch);
     let mffc = cuts::mffc_size_with(aig, id, cut.leaves(), fanouts, &mut st.scratch) as isize;
     // Cheap pre-filter on the isolation estimate (the synthesis cost is a
-    // pure function of the table, so per-thread memos agree).
-    if st.synth.cost(&tt) as isize - mffc > 2 {
+    // pure function of the table, so per-thread memos agree). The support
+    // bound is checked first and is exact: `cost >= support - 1` (see
+    // `Synthesizer::cost`), so it rejects only cuts the cost would, and
+    // spares refactor's wide cuts the costing. On a rewrite cut (≤ 4
+    // leaves, mffc ≥ 1) it never fires.
+    let support = tt.support_mask().count_ones() as isize;
+    if support - 1 - mffc > 2 || st.synth.cost(&tt) as isize - mffc > 2 {
         return;
     }
     candidates.push(Candidate { cut, tt, mffc });

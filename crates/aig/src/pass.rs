@@ -225,10 +225,10 @@ pub trait PassObserver {
 ///
 /// Detach it with [`PassCtx::take_arenas`] and re-install it with
 /// [`PassCtx::reuse_arenas`] to keep the buffers (and the pure-function
-/// cost memos) warm across whole designs — the flow's `run_many` keeps one
-/// `PassArenas` per executor worker for an entire batch. Sharing arenas
-/// never changes results: everything they cache is a pure function of its
-/// inputs.
+/// synthesis plan memos) warm across whole designs — the flow's `run_many`
+/// keeps one `PassArenas` per executor worker for an entire batch. Sharing
+/// arenas never changes results: everything they cache is a pure function
+/// of its inputs.
 #[derive(Default)]
 pub struct PassArenas {
     arenas: Vec<EvalScratch>,
@@ -248,11 +248,11 @@ impl fmt::Debug for PassArenas {
 ///
 /// Carries the executor pool, one evaluate-phase arena
 /// (cut scratch + synthesizer) per pool participant — shared across passes
-/// so cost memos stay warm for the whole script — the shared CSR cut arena,
+/// so plan memos stay warm for the whole script — the shared CSR cut arena,
 /// the commit counter passes report into, and the telemetry sink. Arena
-/// sharing cannot change results: the memoized synthesis costs are pure
-/// functions of the truth table (the invariant the `parallel_identity` and
-/// `script_golden` suites pin).
+/// sharing cannot change results: the memoized synthesis plans and costs
+/// are pure functions of the truth table (the invariant the
+/// `parallel_identity` and `script_golden` suites pin).
 pub struct PassCtx<'p, 'o> {
     pool: &'p ThreadPool,
     pub(crate) arenas: Vec<EvalScratch>,

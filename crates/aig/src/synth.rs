@@ -8,10 +8,24 @@
 //! * ISOP extraction ([`crate::isop`]) followed by algebraic literal
 //!   factoring (the SIS `quick_factor` recipe).
 //!
-//! The cheapest alternative (in freshly created AND nodes) wins; costs are
-//! memoized per truth table so large cones stay cheap to evaluate. This is
+//! The cheapest alternative (in freshly created AND nodes) wins. This is
 //! the engine behind both the `rewrite` (4-input cuts) and `refactor`
 //! (reconvergence-driven cuts) passes.
+//!
+//! # Memoization
+//!
+//! A [`Synthesizer`] plans each truth table once: the top-level
+//! decomposition it picks and that decomposition's isolation cost are
+//! stored together, keyed by the table. [`Synthesizer::cost`] fills the
+//! memo; [`Synthesizer::build`] reads its plans from it, so a table costed
+//! in an evaluate phase is never re-planned (two ISOPs and a factoring for
+//! any table no cofactor rule decomposes) when a commit phase builds it.
+//!
+//! Both memo values are pure functions of the table: a plan depends only
+//! on the table and on the costs of its cofactors, which are themselves
+//! memo values. So what a synthesizer has seen before — earlier cuts,
+//! passes or designs, or another thread's share of an evaluate batch —
+//! can change how fast it answers, never what it answers.
 
 use crate::hash::FxHashMap;
 use crate::isop::{isop, Cube};
@@ -41,21 +55,20 @@ pub fn synthesis_cost(tt: &TruthTable, num_leaves: usize) -> usize {
     scratch.num_ands()
 }
 
-/// Reusable resynthesis engine with cross-call cost memoization.
+/// Reusable resynthesis engine with a per-table plan memo.
 ///
 /// Optimization passes that resynthesize many cuts should reuse one
 /// `Synthesizer` so repeated cut functions (buffers, carry chains…) are
-/// costed once.
+/// planned once. The memo never changes a result (see the [module
+/// docs](self)), so one engine may serve any sequence of passes and
+/// designs, and each thread of a parallel pass may keep its own.
 #[derive(Default, Debug)]
 pub struct Synthesizer {
-    /// Keyed by the table itself: ≤6-variable tables are a single inline
-    /// word, so the common key is 16 bytes and never heap-allocated.
-    cost_memo: FxHashMap<TruthTable, usize>,
-    /// Factored-form cost keyed by the SOP cover. Repeated covers (carry
-    /// chains, buffers, mux slices…) would otherwise rebuild a scratch AIG
-    /// per evaluation; the cover fully determines the cost, so one build
-    /// per distinct cover suffices.
-    sop_cost_memo: FxHashMap<Vec<Cube>, usize>,
+    /// Per-table memo: every table planned so far, with its plan and that
+    /// plan's isolation cost (cofactors included). ≤6-variable tables are a
+    /// single inline word, so the common key is 16 bytes and never
+    /// heap-allocated.
+    plans: FxHashMap<TruthTable, (Plan, usize)>,
     /// Per-build node memo. Entries are only valid for one `build` call
     /// (they bind leaf literals); the map is kept on the struct and cleared
     /// per call so the commit phase of the rewriting passes — thousands of
@@ -65,7 +78,7 @@ pub struct Synthesizer {
 }
 
 /// How a function will be decomposed at the top level.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 enum Plan {
     Const(bool),
     Literal {
@@ -119,77 +132,53 @@ impl Synthesizer {
     }
 
     /// Memoized AND-node cost of building `tt` (isolation estimate).
+    ///
+    /// Never below `s - 1` for a table over `s` support variables: each
+    /// branch of the estimate (rule, XOR, MUX, factored SOP) counts the ANDs
+    /// of an AIG that computes the table, and any AIG that depends on `s`
+    /// inputs has at least `s - 1` ANDs.
     pub fn cost(&mut self, tt: &TruthTable) -> usize {
-        if let Some(&c) = self.cost_memo.get(tt) {
-            return c;
-        }
-        let c = match self.plan(tt) {
-            Plan::Const(_) | Plan::Literal { .. } => 0,
-            Plan::Rule { var, rule } => {
-                let (step, rest) = match rule {
-                    Rule::AndPos => (1, tt.cofactor1(var)),
-                    Rule::AndNeg => (1, tt.cofactor0(var)),
-                    Rule::OrNeg => (1, tt.cofactor1(var)),
-                    Rule::OrPos => (1, tt.cofactor0(var)),
-                    Rule::Xor => (3, tt.cofactor0(var)),
-                };
-                step + self.cost(&rest)
-            }
-            Plan::Mux { var } => 3 + self.cost(&tt.cofactor0(var)) + self.cost(&tt.cofactor1(var)),
-            Plan::Sop { cover, .. } => self.factored_cost(&cover, tt.num_vars()),
-        };
-        self.cost_memo.insert(tt.clone(), c);
-        c
+        self.planned(tt).1
     }
 
-    /// Memoized factored-form cost of an SOP cover (see [`build_factored`]).
-    /// The scratch AIG is only built the first time a cover is seen.
-    fn factored_cost(&mut self, cover: &[Cube], num_leaves: usize) -> usize {
-        if let Some(&c) = self.sop_cost_memo.get(cover) {
-            return c;
+    /// The memoized plan of `tt`, planning it on first sight.
+    fn planned(&mut self, tt: &TruthTable) -> &(Plan, usize) {
+        if !self.plans.contains_key(tt) {
+            let planned = self.plan(tt);
+            self.plans.insert(tt.clone(), planned);
         }
-        let mut scratch = Aig::new("cost");
-        let leaves: Vec<Lit> = (0..num_leaves).map(|_| scratch.input("")).collect();
-        build_factored(&mut scratch, cover, &leaves);
-        let c = scratch.num_ands();
-        self.sop_cost_memo.insert(cover.to_vec(), c);
-        c
+        &self.plans[tt]
     }
 
-    fn plan(&mut self, tt: &TruthTable) -> Plan {
-        if tt.is_zero() {
-            return Plan::Const(false);
-        }
-        if tt.is_ones() {
-            return Plan::Const(true);
+    /// Decompose `tt` at the top level and cost the result (the cofactors'
+    /// costs come from, and go into, the memo).
+    fn plan(&mut self, tt: &TruthTable) -> (Plan, usize) {
+        if tt.is_zero() || tt.is_ones() {
+            return (Plan::Const(tt.is_ones()), 0);
         }
         let support = tt.support();
         if support.len() == 1 {
             let var = support[0];
-            return Plan::Literal {
-                var,
-                complement: !tt.cofactor1(var).is_ones(),
-            };
+            let complement = !tt.cofactor1(var).is_ones();
+            return (Plan::Literal { var, complement }, 0);
         }
         for &v in &support {
             let c0 = tt.cofactor0(v);
             let c1 = tt.cofactor1(v);
-            let rule = if c0.is_zero() {
-                Some(Rule::AndPos)
+            let (rule, step, rest) = if c0.is_zero() {
+                (Rule::AndPos, 1, c1)
             } else if c1.is_zero() {
-                Some(Rule::AndNeg)
+                (Rule::AndNeg, 1, c0)
             } else if c0.is_ones() {
-                Some(Rule::OrNeg)
+                (Rule::OrNeg, 1, c1)
             } else if c1.is_ones() {
-                Some(Rule::OrPos)
+                (Rule::OrPos, 1, c0)
             } else if c1.is_complement_of(&c0) {
-                Some(Rule::Xor)
+                (Rule::Xor, 3, c0)
             } else {
-                None
+                continue;
             };
-            if let Some(rule) = rule {
-                return Plan::Rule { var: v, rule };
-            }
+            return (Plan::Rule { var: v, rule }, step + self.cost(&rest));
         }
         // No free rule: compare MUX expansion against factored SOP covers.
         let var = most_binate_var(tt, &support);
@@ -197,20 +186,16 @@ impl Synthesizer {
         let cover = isop(tt, tt);
         let neg = tt.not();
         let cover_neg = isop(&neg, &neg);
-        let sop_cost = self.factored_cost(&cover, tt.num_vars());
-        let sop_neg_cost = self.factored_cost(&cover_neg, tt.num_vars());
+        let sop_cost = factored_cost(&cover, tt.num_vars());
+        let sop_neg_cost = factored_cost(&cover_neg, tt.num_vars());
         if mux_cost < sop_cost.min(sop_neg_cost) {
-            Plan::Mux { var }
+            (Plan::Mux { var }, mux_cost)
         } else if sop_cost <= sop_neg_cost {
-            Plan::Sop {
-                cover,
-                complement: false,
-            }
+            let complement = false;
+            (Plan::Sop { cover, complement }, sop_cost)
         } else {
-            Plan::Sop {
-                cover: cover_neg,
-                complement: true,
-            }
+            let (cover, complement) = (cover_neg, true);
+            (Plan::Sop { cover, complement }, sop_neg_cost)
         }
     }
 
@@ -228,7 +213,7 @@ impl Synthesizer {
         if let Some(&hit) = memo.get(&complement) {
             return !hit;
         }
-        let lit = match self.plan(tt) {
+        let lit = match self.planned(tt).0 {
             Plan::Const(value) => {
                 if value {
                     Lit::TRUE
@@ -264,10 +249,10 @@ impl Synthesizer {
                 let f1 = self.build_rec(aig, &tt.cofactor1(var), leaves, memo);
                 aig.mux(leaves[var], f1, f0)
             }
-            Plan::Sop { cover, complement } => {
-                let lit = build_factored(aig, &cover, leaves);
-                lit.complement_if(complement)
-            }
+            Plan::Sop {
+                ref cover,
+                complement,
+            } => build_factored(aig, cover, leaves).complement_if(complement),
         };
         memo.insert(tt.clone(), lit);
         lit
@@ -289,6 +274,14 @@ fn most_binate_var(tt: &TruthTable, support: &[usize]) -> usize {
         }
     }
     best
+}
+
+/// AND nodes [`build_factored`] creates for `cover` over fresh leaves.
+fn factored_cost(cover: &[Cube], num_leaves: usize) -> usize {
+    let mut scratch = Aig::new("cost");
+    let leaves: Vec<Lit> = (0..num_leaves).map(|_| scratch.input("")).collect();
+    build_factored(&mut scratch, cover, &leaves);
+    scratch.num_ands()
 }
 
 /// Build a factored form of an SOP cover (SIS-style literal factoring):
@@ -454,21 +447,6 @@ mod tests {
         assert_eq!(synthesize(&mut aig, &v1, &leaves), leaves[1]);
         assert_eq!(synthesize(&mut aig, &v1.not(), &leaves), !leaves[1]);
         assert_eq!(aig.num_ands(), 0);
-    }
-
-    #[test]
-    fn factored_cost_is_memoized_per_cover() {
-        use crate::isop::isop;
-        let mut s = Synthesizer::new();
-        let a = TruthTable::variable(3, 0);
-        let b = TruthTable::variable(3, 1);
-        let c = TruthTable::variable(3, 2);
-        let maj = a.and(&b).or(&a.and(&c)).or(&b.and(&c));
-        let cover = isop(&maj, &maj);
-        let c1 = s.factored_cost(&cover, 3);
-        let c2 = s.factored_cost(&cover, 3);
-        assert_eq!(c1, c2);
-        assert_eq!(s.sop_cost_memo.len(), 1, "one distinct cover, one entry");
     }
 
     #[test]

@@ -2,13 +2,18 @@
 //! reference implementations:
 //!
 //! * inline signature-filtered cut enumeration vs. a `Vec`-based
-//!   reimplementation of the original algorithm (exact list equality), and
+//!   reimplementation of the original algorithm (exact list equality),
 //! * inline-`u64` truth tables vs. an explicit `Vec<bool>` bit model across
-//!   all operators, straddling the 6 ↔ 7-variable representation boundary.
+//!   all operators, straddling the 6 ↔ 7-variable representation boundary,
+//!   and
+//! * the resynthesis engine's isolation cost vs. the support lower bound the
+//!   evaluate prefilter relies on, and a memo-warm [`Synthesizer`] vs. a
+//!   fresh one (same cost, same nodes).
 
 use proptest::prelude::*;
 
 use xsfq_aig::cuts::{enumerate_cuts, Cut};
+use xsfq_aig::synth::Synthesizer;
 use xsfq_aig::tt::{apply_npn4, npn_canon4, TruthTable};
 use xsfq_aig::{Aig, Lit, NodeId, NodeKind};
 
@@ -108,6 +113,71 @@ fn table_from_words(vars: usize, words: &[u64]) -> TruthTable {
         t.set_bit(p, w >> (p % 64) & 1 == 1);
     }
     t
+}
+
+/// How a synthesis test table is drawn: variable count, seed words (16
+/// per table), extra AND-ed tables, a variable-drop mask, and a formula
+/// recipe.
+type TableSeed = (usize, Vec<u64>, usize, u32, Vec<(u8, usize)>);
+
+/// Draws for [`synth_table`]: 2..=10 variables, so inline (≤6) and
+/// multi-word tables both occur.
+fn table_seed() -> impl Strategy<Value = TableSeed> {
+    (
+        2usize..=10,
+        prop::collection::vec(any::<u64>(), 48),
+        0usize..3,
+        any::<u32>(),
+        prop::collection::vec((any::<u8>(), 0usize..64), 0..24),
+    )
+}
+
+/// A table for the synthesis properties. An even-length recipe gives the
+/// AND of `1 + density` random tables (sparser ON-sets have more cofactor
+/// rules). An odd-length one gives a formula: starting from variable 0,
+/// each step ANDs, ORs, XORs or AND-NOTs the running function with an
+/// earlier one, so AND/OR chains whose cost is exactly the support bound
+/// occur. Either way the table is then made independent of each variable
+/// whose two-bit field in `drop` is zero (a quarter of them), so every
+/// support size from 0 to `vars` occurs.
+fn synth_table((vars, words, density, drop, recipe): &TableSeed) -> TruthTable {
+    let vars = *vars;
+    let mut t = if recipe.len() % 2 == 0 {
+        let mut t = table_from_words(vars, &words[..16]);
+        for chunk in words[16..].chunks(16).take(*density) {
+            t.and_with(&table_from_words(vars, chunk));
+        }
+        t
+    } else {
+        let mut pool: Vec<TruthTable> = (0..vars).map(|v| TruthTable::variable(vars, v)).collect();
+        let mut f = pool[0].clone();
+        for &(op, i) in recipe {
+            let x = &pool[i % pool.len()];
+            f = match op % 4 {
+                0 => f.and(x),
+                1 => f.or(x),
+                2 => f.xor(x),
+                _ => f.and(&x.not()),
+            };
+            pool.push(f.clone());
+        }
+        f
+    };
+    for v in (0..vars).filter(|v| drop >> (2 * v) & 3 == 0) {
+        t.cofactor0_in_place(v);
+    }
+    t
+}
+
+/// `t` built by `synth` into a graph of its own: the nodes it creates.
+fn build_alone(synth: &mut Synthesizer, t: &TruthTable) -> Aig {
+    let mut g = Aig::new("alone");
+    let leaves: Vec<Lit> = (0..t.num_vars())
+        .map(|i| g.input(format!("x{i}")))
+        .collect();
+    let out = synth.build(&mut g, t, &leaves);
+    g.output("f", out);
+    g
 }
 
 proptest! {
@@ -235,5 +305,48 @@ proptest! {
         prop_assert_eq!(c1, c2);
         let (canon, tf2) = npn_canon4(bits);
         prop_assert_eq!(apply_npn4(bits, tf2), canon);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The bound the evaluate prefilter applies before costing a cut: a
+    /// table over `s` support variables costs at least `s - 1` ANDs, over
+    /// inline (≤6) and multi-word (7..=10 variable) tables alike.
+    #[test]
+    fn synthesis_cost_is_at_least_support_minus_one(seed in table_seed()) {
+        let t = synth_table(&seed);
+        let support = t.support_mask().count_ones() as usize;
+        let cost = Synthesizer::new().cost(&t);
+        prop_assert!(cost + 1 >= support, "cost {} < support {} - 1 for {}", cost, support, t);
+    }
+
+    /// The plan memo changes speed, never answers: a synthesizer that has
+    /// already costed and built other tables — unrelated ones, and `t`'s own
+    /// cofactors and complement — returns the same cost for `t` as a fresh
+    /// one and builds the same nodes as a brand-new one.
+    #[test]
+    fn warm_synthesizer_costs_and_builds_like_a_fresh_one(
+        seed in table_seed(),
+        others in prop::collection::vec(table_seed(), 1..4),
+    ) {
+        let t = synth_table(&seed);
+        let vars = t.num_vars();
+        let mut warm_up: Vec<TruthTable> = others.iter().map(synth_table).collect();
+        warm_up.extend([t.cofactor0(0), t.cofactor1(vars - 1), t.not()]);
+        let mut warm = Synthesizer::new();
+        for (i, o) in warm_up.iter().enumerate() {
+            // Cost some tables before building them; build the others cold.
+            if i % 2 == 0 {
+                warm.cost(o);
+            }
+            build_alone(&mut warm, o);
+        }
+        prop_assert_eq!(warm.cost(&t), Synthesizer::new().cost(&t));
+        let w = build_alone(&mut warm, &t);
+        let fresh = build_alone(&mut Synthesizer::new(), &t);
+        prop_assert_eq!(w.nodes(), fresh.nodes(), "warm build created different nodes");
+        prop_assert_eq!(w.outputs(), fresh.outputs());
     }
 }

@@ -549,7 +549,7 @@ fn process(sh: &Arc<Shared>, pool: &ThreadPool, arenas: &mut PassArenas, mut job
 fn worker_loop(sh: Arc<Shared>) {
     let pool = ThreadPool::new(sh.threads_per_job);
     // Warm arenas live for the shard's lifetime: every job after the first
-    // reuses the cut arena and synthesis memo tables.
+    // reuses the cut arena and synthesis plan memos.
     let mut arenas = PassArenas::default();
     while let Some(job) = sh.queue.pop() {
         // The shard thread must survive any single job: a panic that
