@@ -1,8 +1,7 @@
 //! Truth-table manipulation for cut functions.
 //!
 //! [`TruthTable`] supports the operations the optimizer needs: cofactoring,
-//! variable support, NPN canonicalization (for the rewriting library) and
-//! ISOP extraction (in [`crate::isop`]).
+//! variable support and ISOP extraction (in [`crate::isop`]).
 //!
 //! # Small-table representation
 //!
@@ -406,76 +405,6 @@ impl TruthTable {
         }
         mask
     }
-
-    /// Swap adjacent variables `var` and `var + 1` (delta-swap bit tricks —
-    /// no temporaries for packed variables).
-    #[must_use]
-    pub fn swap_adjacent(&self, var: usize) -> Self {
-        assert!(var + 1 < self.vars);
-        let mut out = self.clone();
-        if var + 1 < 6 {
-            // Both variables packed in-word: exchange the (var=1, var+1=0)
-            // bits with their partners one 2^var stride up.
-            let shift = 1u32 << var;
-            let mask = VAR_MASKS[var] & !VAR_MASKS[var + 1];
-            for w in out.words_mut() {
-                let t = (*w >> shift ^ *w) & mask;
-                *w ^= t | t << shift;
-            }
-        } else if var == 5 {
-            // Word boundary: high half of even words ↔ low half of odd words.
-            let Repr::Big(words) = &mut out.repr else {
-                unreachable!("var + 1 >= 6 implies a multi-word table");
-            };
-            for i in (0..words.len()).step_by(2) {
-                let hi_even = words[i] >> 32;
-                let lo_odd = words[i + 1] & 0xFFFF_FFFF;
-                words[i] = (words[i] & 0xFFFF_FFFF) | lo_odd << 32;
-                words[i + 1] = (words[i + 1] & !0xFFFF_FFFF) | hi_even;
-            }
-        } else {
-            // Both variables select words: swap word blocks.
-            let Repr::Big(words) = &mut out.repr else {
-                unreachable!("var >= 6 implies a multi-word table");
-            };
-            let period = 1usize << (var - 6);
-            for base in 0..words.len() {
-                if base / period % 2 == 1 && (base / (period * 2)).is_multiple_of(2) {
-                    words.swap(base, base + period);
-                }
-            }
-        }
-        out
-    }
-
-    /// Flip (complement) variable `var`, exchanging the two cofactor halves.
-    #[must_use]
-    pub fn flip_var(&self, var: usize) -> Self {
-        let mut out = self.clone();
-        out.flip_var_in_place(var);
-        out
-    }
-
-    /// In-place [`TruthTable::flip_var`].
-    pub fn flip_var_in_place(&mut self, var: usize) {
-        if var < 6 {
-            let shift = 1u32 << var;
-            let mask = VAR_MASKS[var];
-            for w in self.words_mut() {
-                *w = (*w & mask) >> shift | (*w & !mask) << shift;
-            }
-        } else {
-            let Repr::Big(words) = &mut self.repr else {
-                unreachable!("var >= 6 implies a multi-word table");
-            };
-            let period = 1usize << (var - 6);
-            for base in 0..words.len() {
-                if (base / period).is_multiple_of(2) {
-                    words.swap(base, base + period);
-                }
-            }
-        }
-    }
 }
 
 impl PartialEq for TruthTable {
@@ -511,113 +440,6 @@ impl fmt::Display for TruthTable {
     }
 }
 
-/// NPN canonical form of a 4-variable function given as a 16-bit table.
-///
-/// Returns `(canonical_table, transform)` where the transform records how to
-/// map the original function onto the canonical one (see [`NpnTransform`]).
-pub fn npn_canon4(tt: u16) -> (u16, NpnTransform) {
-    let mut best = u16::MAX;
-    let mut best_tf = NpnTransform::default();
-    for out_neg in [false, true] {
-        let base = if out_neg { !tt } else { tt };
-        for perm_idx in 0..24u8 {
-            let perm = PERMS4[perm_idx as usize];
-            let permuted = permute4(base, perm);
-            for flips in 0..16u8 {
-                let candidate = flip4(permuted, flips);
-                if candidate < best {
-                    best = candidate;
-                    best_tf = NpnTransform {
-                        perm_idx,
-                        flips,
-                        out_neg,
-                    };
-                }
-            }
-        }
-    }
-    (best, best_tf)
-}
-
-/// Transform mapping an original 4-input function to its NPN canonical form:
-/// first permute inputs by `perm`, then complement inputs in `flips`, then
-/// complement the output if `out_neg`.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
-pub struct NpnTransform {
-    /// Index into [`PERMS4`].
-    pub perm_idx: u8,
-    /// Bit `i` set = canonical input `i` is the complement of the permuted
-    /// original input.
-    pub flips: u8,
-    /// Whether the output is complemented.
-    pub out_neg: bool,
-}
-
-/// All 24 permutations of 4 elements. `PERMS4[p][new_var] = old_var`.
-pub const PERMS4: [[u8; 4]; 24] = [
-    [0, 1, 2, 3],
-    [0, 1, 3, 2],
-    [0, 2, 1, 3],
-    [0, 2, 3, 1],
-    [0, 3, 1, 2],
-    [0, 3, 2, 1],
-    [1, 0, 2, 3],
-    [1, 0, 3, 2],
-    [1, 2, 0, 3],
-    [1, 2, 3, 0],
-    [1, 3, 0, 2],
-    [1, 3, 2, 0],
-    [2, 0, 1, 3],
-    [2, 0, 3, 1],
-    [2, 1, 0, 3],
-    [2, 1, 3, 0],
-    [2, 3, 0, 1],
-    [2, 3, 1, 0],
-    [3, 0, 1, 2],
-    [3, 0, 2, 1],
-    [3, 1, 0, 2],
-    [3, 1, 2, 0],
-    [3, 2, 0, 1],
-    [3, 2, 1, 0],
-];
-
-/// Apply an input permutation to a 16-bit truth table:
-/// `out(pattern) = in(pattern mapped through perm)`.
-pub fn permute4(tt: u16, perm: [u8; 4]) -> u16 {
-    let mut out = 0u16;
-    for pattern in 0..16u16 {
-        // canonical pattern bit i = original variable perm[i]
-        let mut orig = 0u16;
-        for (new_var, &old_var) in perm.iter().enumerate() {
-            if pattern >> new_var & 1 == 1 {
-                orig |= 1 << old_var;
-            }
-        }
-        if tt >> orig & 1 == 1 {
-            out |= 1 << pattern;
-        }
-    }
-    out
-}
-
-/// Complement the inputs selected by `flips` in a 16-bit truth table.
-pub fn flip4(tt: u16, flips: u8) -> u16 {
-    let mut out = 0u16;
-    for pattern in 0..16u16 {
-        let src = pattern ^ flips as u16;
-        if tt >> src & 1 == 1 {
-            out |= 1 << pattern;
-        }
-    }
-    out
-}
-
-/// Apply an [`NpnTransform`] to a table (original → canonical direction).
-pub fn apply_npn4(tt: u16, tf: NpnTransform) -> u16 {
-    let base = if tf.out_neg { !tt } else { tt };
-    flip4(permute4(base, PERMS4[tf.perm_idx as usize]), tf.flips)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -650,16 +472,6 @@ mod tests {
         assert!(!t.depends_on(3));
         assert!(t.cofactor1(7).is_ones());
         assert!(t.cofactor0(7).is_zero());
-    }
-
-    #[test]
-    fn swap_and_flip() {
-        // f = a (var 0) over 3 vars
-        let f = TruthTable::variable(3, 0);
-        let g = f.swap_adjacent(0);
-        assert_eq!(g, TruthTable::variable(3, 1));
-        let h = f.flip_var(0);
-        assert_eq!(h, f.not());
     }
 
     #[test]
@@ -707,64 +519,6 @@ mod tests {
                 assert_eq!(c1, f.cofactor1(v));
                 assert_eq!(f.depends_on(v), f.cofactor0(v) != f.cofactor1(v));
             }
-        }
-    }
-
-    #[test]
-    fn swap_adjacent_across_word_boundary() {
-        // 8-var tables: exercise var+1<6, var==5 (word boundary), var>=6.
-        for var in [2usize, 5, 6] {
-            let vars = 8;
-            let f = TruthTable::variable(vars, var)
-                .and(&TruthTable::variable(vars, var + 1).not())
-                .or(&TruthTable::variable(vars, 0));
-            let g = f.swap_adjacent(var);
-            // Check against the definition bit by bit.
-            for p in 0..(1usize << vars) {
-                let bit_a = p >> var & 1;
-                let bit_b = p >> (var + 1) & 1;
-                let q = (p & !(1 << var) & !(1 << (var + 1))) | bit_b << var | bit_a << (var + 1);
-                assert_eq!(g.bit(p), f.bit(q), "var {var} pattern {p}");
-            }
-        }
-    }
-
-    #[test]
-    fn npn_canon_classes() {
-        // All NPN-equivalent variants of AND2 (as 4-var tables) share a
-        // canonical form.
-        let and2: u16 = 0x8888; // a & b, vars 0,1
-        let or2: u16 = 0xEEEE; // a | b = NPN-equivalent to AND
-        let nand2: u16 = !and2;
-        let (c1, _) = npn_canon4(and2);
-        let (c2, _) = npn_canon4(or2);
-        let (c3, _) = npn_canon4(nand2);
-        assert_eq!(c1, c2);
-        assert_eq!(c1, c3);
-        // XOR is in a different class.
-        let xor2: u16 = 0x6666;
-        let (c4, _) = npn_canon4(xor2);
-        assert_ne!(c1, c4);
-    }
-
-    #[test]
-    fn npn_transform_applies() {
-        for tt in [0x8888u16, 0x6666, 0x1234, 0xCAFE, 0x0001] {
-            let (canon, tf) = npn_canon4(tt);
-            assert_eq!(apply_npn4(tt, tf), canon);
-        }
-    }
-
-    #[test]
-    fn permute_roundtrip() {
-        let tt = 0xD1A5u16;
-        for perm in PERMS4 {
-            // Find inverse permutation.
-            let mut inv = [0u8; 4];
-            for (i, &v) in perm.iter().enumerate() {
-                inv[v as usize] = i as u8;
-            }
-            assert_eq!(permute4(permute4(tt, perm), inv), tt);
         }
     }
 }

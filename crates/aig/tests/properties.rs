@@ -14,7 +14,7 @@ use proptest::prelude::*;
 
 use xsfq_aig::cuts::{enumerate_cuts, Cut};
 use xsfq_aig::synth::Synthesizer;
-use xsfq_aig::tt::{apply_npn4, npn_canon4, TruthTable};
+use xsfq_aig::tt::TruthTable;
 use xsfq_aig::{Aig, Lit, NodeId, NodeKind};
 
 // ---------------------------------------------------------------- cut refs
@@ -292,19 +292,6 @@ proptest! {
         let t = table_from_words(vars, &words);
         let back = table_from_bits(vars, &ref_bits(&t));
         prop_assert_eq!(t, back);
-    }
-
-    /// NPN canonicalization stays invariant under arbitrary NPN transforms
-    /// (exercises permute/flip over the packed 4-variable tables).
-    #[test]
-    fn npn_canon_invariant(bits in any::<u16>(), perm in 0u8..24, flips in 0u8..16, out_neg: bool) {
-        let tf = xsfq_aig::tt::NpnTransform { perm_idx: perm, flips, out_neg };
-        let transformed = apply_npn4(bits, tf);
-        let (c1, _) = npn_canon4(bits);
-        let (c2, _) = npn_canon4(transformed);
-        prop_assert_eq!(c1, c2);
-        let (canon, tf2) = npn_canon4(bits);
-        prop_assert_eq!(apply_npn4(bits, tf2), canon);
     }
 }
 

@@ -1,5 +1,6 @@
 //! Machine-readable performance summary: runs the criterion groups and
-//! emits `BENCH_<n>.json` mapping `group/name` → median ns per call.
+//! emits `BENCH_<n>.json`, one compact JSON object (schema
+//! `xsfq-perf-summary/1`) mapping `group/name` → median ns per call.
 //!
 //! Usage (always build with `--release`; debug numbers are meaningless):
 //!
@@ -21,6 +22,7 @@ use std::collections::BTreeMap;
 
 use criterion::Criterion;
 use xsfq_bench::perf;
+use xsfq_netlist::writers::Json;
 
 fn parse_args() -> (String, Option<String>, Vec<String>) {
     let mut out = "BENCH_1.json".to_string();
@@ -120,49 +122,38 @@ fn main() {
         Vec::new()
     };
 
-    let mut body = String::new();
-    body.push_str("{\n");
-    body.push_str(&format!(
-        "  \"schema\": \"xsfq-perf-summary/1\",\n  \"groups\": \"{}\",\n",
-        groups.join(",")
-    ));
-    let results = criterion.results();
-    for (i, r) in results.iter().enumerate() {
+    // One row per criterion benchmark, then one per flow pass: the median
+    // (or pass wall) time in ns, the pass telemetry, and the comparison
+    // with the baseline. Times keep 0.1 ns, speedups two decimals.
+    let tenth = |v: f64| Json::from((v * 10.0).round() / 10.0);
+    let benches = criterion.results().iter().map(|r| {
         let key = format!("{}/{}", r.group, r.name);
-        body.push_str(&format!(
-            "  \"{key}\": {{\"current_ns\": {:.1}",
-            r.median_ns
-        ));
-        if let Some(base) = baseline.as_ref().and_then(|b| b.get(&key)) {
-            body.push_str(&format!(
-                ", \"baseline_ns\": {base:.1}, \"speedup\": {:.2}",
-                base / r.median_ns
-            ));
+        (key, r.median_ns, Vec::new())
+    });
+    let passes = pass_rows.into_iter().map(|(key, p)| {
+        let telemetry = vec![
+            ("nodes_in", p.nodes_before.into()),
+            ("nodes_out", p.nodes_after.into()),
+            ("depth_in", p.depth_before.into()),
+            ("depth_out", p.depth_after.into()),
+            ("commits", p.commits.into()),
+        ];
+        (key, p.wall_ns as f64, telemetry)
+    });
+    let mut doc = vec![
+        ("schema".to_string(), "xsfq-perf-summary/1".into()),
+        ("groups".to_string(), groups.join(",").as_str().into()),
+    ];
+    for (key, ns, telemetry) in benches.chain(passes) {
+        let mut row = vec![("current_ns", tenth(ns))];
+        row.extend(telemetry);
+        if let Some(&base) = baseline.as_ref().and_then(|b| b.get(&key)) {
+            row.push(("baseline_ns", tenth(base)));
+            row.push(("speedup", Json::from((base / ns * 100.0).round() / 100.0)));
         }
-        body.push('}');
-        let last = i + 1 == results.len() && pass_rows.is_empty();
-        body.push_str(if last { "\n" } else { ",\n" });
+        doc.push((key, Json::object(row)));
     }
-    for (i, row) in pass_rows.iter().enumerate() {
-        body.push_str(&format!(
-            "  \"{}\": {{\"current_ns\": {:.1}, \"nodes_in\": {}, \"nodes_out\": {}, \
-             \"depth_in\": {}, \"depth_out\": {}, \"commits\": {}",
-            row.key, row.wall_ns, row.nodes.0, row.nodes.1, row.depth.0, row.depth.1, row.commits
-        ));
-        if let Some(base) = baseline.as_ref().and_then(|b| b.get(&row.key)) {
-            body.push_str(&format!(
-                ", \"baseline_ns\": {base:.1}, \"speedup\": {:.2}",
-                base / row.wall_ns
-            ));
-        }
-        body.push('}');
-        body.push_str(if i + 1 == pass_rows.len() {
-            "\n"
-        } else {
-            ",\n"
-        });
-    }
-    body.push_str("}\n");
+    let body = format!("{}\n", Json::object(doc));
     std::fs::write(&out, &body).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
     println!("wrote {out}");
     print!("{body}");

@@ -11,7 +11,7 @@
 use criterion::Criterion;
 
 use xsfq_aig::opt::{self, Effort};
-use xsfq_aig::pass::{PassGuards, Script};
+use xsfq_aig::pass::{PassGuards, PassStat, Script};
 use xsfq_core::{map_xsfq, map_xsfq_with_pool, MapOptions, OutputPolarity, SynthesisFlow};
 use xsfq_pulse::Harness;
 use xsfq_serve::protocol::SubmitRequest;
@@ -187,42 +187,21 @@ pub fn bench_flow(c: &mut Criterion) {
     g.finish();
 }
 
-/// One per-pass telemetry row for the machine-readable perf summary.
-#[derive(Clone, Debug)]
-pub struct FlowPassRow {
-    /// Row key: `flowpass/<design>/<index>_<pass>` (index keeps repeated
-    /// pass names unique and the execution order sortable).
-    pub key: String,
-    /// Wall time of the pass in nanoseconds.
-    pub wall_ns: f64,
-    /// AND nodes before/after the pass.
-    pub nodes: (usize, usize),
-    /// Depth before/after the pass.
-    pub depth: (usize, usize),
-    /// Pass commit counter.
-    pub commits: u64,
-}
-
-/// Run the standard-preset flow on representative designs and export one
-/// row per executed pass — the per-pass telemetry `BENCH_<n>.json` carries
-/// alongside the criterion groups. Pass sequences are deterministic per
-/// design (early exit depends only on the graph), so row keys are stable
-/// across machines and PRs.
-pub fn flow_pass_rows() -> Vec<FlowPassRow> {
+/// Run the standard-preset flow on representative designs and return one
+/// `(flowpass/<design>/<index>_<pass>, stat)` row per executed pass — the
+/// per-pass telemetry `BENCH_<n>.json` carries alongside the criterion
+/// groups. The index keeps repeated pass names unique and the order
+/// sortable; pass sequences are deterministic per design (early exit
+/// depends only on the graph), so keys are stable across machines and PRs.
+pub fn flow_pass_rows() -> Vec<(String, PassStat)> {
     let mut rows = Vec::new();
     for name in ["c880", "int2float"] {
         let aig = xsfq_benchmarks::by_name(name).unwrap();
         let r = SynthesisFlow::new().run(&aig).expect("flow");
-        for (i, p) in r.report.passes.iter().enumerate() {
+        for (i, p) in r.report.passes.into_iter().enumerate() {
             // Keys must stay single-token: "rf -K 10" → "rf-K10".
-            let pass = p.name.replace(' ', "");
-            rows.push(FlowPassRow {
-                key: format!("flowpass/{name}/{i:02}_{pass}"),
-                wall_ns: p.wall_ns as f64,
-                nodes: (p.nodes_before, p.nodes_after),
-                depth: (p.depth_before, p.depth_after),
-                commits: p.commits,
-            });
+            let key = format!("flowpass/{name}/{i:02}_{}", p.name.replace(' ', ""));
+            rows.push((key, p));
         }
     }
     rows

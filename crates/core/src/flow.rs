@@ -25,7 +25,7 @@ use xsfq_aig::Aig;
 use xsfq_cells::{CellKind, InterconnectStyle};
 use xsfq_exec::{panic_message, CancelCause, CancelToken, ThreadPool};
 use xsfq_lint::{CheckLevel, Diag, NetlistProfile};
-use xsfq_netlist::writers::json_escape;
+use xsfq_netlist::writers::Json;
 use xsfq_netlist::Netlist;
 
 use crate::map::{map_with_assignment_pool, MapOptions, MappedDesign};
@@ -427,85 +427,56 @@ pub struct FlowReport {
     pub timing: Option<TimingSummary>,
 }
 
-/// A JSON number token: finite floats print as-is, non-finite as `null`
-/// (JSON has no NaN/Infinity).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 impl FlowReport {
     /// Serialize the report as a single JSON object — the wire format of
-    /// the serving daemon's result payload. Hand-rolled (std-only
-    /// workspace); keys are stable, schema tagged `xsfq-flow-report/1`.
+    /// the serving daemon's result payload. Keys are stable, schema tagged
+    /// `xsfq-flow-report/1`, rendered by the one JSON writer ([`Json`]).
     pub fn to_json(&self) -> String {
-        let mut passes = String::from("[");
-        for (i, p) in self.passes.iter().enumerate() {
-            if i > 0 {
-                passes.push(',');
-            }
-            passes.push_str(&format!(
-                "{{\"name\":\"{}\",\"wall_ns\":{},\"nodes_before\":{},\"nodes_after\":{},\
-                 \"depth_before\":{},\"depth_after\":{},\"commits\":{},\"tripped\":{}}}",
-                json_escape(&p.name),
-                p.wall_ns,
-                p.nodes_before,
-                p.nodes_after,
-                p.depth_before,
-                p.depth_after,
-                p.commits,
-                match p.tripped {
-                    Some(kind) => format!("\"{}\"", kind.name()),
-                    None => "null".to_string(),
-                },
-            ));
-        }
-        passes.push(']');
-        let mut stages = String::from("[");
-        for (i, s) in self.stages.iter().enumerate() {
-            if i > 0 {
-                stages.push(',');
-            }
-            stages.push_str(&format!(
-                "{{\"stage\":\"{}\",\"wall_ns\":{}}}",
-                s.stage.name(),
-                s.wall_ns
-            ));
-        }
-        stages.push(']');
+        let passes = self.passes.iter().map(|p| {
+            Json::object([
+                ("name", p.name.as_str().into()),
+                ("wall_ns", p.wall_ns.into()),
+                ("nodes_before", p.nodes_before.into()),
+                ("nodes_after", p.nodes_after.into()),
+                ("depth_before", p.depth_before.into()),
+                ("depth_after", p.depth_after.into()),
+                ("commits", p.commits.into()),
+                ("tripped", p.tripped.map(GuardKind::name).into()),
+            ])
+        });
+        let stages = self.stages.iter().map(|s| {
+            Json::object([
+                ("stage", s.stage.name().into()),
+                ("wall_ns", s.wall_ns.into()),
+            ])
+        });
+        let mut members = vec![
+            ("schema", "xsfq-flow-report/1".into()),
+            ("name", self.name.as_str().into()),
+            ("aig_nodes", self.aig_nodes.into()),
+            ("aig_depth", self.aig_depth.into()),
+            ("la_fa", self.la_fa.into()),
+            ("duplication_percent", self.duplication_percent.into()),
+            ("splitters", self.splitters.into()),
+            ("drocs_plain", self.drocs_plain.into()),
+            ("drocs_preload", self.drocs_preload.into()),
+            ("jj_total", self.jj_total.into()),
+            ("jj_clock_tree", self.jj_clock_tree.into()),
+            ("depth_logic", self.depth_logic.into()),
+            ("depth_with_splitters", self.depth_with_splitters.into()),
+            ("critical_delay_ps", self.critical_delay_ps.into()),
+            ("circuit_ghz", self.circuit_ghz.into()),
+            ("arch_ghz", self.arch_ghz.into()),
+            ("degraded", self.degraded.into()),
+            ("passes", Json::Array(passes.collect())),
+            ("stages", Json::Array(stages.collect())),
+        ];
         // The `timing` key only exists when the stage ran: untimed reports
         // stay byte-identical to the pre-timing schema.
-        let timing = match &self.timing {
-            Some(t) => format!(",\"timing\":{}", t.to_json()),
-            None => String::new(),
-        };
-        format!(
-            "{{\"schema\":\"xsfq-flow-report/1\",\"name\":\"{}\",\"aig_nodes\":{},\
-             \"aig_depth\":{},\"la_fa\":{},\"duplication_percent\":{},\"splitters\":{},\
-             \"drocs_plain\":{},\"drocs_preload\":{},\"jj_total\":{},\"jj_clock_tree\":{},\
-             \"depth_logic\":{},\"depth_with_splitters\":{},\"critical_delay_ps\":{},\
-             \"circuit_ghz\":{},\"arch_ghz\":{},\"degraded\":{},\"passes\":{passes},\
-             \"stages\":{stages}{timing}}}",
-            json_escape(&self.name),
-            self.aig_nodes,
-            self.aig_depth,
-            self.la_fa,
-            json_f64(self.duplication_percent),
-            self.splitters,
-            self.drocs_plain,
-            self.drocs_preload,
-            self.jj_total,
-            self.jj_clock_tree,
-            self.depth_logic,
-            self.depth_with_splitters,
-            json_f64(self.critical_delay_ps),
-            json_f64(self.circuit_ghz),
-            json_f64(self.arch_ghz),
-            self.degraded,
-        )
+        if let Some(t) = &self.timing {
+            members.push(("timing", t.into()));
+        }
+        Json::object(members).to_string()
     }
 }
 
@@ -1311,5 +1282,83 @@ mod tests {
             .run_many(&[comb, seq])
             .unwrap_err();
         assert!(matches!(err, FlowError::PipelineOnSequential));
+    }
+
+    /// A literal report that exercises every token kind of
+    /// `xsfq-flow-report/1`: an escaped name, a tripped pass, integral and
+    /// fractional floats, and a non-finite float.
+    fn literal_report() -> FlowReport {
+        let pass = |name: &str, tripped| PassStat {
+            name: name.into(),
+            wall_ns: 1200,
+            nodes_before: 9,
+            nodes_after: 7,
+            depth_before: 4,
+            depth_after: 3,
+            commits: 2,
+            tripped,
+        };
+        FlowReport {
+            name: "fa\"\tv2".into(),
+            aig_nodes: 7,
+            aig_depth: 3,
+            la_fa: 5,
+            duplication_percent: 12.5,
+            splitters: 4,
+            drocs_plain: 1,
+            drocs_preload: 2,
+            jj_total: 58,
+            jj_clock_tree: 0,
+            depth_logic: 3,
+            depth_with_splitters: 5,
+            critical_delay_ps: 40.0,
+            circuit_ghz: f64::INFINITY,
+            arch_ghz: 12.5,
+            passes: vec![
+                pass("rf -K 10", None),
+                pass("b", Some(GuardKind::NodeGrowth)),
+            ],
+            stages: vec![
+                StageStat {
+                    stage: FlowStage::Optimize,
+                    wall_ns: 10,
+                },
+                StageStat {
+                    stage: FlowStage::Map,
+                    wall_ns: 20,
+                },
+            ],
+            degraded: true,
+            timing: None,
+        }
+    }
+
+    #[test]
+    fn report_json_bytes_are_pinned() {
+        assert_eq!(
+            literal_report().to_json(),
+            r#"{"schema":"xsfq-flow-report/1","name":"fa\"\tv2","aig_nodes":7,"aig_depth":3,"la_fa":5,"duplication_percent":12.5,"splitters":4,"drocs_plain":1,"drocs_preload":2,"jj_total":58,"jj_clock_tree":0,"depth_logic":3,"depth_with_splitters":5,"critical_delay_ps":40,"circuit_ghz":null,"arch_ghz":12.5,"degraded":true,"passes":[{"name":"rf -K 10","wall_ns":1200,"nodes_before":9,"nodes_after":7,"depth_before":4,"depth_after":3,"commits":2,"tripped":null},{"name":"b","wall_ns":1200,"nodes_before":9,"nodes_after":7,"depth_before":4,"depth_after":3,"commits":2,"tripped":"node-growth"}],"stages":[{"stage":"optimize","wall_ns":10},{"stage":"map","wall_ns":20}]}"#
+        );
+    }
+
+    #[test]
+    fn timed_report_json_bytes_are_pinned() {
+        let mut report = literal_report();
+        report.timing = Some(TimingSummary {
+            critical_path_ps: 40.0,
+            worst_slack_ps: -2.6,
+            worst_skew_ps: 0.0,
+            buffers_inserted: 1,
+            jj_delta: 2,
+            tolerance_ps: 3.5,
+            balance: "full",
+        });
+        let json = report.to_json();
+        let (untimed, timing) = json.split_once(r#","timing":"#).expect("timing key");
+        assert_eq!(format!("{untimed}}}"), literal_report().to_json());
+        assert_eq!(
+            timing,
+            r#"{"critical_path_ps":40,"worst_slack_ps":-2.6,"worst_skew_ps":0,"buffers_inserted":1,"jj_delta":2,"tolerance_ps":3.5,"balance":"full"}}"#
+        );
     }
 }

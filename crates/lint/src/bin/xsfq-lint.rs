@@ -14,7 +14,8 @@
 use std::process::ExitCode;
 
 use xsfq_aig::io::read_netlist_auto;
-use xsfq_lint::{has_errors, lint_aig, render_json, render_text};
+use xsfq_lint::{has_errors, lint_aig, render_text};
+use xsfq_netlist::writers::Json;
 
 fn main() -> ExitCode {
     let mut json = false;
@@ -56,11 +57,12 @@ fn main() -> ExitCode {
         };
         let diags = lint_aig(&aig);
         if json {
-            println!(
-                "{{\"schema\":\"xsfq-lint/1\",\"file\":\"{}\",\"diags\":{}}}",
-                file.replace('\\', "\\\\").replace('"', "\\\""),
-                render_json(&diags)
-            );
+            let line = Json::object([
+                ("schema", "xsfq-lint/1".into()),
+                ("file", file.as_str().into()),
+                ("diags", Json::Array(diags.iter().map(Json::from).collect())),
+            ]);
+            println!("{line}");
         } else if diags.is_empty() {
             println!("{file}: clean");
         } else {

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use xsfq_netlist::writers::json_escape;
+use xsfq_netlist::writers::Json;
 
 /// How bad a finding is.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -159,33 +159,28 @@ pub fn render_text(diags: &[Diag]) -> String {
     out
 }
 
-/// Render diagnostics as a JSON array (schema `xsfq-lint-diags/1`
-/// elements): `{"code", "severity", "message", "site": {"kind", ...}}`.
+/// Render diagnostics as a JSON array of `xsfq-lint-diags/1` elements.
 pub fn render_json(diags: &[Diag]) -> String {
-    let mut out = String::from("[");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"code\":\"{}\",\"severity\":\"{}\",\"message\":\"{}\",\"site\":{}}}",
-            d.code,
-            d.severity.name(),
-            json_escape(&d.message),
-            site_json(&d.site)
-        ));
-    }
-    out.push(']');
-    out
+    Json::Array(diags.iter().map(Json::from).collect()).to_string()
 }
 
-fn site_json(site: &Site) -> String {
-    match site {
-        Site::Design => "{\"kind\":\"design\"}".into(),
-        Site::Net(i) => format!("{{\"kind\":\"net\",\"index\":{i}}}"),
-        Site::Cell(i) => format!("{{\"kind\":\"cell\",\"index\":{i}}}"),
-        Site::Port(name) => format!("{{\"kind\":\"port\",\"name\":\"{}\"}}", json_escape(name)),
-        Site::Node(i) => format!("{{\"kind\":\"node\",\"index\":{i}}}"),
+/// One `xsfq-lint-diags/1` element: `{"code", "severity", "message",
+/// "site": {"kind", "index" | "name"}}` (a design site has only a kind).
+impl From<&Diag> for Json {
+    fn from(d: &Diag) -> Json {
+        let site = match &d.site {
+            Site::Design => vec![("kind", "design".into())],
+            Site::Net(i) => vec![("kind", "net".into()), ("index", (*i).into())],
+            Site::Cell(i) => vec![("kind", "cell".into()), ("index", (*i).into())],
+            Site::Port(name) => vec![("kind", "port".into()), ("name", name.as_str().into())],
+            Site::Node(i) => vec![("kind", "node".into()), ("index", (*i).into())],
+        };
+        Json::object([
+            ("code", d.code.as_str().into()),
+            ("severity", d.severity.name().into()),
+            ("message", d.message.as_str().into()),
+            ("site", Json::object(site)),
+        ])
     }
 }
 
@@ -230,6 +225,22 @@ mod tests {
         assert!(json.contains("a\\\"b"), "{json}");
         assert!(has_errors(&diags));
         assert!(!has_errors(&diags[1..]));
+    }
+
+    #[test]
+    fn json_bytes_are_pinned_for_every_site_kind() {
+        let diags = [
+            Diag::new(Code::X003, Site::Design, "cycle through \"la\"\n"),
+            Diag::new(Code::X001, Site::Net(7), "net"),
+            Diag::new(Code::X002, Site::Cell(3), "cell"),
+            Diag::new(Code::W101, Site::Port("p\t\\q\u{1f}".into()), "port"),
+            Diag::new(Code::X010, Site::Node(12), "node"),
+        ];
+        assert_eq!(render_json(&[]), "[]");
+        assert_eq!(
+            render_json(&diags),
+            r#"[{"code":"X003","severity":"error","message":"cycle through \"la\"\n","site":{"kind":"design"}},{"code":"X001","severity":"error","message":"net","site":{"kind":"net","index":7}},{"code":"X002","severity":"error","message":"cell","site":{"kind":"cell","index":3}},{"code":"W101","severity":"warning","message":"port","site":{"kind":"port","name":"p\t\\q\u001f"}},{"code":"X010","severity":"error","message":"node","site":{"kind":"node","index":12}}]"#
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Netlist exporters: structural Verilog and Graphviz DOT, plus the JSON
-//! string escaping the workspace's JSON reports share ([`json_escape`]).
+//! Netlist exporters: structural Verilog and Graphviz DOT, plus [`Json`],
+//! the one writer of every JSON document in the workspace.
 //!
 //! Port names pass through a collision-free sanitizer before they become
 //! Verilog identifiers: invalid characters map to `_` (which would merge
@@ -10,6 +10,7 @@
 //! legal, with no shadowed or doubly-declared identifiers.
 
 use std::collections::HashSet;
+use std::fmt::{self, Write as _};
 use std::io::Write;
 
 use crate::netlist::{Driver, Netlist};
@@ -260,23 +261,102 @@ fn dot_label(name: &str) -> String {
         .collect()
 }
 
-/// Escape `s` for use inside a JSON string literal: quotes, backslashes
-/// and every control character (`\n`, `\r`, `\t` by name, the rest as
-/// `\u00XX`), so any name read from a design file stays valid JSON.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// A JSON value, rendered compactly (no whitespace, members in order) by
+/// `Display`. Strings escape quotes, backslashes and every control
+/// character, so any name read from a design file stays valid JSON. Finite
+/// floats print in shortest round-trip form (`40.0` as `40`), non-finite
+/// ones as `null`: JSON has no NaN or Infinity.
+#[derive(Debug)]
+pub enum Json {
+    /// `null`.
+    Null,
+    /// `true` or `false`.
+    Bool(bool),
+    /// An unsigned integer.
+    Int(u64),
+    /// A float (`null` when not finite).
+    Float(f64),
+    /// A string.
+    Str(String),
+    /// An array.
+    Array(Vec<Json>),
+    /// An object, members in order.
+    Object(Vec<(String, Json)>),
+}
+
+impl Json {
+    /// An object with `members` in the given order.
+    pub fn object<K: Into<String>>(members: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Object(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+}
+
+macro_rules! json_from {
+    ($($t:ty: $v:ident => $e:expr;)*) => {
+        $(impl From<$t> for Json {
+            fn from($v: $t) -> Json { $e }
+        })*
+    };
+}
+
+json_from! {
+    bool: b => Json::Bool(b);
+    u32: n => Json::Int(n.into());
+    u64: n => Json::Int(n);
+    usize: n => Json::Int(n as u64);
+    f64: v => Json::Float(v);
+    &str: s => Json::Str(s.to_owned());
+}
+
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Int(n) => write!(f, "{n}"),
+            Json::Float(v) if v.is_finite() => write!(f, "{v}"),
+            Json::Null | Json::Float(_) => f.write_str("null"),
+            Json::Str(s) => write_json_str(f, s),
+            Json::Array(items) => {
+                f.write_char('[')?;
+                for (i, item) in items.iter().enumerate() {
+                    write!(f, "{}{item}", if i == 0 { "" } else { "," })?;
+                }
+                f.write_char(']')
+            }
+            Json::Object(members) => {
+                f.write_char('{')?;
+                for (i, (key, value)) in members.iter().enumerate() {
+                    f.write_str(if i == 0 { "" } else { "," })?;
+                    write_json_str(f, key)?;
+                    write!(f, ":{value}")?;
+                }
+                f.write_char('}')
+            }
         }
     }
-    out
+}
+
+/// `s` as a JSON string literal: `\n`, `\r`, `\t` by name, other controls as `\u00XX`.
+fn write_json_str(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_char('"')?;
+    for c in s.chars() {
+        match c {
+            '"' => f.write_str("\\\"")?,
+            '\\' => f.write_str("\\\\")?,
+            '\n' => f.write_str("\\n")?,
+            '\r' => f.write_str("\\r")?,
+            '\t' => f.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+            c => f.write_char(c)?,
+        }
+    }
+    f.write_char('"')
 }
 
 #[cfg(test)]
@@ -384,5 +464,24 @@ mod tests {
         assert!(text.starts_with("digraph"));
         assert!(text.trim_end().ends_with('}'));
         assert!(text.contains("pi0 -> c0"));
+    }
+
+    #[test]
+    fn json_has_one_escaping_and_one_float_rule() {
+        let floats = [40.0, -2.5, 0.1, f64::NAN, f64::NEG_INFINITY].map(Json::from);
+        let doc = Json::object([
+            ("k\r", "\"\\\n\r\t\u{0}\u{7f}é".into()),
+            ("f", Json::Array(floats.into())),
+            ("none", None::<u64>.into()),
+            ("empty", Json::object(Vec::<(&str, Json)>::new())),
+            ("list", Json::Array(Vec::new())),
+            ("ok", true.into()),
+            ("max", u64::MAX.into()),
+        ]);
+        assert_eq!(
+            doc.to_string(),
+            "{\"k\\r\":\"\\\"\\\\\\n\\r\\t\\u0000\u{7f}é\",\"f\":[40,-2.5,0.1,null,null],\
+             \"none\":null,\"empty\":{},\"list\":[],\"ok\":true,\"max\":18446744073709551615}"
+        );
     }
 }

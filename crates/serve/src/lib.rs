@@ -142,7 +142,9 @@
 //! few hundred AND nodes run on the sequential path
 //! ([`xsfq_exec::ThreadPool::scoped_budget`]) where fan-out overhead would
 //! dominate. Throughput scales with `shards`; per-job latency with
-//! `threads_per_job`. The `serve/` criterion group tracks designs/sec.
+//! `threads_per_job`. The `serve/` criterion rows time one round trip
+//! (`throughput` with the cache off, `cache_hit` with it warm); designs/s
+//! under concurrent load is perfbench's `serve-hot` `designs_per_s`.
 //!
 //! ```no_run
 //! use xsfq_serve::{Server, ServeConfig};

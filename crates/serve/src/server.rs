@@ -17,8 +17,8 @@ use xsfq_aig::io::read_netlist_auto;
 use xsfq_aig::pass::{PassArenas, PassGuards, Script};
 use xsfq_core::SynthesisFlow;
 use xsfq_exec::{panic_message, CancelToken, ThreadPool};
-use xsfq_lint::{has_errors, lint_aig, render_json, CheckLevel};
-use xsfq_netlist::writers::{json_escape, write_verilog};
+use xsfq_lint::{has_errors, lint_aig, CheckLevel, Diag};
+use xsfq_netlist::writers::{write_verilog, Json};
 use xsfq_timing::TimingOptions;
 
 use crate::cache::{CacheKey, ResultCache};
@@ -160,7 +160,8 @@ struct Shared {
     default_script: String,
 }
 
-/// The structured failure verdict (`xsfq-serve-verdict/1`).
+/// The structured failure verdict (`xsfq-serve-verdict/1`); `diags` are
+/// the lint findings behind an admission rejection, empty otherwise.
 fn verdict_json(
     kind: &str,
     name: &str,
@@ -168,37 +169,19 @@ fn verdict_json(
     attempts: u32,
     elapsed_ms: u64,
     detail: &str,
+    diags: &[Diag],
 ) -> String {
-    verdict_json_diags(kind, name, pass, attempts, elapsed_ms, detail, "[]")
-}
-
-/// [`verdict_json`] with lint findings attached: `diags` is a pre-rendered
-/// `xsfq-lint-diags/1` JSON array (see [`render_json`]), `[]` when none.
-#[allow(clippy::too_many_arguments)]
-fn verdict_json_diags(
-    kind: &str,
-    name: &str,
-    pass: Option<&str>,
-    attempts: u32,
-    elapsed_ms: u64,
-    detail: &str,
-    diags: &str,
-) -> String {
-    let pass = match pass {
-        Some(p) => format!("\"{}\"", json_escape(p)),
-        None => "null".into(),
-    };
-    format!(
-        "{{\"schema\":\"xsfq-serve-verdict/1\",\"name\":\"{}\",\"kind\":\"{}\",\
-         \"pass\":{},\"attempts\":{},\"elapsed_ms\":{},\"detail\":\"{}\",\"diags\":{}}}",
-        json_escape(name),
-        json_escape(kind),
-        pass,
-        attempts,
-        elapsed_ms,
-        json_escape(detail),
-        diags
-    )
+    Json::object([
+        ("schema", "xsfq-serve-verdict/1".into()),
+        ("name", name.into()),
+        ("kind", kind.into()),
+        ("pass", pass.into()),
+        ("attempts", attempts.into()),
+        ("elapsed_ms", elapsed_ms.into()),
+        ("detail", detail.into()),
+        ("diags", Json::Array(diags.iter().map(Json::from).collect())),
+    ])
+    .to_string()
 }
 
 fn busy_hint_ms(queue_len: usize) -> u32 {
@@ -218,12 +201,11 @@ enum Admit {
 }
 
 /// Why admission refused a submission: the verdict's kind, its detail,
-/// and a pre-rendered `xsfq-lint-diags/1` JSON array (`[]` without lint
-/// findings).
+/// and the lint findings behind it (empty for any other refusal).
 struct Refusal {
     kind: &'static str,
     detail: String,
-    diags: String,
+    diags: Vec<Diag>,
 }
 
 impl Refusal {
@@ -231,7 +213,7 @@ impl Refusal {
         Refusal {
             kind,
             detail,
-            diags: "[]".into(),
+            diags: Vec::new(),
         }
     }
 }
@@ -270,7 +252,7 @@ fn vet(sh: &Shared, request: &SubmitRequest) -> Result<Input, Refusal> {
             return Err(Refusal {
                 kind: "rejected",
                 detail: format!("submission failed lint with {} finding(s)", diags.len()),
-                diags: render_json(&diags),
+                diags,
             });
         }
     }
@@ -314,7 +296,7 @@ fn admit(sh: &Arc<Shared>, request: SubmitRequest, sink: JobSink, recovered: Opt
         return Admit::Busy(busy_hint_ms(sh.queue.ready_len()));
     }
     let refuse = |r: Refusal| {
-        let v = verdict_json_diags(r.kind, &request.name, None, 0, 0, &r.detail, &r.diags);
+        let v = verdict_json(r.kind, &request.name, None, 0, 0, &r.detail, &r.diags);
         answered(
             sh,
             recovered,
@@ -481,7 +463,8 @@ fn process(sh: &Arc<Shared>, pool: &ThreadPool, arenas: &mut PassArenas, mut job
         // Admission validated the script, so this only fires when a
         // recovered spool carries a script a newer build rejects.
         Err(e) => {
-            let v = verdict_json("script", &job.name, None, job.attempt, 0, &e.to_string());
+            let detail = e.to_string();
+            let v = verdict_json("script", &job.name, None, job.attempt, 0, &detail, &[]);
             finish_err(sh, &job, "script", &v);
             return;
         }
@@ -540,6 +523,7 @@ fn process(sh: &Arc<Shared>, pool: &ThreadPool, arenas: &mut PassArenas, mut job
                 job.attempt,
                 e.elapsed.as_millis() as u64,
                 &e.to_string(),
+                &[],
             );
             finish_err(sh, &job, kind, &v);
         }
@@ -569,7 +553,7 @@ fn worker_loop(sh: Arc<Shared>) {
                 "job processing panicked: {}",
                 panic_message(payload.as_ref())
             );
-            let v = verdict_json("panicked", &name, None, attempt, 0, &detail);
+            let v = verdict_json("panicked", &name, None, attempt, 0, &detail, &[]);
             // Ordering: Relaxed — counter-before-journal, as finish_err.
             sh.stats.failed.fetch_add(1, Ordering::Relaxed);
             let _ = sh.journal.record_done(id, "err");
@@ -584,23 +568,29 @@ fn worker_loop(sh: Arc<Shared>) {
 
 fn stats_json(sh: &Shared) -> String {
     let (hits, misses, entries, bytes) = sh.cache.stats();
-    format!(
-        "{{\"schema\":\"xsfq-serve-stats/1\",\"accepted\":{},\"completed\":{},\
-         \"failed\":{},\"shed\":{},\"retries\":{},\"recovered\":{},\
-         \"queue_len\":{},\"draining\":{},\"cache\":{{\"hits\":{hits},\
-         \"misses\":{misses},\"entries\":{entries},\"bytes\":{bytes}}}}}",
-        // Ordering: Relaxed — stats snapshot; counts racing in from jobs
-        // settling concurrently may land on either side of the frame, and
-        // either answer is correct telemetry.
-        sh.stats.accepted.load(Ordering::Relaxed),
-        sh.stats.completed.load(Ordering::Relaxed),
-        sh.stats.failed.load(Ordering::Relaxed),
-        sh.stats.shed.load(Ordering::Relaxed),
-        sh.stats.retries.load(Ordering::Relaxed),
-        sh.stats.recovered.load(Ordering::Relaxed),
-        sh.queue.ready_len(),
-        sh.draining.load(Ordering::SeqCst),
-    )
+    let cache = Json::object([
+        ("hits", hits.into()),
+        ("misses", misses.into()),
+        ("entries", entries.into()),
+        ("bytes", bytes.into()),
+    ]);
+    // Ordering: Relaxed — stats snapshot; counts racing in from jobs
+    // settling concurrently may land on either side of the frame, and
+    // either answer is correct telemetry.
+    let counter = |c: &AtomicU64| Json::from(c.load(Ordering::Relaxed));
+    Json::object([
+        ("schema", "xsfq-serve-stats/1".into()),
+        ("accepted", counter(&sh.stats.accepted)),
+        ("completed", counter(&sh.stats.completed)),
+        ("failed", counter(&sh.stats.failed)),
+        ("shed", counter(&sh.stats.shed)),
+        ("retries", counter(&sh.stats.retries)),
+        ("recovered", counter(&sh.stats.recovered)),
+        ("queue_len", sh.queue.ready_len().into()),
+        ("draining", sh.draining.load(Ordering::SeqCst).into()),
+        ("cache", cache),
+    ])
+    .to_string()
 }
 
 fn connection(sh: &Arc<Shared>, mut stream: TcpStream) {
@@ -624,7 +614,7 @@ fn connection(sh: &Arc<Shared>, mut stream: TcpStream) {
             KIND_SUBMIT => {
                 // The last word on a connection the daemon gives up on.
                 let reject = |stream: &mut TcpStream, msg: &str| {
-                    let v = verdict_json("rejected", "", None, 0, 0, msg);
+                    let v = verdict_json("rejected", "", None, 0, 0, msg, &[]);
                     let _ = write_frame(
                         stream,
                         KIND_ERR,
@@ -934,5 +924,35 @@ mod tests {
             "the unwind released the slot"
         );
         assert!(ConnectionSlot::acquire(&live, 1).is_some());
+    }
+
+    #[test]
+    fn verdict_json_bytes_are_pinned() {
+        use xsfq_lint::{Code, Diag, Site};
+        let diags = [
+            Diag::new(
+                Code::X008,
+                Site::Port("a".into()),
+                "output `a` shadows an input",
+            ),
+            Diag::new(Code::W101, Site::Node(3), "dead node"),
+        ];
+        let v = verdict_json(
+            "stalled",
+            "ctrl\t2",
+            Some("rf -K 10"),
+            2,
+            17,
+            "pass \"rf\" at C:\\x\u{1}",
+            &diags,
+        );
+        assert_eq!(
+            v,
+            r#"{"schema":"xsfq-serve-verdict/1","name":"ctrl\t2","kind":"stalled","pass":"rf -K 10","attempts":2,"elapsed_ms":17,"detail":"pass \"rf\" at C:\\x\u0001","diags":[{"code":"X008","severity":"error","message":"output `a` shadows an input","site":{"kind":"port","name":"a"}},{"code":"W101","severity":"warning","message":"dead node","site":{"kind":"node","index":3}}]}"#
+        );
+        assert_eq!(
+            verdict_json("rejected", "", None, 0, 0, "bad", &[]),
+            r#"{"schema":"xsfq-serve-verdict/1","name":"","kind":"rejected","pass":null,"attempts":0,"elapsed_ms":0,"detail":"bad","diags":[]}"#
+        );
     }
 }

@@ -394,6 +394,11 @@ fn ill_formed_submission_is_rejected_at_admission_with_lint_diags() {
 fn stats_frame_reports_progress() {
     let state = tmpdir("stats");
     let server = Server::start(ServeConfig::new(&state)).unwrap();
+    // A fresh daemon's counters are all zero, so its frame is fixed bytes.
+    assert_eq!(
+        stats_json(server.local_addr()),
+        r#"{"schema":"xsfq-serve-stats/1","accepted":0,"completed":0,"failed":0,"shed":0,"retries":0,"recovered":0,"queue_len":0,"draining":false,"cache":{"hits":0,"misses":0,"entries":0,"bytes":0}}"#
+    );
     let mut client = Client::connect(server.local_addr()).unwrap();
     let aig = xsfq_benchmarks::by_name("ctrl").unwrap();
     submit(&mut client, "ctrl", blif_bytes(&aig));

@@ -1,13 +1,13 @@
 //! Report writers: text (with slack histogram), per-endpoint CSV, JSON,
-//! and SDC constraints. Formats are documented in the crate docs; all
-//! numeric fields use fixed-precision formatting so golden tests can pin
-//! outputs byte-for-byte.
+//! and SDC constraints. Formats are documented in the crate docs. Text,
+//! CSV and SDC numbers use fixed precision; the JSON report is rendered by
+//! the workspace's one JSON writer ([`Json`]).
 
-use xsfq_netlist::writers::json_escape;
+use xsfq_netlist::writers::Json;
 use xsfq_netlist::Netlist;
 
 use crate::analysis::{EndpointKind, TimingAnalysis};
-use crate::{json_f64, TimingSummary};
+use crate::TimingSummary;
 
 /// Histogram of skew slack (`allowed − skew`) over joins and rail pairs:
 /// `(lo, hi, count)` per bin, lowest bin first.
@@ -116,35 +116,30 @@ pub fn render_json_report(
     analysis: &TimingAnalysis,
     summary: &TimingSummary,
 ) -> String {
-    let mut eps = String::new();
-    for (i, e) in analysis.endpoints.iter().enumerate() {
-        if i > 0 {
-            eps.push(',');
-        }
-        eps.push_str(&format!(
-            "{{\"name\":\"{}\",\"kind\":\"{}\",\"arrival_min_ps\":{},\"arrival_max_ps\":{},\
-             \"slack_ps\":{}}}",
-            json_escape(&e.name),
-            match e.kind {
-                EndpointKind::Output => "output",
-                EndpointKind::ClockedInput => "clocked_input",
-            },
-            json_f64(e.arrival_min_ps),
-            json_f64(e.arrival_max_ps),
-            json_f64(e.slack_ps),
-        ));
-    }
-    format!(
-        "{{\"schema\":\"xsfq-time-report/1\",\"design\":\"{}\",\"library\":\"{}\",\
-         \"levels\":{},\"joins\":{},\"rail_pairs\":{},\"summary\":{},\"endpoints\":[{}]}}",
-        json_escape(netlist.name()),
-        json_escape(netlist.library().name()),
-        analysis.num_levels(),
-        analysis.joins.len(),
-        analysis.rail_pairs.len(),
-        summary.to_json(),
-        eps,
-    )
+    let endpoints = analysis.endpoints.iter().map(|e| {
+        let kind = match e.kind {
+            EndpointKind::Output => "output",
+            EndpointKind::ClockedInput => "clocked_input",
+        };
+        Json::object([
+            ("name", e.name.as_str().into()),
+            ("kind", kind.into()),
+            ("arrival_min_ps", e.arrival_min_ps.into()),
+            ("arrival_max_ps", e.arrival_max_ps.into()),
+            ("slack_ps", e.slack_ps.into()),
+        ])
+    });
+    Json::object([
+        ("schema", "xsfq-time-report/1".into()),
+        ("design", netlist.name().into()),
+        ("library", netlist.library().name().into()),
+        ("levels", analysis.num_levels().into()),
+        ("joins", analysis.joins.len().into()),
+        ("rail_pairs", analysis.rail_pairs.len().into()),
+        ("summary", summary.into()),
+        ("endpoints", Json::Array(endpoints.collect())),
+    ])
+    .to_string()
 }
 
 /// SDC constraints (dialect `xsfq-time sdc/1`, ps units).
@@ -240,6 +235,15 @@ mod tests {
         assert!(js.contains("\"balance\":\"full\""));
         assert!(js.contains("\"buffers_inserted\":1"));
         assert!(js.contains("\"kind\":\"output\""));
+    }
+
+    #[test]
+    fn json_report_bytes_are_pinned() {
+        let (n, analysis, summary) = sample();
+        assert_eq!(
+            render_json_report(&n, &analysis, &summary),
+            r#"{"schema":"xsfq-time-report/1","design":"sample","library":"xsfq_sfq5ee_abutted","levels":2,"joins":2,"rail_pairs":0,"summary":{"critical_path_ps":14.4,"worst_slack_ps":0,"worst_skew_ps":2.6000000000000005,"buffers_inserted":1,"jj_delta":2,"tolerance_ps":4.6,"balance":"full"},"endpoints":[{"name":"y","kind":"output","arrival_min_ps":11.8,"arrival_max_ps":14.4,"slack_ps":0}]}"#
+        );
     }
 
     #[test]

@@ -86,6 +86,7 @@ pub mod balance;
 pub use analysis::{EndpointKind, EndpointTiming, JoinTiming, RailPairTiming, TimingAnalysis};
 pub use balance::{balance_netlist, plan_buffers, BalanceOutcome, BalancePlan};
 
+use xsfq_netlist::writers::Json;
 use xsfq_netlist::Netlist;
 
 /// Area–delay knob for the slack-matching pass.
@@ -176,30 +177,18 @@ pub struct TimingSummary {
     pub balance: &'static str,
 }
 
-impl TimingSummary {
-    /// Render as a JSON object (stable key order, schema-less fragment
-    /// embedded in `xsfq-flow-report/1` and `xsfq-time-report/1`).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"critical_path_ps\":{},\"worst_slack_ps\":{},\"worst_skew_ps\":{},\
-             \"buffers_inserted\":{},\"jj_delta\":{},\"tolerance_ps\":{},\"balance\":\"{}\"}}",
-            json_f64(self.critical_path_ps),
-            json_f64(self.worst_slack_ps),
-            json_f64(self.worst_skew_ps),
-            self.buffers_inserted,
-            self.jj_delta,
-            json_f64(self.tolerance_ps),
-            self.balance,
-        )
-    }
-}
-
-/// Format an `f64` as JSON: finite values round-trip via `{:?}`
-/// (shortest-representation), non-finite values become `null`.
-pub(crate) fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".into()
+/// The summary as a JSON object (stable key order, a schema-less fragment
+/// embedded in `xsfq-flow-report/1` and `xsfq-time-report/1`).
+impl From<&TimingSummary> for Json {
+    fn from(t: &TimingSummary) -> Json {
+        Json::object([
+            ("critical_path_ps", t.critical_path_ps.into()),
+            ("worst_slack_ps", t.worst_slack_ps.into()),
+            ("worst_skew_ps", t.worst_skew_ps.into()),
+            ("buffers_inserted", t.buffers_inserted.into()),
+            ("jj_delta", t.jj_delta.into()),
+            ("tolerance_ps", t.tolerance_ps.into()),
+            ("balance", t.balance.into()),
+        ])
     }
 }

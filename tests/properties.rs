@@ -106,15 +106,4 @@ proptest! {
         for (i, &bit) in out.iter().enumerate() { got |= (bit as u64) << i; }
         prop_assert_eq!(got, a as u64 + b as u64);
     }
-
-    /// NPN canonicalization: equivalent-under-NPN tables share canon forms.
-    #[test]
-    fn npn_canon_is_invariant(bits in any::<u16>(), perm in 0usize..24, flips in 0u8..16, out_neg: bool) {
-        use xsfq::aig::tt::{apply_npn4, npn_canon4, NpnTransform};
-        let tf = NpnTransform { perm_idx: perm as u8, flips, out_neg };
-        let transformed = apply_npn4(bits, tf);
-        let (c1, _) = npn_canon4(bits);
-        let (c2, _) = npn_canon4(transformed);
-        prop_assert_eq!(c1, c2, "NPN class must be invariant under NPN transforms");
-    }
 }
