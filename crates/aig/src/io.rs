@@ -6,11 +6,21 @@
 //! `.model`, `.inputs`, `.outputs`, `.names` (SOP tables), `.latch`, `.end`.
 //! Users who have the original benchmark files can load them here; the
 //! in-repo suite uses the generators in `xsfq-benchmarks`.
+//!
+//! The reader is also the serving daemon's ingest path, so it takes
+//! untrusted bytes and runs in time linear in their size, up to one sort
+//! of the `.names` blocks. It checks UTF-8 once, borrows lines and tokens
+//! from the input (only a `\` continuation allocates), interns each signal
+//! name once into a dense `u32`, and keeps `.names` signals and cubes as
+//! ranges into flat vectors. A `.names` block may not drive a signal that
+//! an input, a latch or another `.names` block already drives.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
-use std::io::{BufRead, Write};
+use std::io::Write;
+use std::ops::Range;
 
 use crate::{Aig, Lit};
 
@@ -51,199 +61,347 @@ impl Error for ParseBlifError {}
 /// AND/INV; `.latch` statements become latches (init values `0`, `1`;
 /// `2`/`3`/missing default to `0`).
 ///
+/// The bytes are checked for UTF-8 once, up front; the error names the
+/// line of the first invalid byte. Time is linear in the input size, plus
+/// one sort of the `.names` blocks. A `.names` output may not name a
+/// signal that `.inputs`, `.latch` or another `.names` already drives.
+///
+/// The blocks are elaborated in a fixed order, which fixes the graph node
+/// for node: by *round*, then by file position. A block's round is the
+/// maximum over its inputs of 1 for a primary input or latch output, the
+/// producer's round for a producer earlier in the file, and the producer's
+/// round + 1 for a producer later in the file (1 for a block without
+/// inputs). That is the order in which repeated sweeps over the file, each
+/// elaborating every block whose inputs are ready, would elaborate them.
+///
 /// # Errors
 ///
-/// Returns [`ParseBlifError`] on malformed input, undriven signals or
-/// unsupported constructs (`.subckt`, multiple models).
-pub fn read_blif<R: BufRead>(reader: R) -> Result<Aig, ParseBlifError> {
-    // Collect logical lines (joining `\` continuations).
-    let mut lines: Vec<(usize, String)> = Vec::new();
-    let mut pending = String::new();
-    let mut pending_start = 0usize;
-    for (idx, line) in reader.lines().enumerate() {
-        let line = line.map_err(|e| ParseBlifError::new(idx + 1, e.to_string()))?;
+/// Returns [`ParseBlifError`] on invalid UTF-8, malformed input, a signal
+/// driven more than once, undriven signals, combinational cycles,
+/// unsupported constructs (`.subckt`, `.gate`, `.exdc`) or an input of
+/// 4 GiB or more.
+pub fn read_blif(bytes: &[u8]) -> Result<Aig, ParseBlifError> {
+    // Signal ids, block indices and rounds are `u32`s; below 4 GiB of input
+    // none can reach the sentinels at the top of that range.
+    if u32::try_from(bytes.len()).is_err() {
+        return Err(ParseBlifError::new(1, "input is 4 GiB or larger"));
+    }
+    let text = std::str::from_utf8(bytes).map_err(|e| {
+        let newlines = bytes[..e.valid_up_to()].iter().filter(|&&b| b == b'\n');
+        ParseBlifError::new(newlines.count() + 1, "stream did not contain valid UTF-8")
+    })?;
+    let lines = logical_lines(text);
+    Model::parse(&lines)?.elaborate()
+}
+
+/// The non-blank logical lines of `text`, each with the 1-based number of
+/// its first physical line: `#` comments and trailing whitespace dropped,
+/// `\` continuations joined with a space. A continuation that runs into
+/// the end of the input is dropped.
+fn logical_lines(text: &str) -> Vec<(usize, Cow<'_, str>)> {
+    let mut lines = Vec::new();
+    let mut joined = String::new();
+    let mut joined_start = 0;
+    for (idx, line) in text.lines().enumerate() {
         let content = match line.find('#') {
             Some(p) => &line[..p],
-            None => &line[..],
+            None => line,
         };
         let trimmed = content.trim_end();
-        if pending.is_empty() {
-            pending_start = idx + 1;
+        if joined.is_empty() {
+            joined_start = idx + 1;
         }
         if let Some(stripped) = trimmed.strip_suffix('\\') {
-            pending.push_str(stripped);
-            pending.push(' ');
-            continue;
-        }
-        pending.push_str(trimmed);
-        if !pending.trim().is_empty() {
-            lines.push((pending_start, std::mem::take(&mut pending)));
+            joined.push_str(stripped);
+            joined.push(' ');
+        } else if joined.is_empty() {
+            if !trimmed.is_empty() {
+                lines.push((idx + 1, Cow::Borrowed(trimmed)));
+            }
         } else {
-            pending.clear();
+            joined.push_str(trimmed);
+            if joined.trim().is_empty() {
+                joined.clear();
+            } else {
+                lines.push((joined_start, Cow::Owned(std::mem::take(&mut joined))));
+            }
         }
     }
+    lines
+}
 
-    #[derive(Debug)]
-    struct NamesBlock {
-        line: usize,
-        signals: Vec<String>, // inputs then the output
-        cubes: Vec<(String, char)>,
+/// `producer` entry of a signal nothing drives.
+const UNDRIVEN: u32 = u32::MAX;
+/// `producer` entry of a primary input or latch output.
+const PORT: u32 = u32::MAX - 1;
+
+/// One `.names` block; `inputs` and `cubes` index [`Model::signals`] and
+/// [`Model::cubes`].
+struct NamesBlock {
+    line: usize,
+    inputs: Range<usize>,
+    output: u32,
+    cubes: Range<usize>,
+    /// The first cube's output value is not `0`: the cubes are the ON-set.
+    on_set: bool,
+}
+
+/// The declarations of one BLIF model, every signal interned as an id.
+struct Model<'t> {
+    name: &'t str,
+    /// Signal names, indexed by id.
+    names: Vec<&'t str>,
+    ids: HashMap<&'t str, u32>,
+    inputs: Vec<u32>,
+    /// (declaring line, signal).
+    outputs: Vec<(usize, u32)>,
+    /// (line, input, output, init).
+    latches: Vec<(usize, u32, u32, bool)>,
+    blocks: Vec<NamesBlock>,
+    signals: Vec<u32>,
+    cubes: Vec<&'t str>,
+}
+
+impl<'t> Model<'t> {
+    fn parse(lines: &'t [(usize, Cow<'_, str>)]) -> Result<Self, ParseBlifError> {
+        // A writer-style file spends about two lines per signal.
+        let mut m = Model {
+            name: "top",
+            names: Vec::with_capacity(lines.len() / 2),
+            ids: HashMap::with_capacity(lines.len() / 2),
+            inputs: Vec::new(),
+            outputs: Vec::new(),
+            latches: Vec::new(),
+            blocks: Vec::with_capacity(lines.len() / 2),
+            signals: Vec::with_capacity(lines.len()),
+            cubes: Vec::with_capacity(lines.len() / 2),
+        };
+        let mut lines = lines.iter().peekable();
+        while let Some(&(lineno, ref line)) = lines.next() {
+            let mut tokens = line.split_whitespace();
+            let head = tokens.next().unwrap_or("");
+            match head {
+                ".model" => {
+                    if let Some(n) = tokens.next() {
+                        m.name = n;
+                    }
+                }
+                ".inputs" => {
+                    for t in tokens {
+                        let id = m.intern(t);
+                        m.inputs.push(id);
+                    }
+                }
+                ".outputs" => {
+                    for t in tokens {
+                        let id = m.intern(t);
+                        m.outputs.push((lineno, id));
+                    }
+                }
+                ".latch" => {
+                    // .latch <input> <output> [<type> <control>] [<init>]
+                    let (Some(input), Some(output)) = (tokens.next(), tokens.next()) else {
+                        return Err(ParseBlifError::new(lineno, ".latch needs input and output"));
+                    };
+                    let init = tokens.last().unwrap_or(output) == "1";
+                    let latch = (lineno, m.intern(input), m.intern(output), init);
+                    m.latches.push(latch);
+                }
+                ".names" => {
+                    let start = m.signals.len();
+                    let mut output = None;
+                    for t in tokens {
+                        let id = m.intern(t);
+                        if let Some(prev) = output.replace(id) {
+                            m.signals.push(prev);
+                        }
+                    }
+                    let Some(output) = output else {
+                        return Err(ParseBlifError::new(
+                            lineno,
+                            ".names needs at least an output",
+                        ));
+                    };
+                    let width = m.signals.len() - start;
+                    let cubes_start = m.cubes.len();
+                    let mut on_set = true;
+                    while let Some((cl, cline)) =
+                        lines.next_if(|(_, l)| !l.trim_start().starts_with('.'))
+                    {
+                        let mut parts = cline.split_whitespace();
+                        let (mask, value) = match (parts.next(), parts.next(), parts.next()) {
+                            (Some(value), None, _) if width == 0 => ("", value),
+                            (Some(mask), Some(value), None) => {
+                                if mask.len() != width {
+                                    return Err(ParseBlifError::new(
+                                        *cl,
+                                        format!(
+                                            "cube width {} does not match {width} inputs",
+                                            mask.len()
+                                        ),
+                                    ));
+                                }
+                                (mask, value)
+                            }
+                            _ => return Err(ParseBlifError::new(*cl, "malformed cube line")),
+                        };
+                        if m.cubes.len() == cubes_start {
+                            on_set = !value.starts_with('0');
+                        }
+                        m.cubes.push(mask);
+                    }
+                    m.blocks.push(NamesBlock {
+                        line: lineno,
+                        inputs: start..m.signals.len(),
+                        output,
+                        cubes: cubes_start..m.cubes.len(),
+                        on_set,
+                    });
+                }
+                ".end" => break,
+                ".exdc" | ".subckt" | ".gate" => {
+                    return Err(ParseBlifError::new(
+                        lineno,
+                        format!("unsupported construct {head}"),
+                    ));
+                }
+                _ => { /* ignore unknown dot-commands */ }
+            }
+        }
+        Ok(m)
     }
 
-    let mut model_name = String::from("top");
-    let mut inputs: Vec<String> = Vec::new();
-    let mut outputs: Vec<(usize, String)> = Vec::new(); // (declaring line, name)
-    let mut latches: Vec<(usize, String, String, bool)> = Vec::new(); // (line, input, output, init)
-    let mut names: Vec<NamesBlock> = Vec::new();
+    /// The id of signal `name`, assigning the next one on first sight.
+    fn intern(&mut self, name: &'t str) -> u32 {
+        let names = &mut self.names;
+        *self.ids.entry(name).or_insert_with(|| {
+            names.push(name);
+            names.len() as u32 - 1
+        })
+    }
 
-    let mut i = 0;
-    while i < lines.len() {
-        let (lineno, line) = &lines[i];
-        let mut tokens = line.split_whitespace();
-        let Some(head) = tokens.next() else {
-            i += 1;
-            continue;
-        };
-        match head {
-            ".model" => {
-                if let Some(n) = tokens.next() {
-                    model_name = n.to_string();
-                }
-            }
-            ".inputs" => inputs.extend(tokens.map(str::to_string)),
-            ".outputs" => outputs.extend(tokens.map(|t| (*lineno, t.to_string()))),
-            ".latch" => {
-                let args: Vec<&str> = tokens.collect();
-                if args.len() < 2 {
-                    return Err(ParseBlifError::new(
-                        *lineno,
-                        ".latch needs input and output",
-                    ));
-                }
-                // .latch <input> <output> [<type> <control>] [<init>]
-                let init = matches!(args.last(), Some(&"1"));
-                latches.push((*lineno, args[0].to_string(), args[1].to_string(), init));
-            }
-            ".names" => {
-                let signals: Vec<String> = tokens.map(str::to_string).collect();
-                if signals.is_empty() {
-                    return Err(ParseBlifError::new(
-                        *lineno,
-                        ".names needs at least an output",
-                    ));
-                }
-                let mut cubes = Vec::new();
-                while i + 1 < lines.len() {
-                    let (cl, cline) = &lines[i + 1];
-                    if cline.trim_start().starts_with('.') {
-                        break;
-                    }
-                    let parts: Vec<&str> = cline.split_whitespace().collect();
-                    match parts.as_slice() {
-                        [out] if signals.len() == 1 => {
-                            let v = out.chars().next().unwrap_or('0');
-                            cubes.push((String::new(), v));
-                        }
-                        [mask, out] => {
-                            if mask.len() != signals.len() - 1 {
-                                return Err(ParseBlifError::new(
-                                    *cl,
-                                    format!(
-                                        "cube width {} does not match {} inputs",
-                                        mask.len(),
-                                        signals.len() - 1
-                                    ),
-                                ));
-                            }
-                            let v = out.chars().next().unwrap_or('0');
-                            cubes.push((mask.to_string(), v));
-                        }
-                        _ => {
-                            return Err(ParseBlifError::new(*cl, "malformed cube line"));
-                        }
-                    }
-                    i += 1;
-                }
-                names.push(NamesBlock {
-                    line: *lineno,
-                    signals,
-                    cubes,
-                });
-            }
-            ".end" => break,
-            ".exdc" | ".subckt" | ".gate" => {
+    /// Build the AIG: primary inputs and latch outputs first, then every
+    /// `.names` block in elaboration order, then latch next-states and
+    /// outputs.
+    fn elaborate(self) -> Result<Aig, ParseBlifError> {
+        // What drives each signal: UNDRIVEN, PORT or a block index.
+        let mut producer = vec![UNDRIVEN; self.names.len()];
+        for &s in &self.inputs {
+            producer[s as usize] = PORT;
+        }
+        for &(_, _, q, _) in &self.latches {
+            producer[q as usize] = PORT;
+        }
+        for (b, block) in self.blocks.iter().enumerate() {
+            let out = block.output as usize;
+            if producer[out] != UNDRIVEN {
                 return Err(ParseBlifError::new(
-                    *lineno,
-                    format!("unsupported construct {head}"),
+                    block.line,
+                    format!("signal '{}' is driven more than once", self.names[out]),
                 ));
             }
-            _ => { /* ignore unknown dot-commands */ }
+            producer[out] = b as u32;
         }
-        i += 1;
-    }
+        let order = self.elaboration_order(&producer)?;
 
-    // Build the AIG: create PIs and latch outputs, then elaborate `.names`
-    // blocks in dependency order.
-    let mut aig = Aig::new(model_name);
-    let mut env: HashMap<String, Lit> = HashMap::new();
-    for name in &inputs {
-        let l = aig.input(name.clone());
-        env.insert(name.clone(), l);
-    }
-    for (_, _, out, init) in &latches {
-        let l = aig.latch(out.clone(), *init);
-        env.insert(out.clone(), l);
-    }
-
-    // Iteratively elaborate blocks whose inputs are all available.
-    let mut remaining: Vec<NamesBlock> = names;
-    loop {
-        let before = remaining.len();
-        remaining.retain(|block| {
-            let (out_name, in_names) = block.signals.split_last().expect("non-empty");
-            if !in_names.iter().all(|n| env.contains_key(n)) {
-                return true; // keep for a later round
+        let mut aig = Aig::new(self.name);
+        let mut lits = vec![Lit::FALSE; self.names.len()];
+        for &s in &self.inputs {
+            lits[s as usize] = aig.input(self.names[s as usize]);
+        }
+        for &(_, _, q, init) in &self.latches {
+            lits[q as usize] = aig.latch(self.names[q as usize], init);
+        }
+        let mut sop = Sop::default();
+        for b in order {
+            let block = &self.blocks[b];
+            sop.inputs.clear();
+            sop.inputs.extend(
+                self.signals[block.inputs.clone()]
+                    .iter()
+                    .map(|&s| lits[s as usize]),
+            );
+            let cubes = &self.cubes[block.cubes.clone()];
+            lits[block.output as usize] = sop.build(&mut aig, cubes, block.on_set);
+        }
+        for &(line, d, q, _) in &self.latches {
+            if producer[d as usize] == UNDRIVEN {
+                return Err(ParseBlifError::new(
+                    line,
+                    format!("latch input '{}' is undriven", self.names[d as usize]),
+                ));
             }
-            let in_lits: Vec<Lit> = in_names.iter().map(|n| env[n]).collect();
-            let lit = build_sop(&mut aig, &in_lits, &block.cubes);
-            env.insert(out_name.clone(), lit);
-            false
-        });
-        if remaining.is_empty() {
-            break;
+            aig.set_latch_next(lits[q as usize], lits[d as usize]);
         }
-        if remaining.len() == before {
-            let block = &remaining[0];
+        for &(line, s) in &self.outputs {
+            if producer[s as usize] == UNDRIVEN {
+                return Err(ParseBlifError::new(
+                    line,
+                    format!("output '{}' is undriven", self.names[s as usize]),
+                ));
+            }
+            aig.output(self.names[s as usize], lits[s as usize]);
+        }
+        Ok(aig)
+    }
+
+    /// Block indices sorted by (round, file position); see [`read_blif`].
+    /// One iterative depth-first search computes every round. A block on a
+    /// cycle or fed by an undriven signal never gets one, and the first
+    /// such block in file order is the error.
+    fn elaboration_order(&self, producer: &[u32]) -> Result<Vec<usize>, ParseBlifError> {
+        const UNSEEN: u32 = 0;
+        const ACTIVE: u32 = u32::MAX - 1;
+        const NEVER: u32 = u32::MAX;
+        let mut round = vec![UNSEEN; self.blocks.len()];
+        // (block, position in `signals` of its next input to visit)
+        let mut stack: Vec<(usize, usize)> = Vec::new();
+        for root in 0..self.blocks.len() {
+            if round[root] != UNSEEN {
+                continue;
+            }
+            round[root] = ACTIVE;
+            stack.push((root, self.blocks[root].inputs.start));
+            while let Some(top) = stack.last_mut() {
+                let (b, next) = *top;
+                let inputs = self.blocks[b].inputs.clone();
+                if next < inputs.end {
+                    top.1 += 1;
+                    let d = producer[self.signals[next] as usize];
+                    if d < PORT && round[d as usize] == UNSEEN {
+                        round[d as usize] = ACTIVE;
+                        stack.push((d as usize, self.blocks[d as usize].inputs.start));
+                    }
+                    continue;
+                }
+                stack.pop();
+                round[b] = self.signals[inputs].iter().fold(1, |r, &s| {
+                    let dep = match producer[s as usize] {
+                        PORT => 1,
+                        UNDRIVEN => NEVER,
+                        d => match round[d as usize] {
+                            ACTIVE | NEVER => NEVER, // a cycle, or fed by one
+                            rd => rd + u32::from(d as usize > b),
+                        },
+                    };
+                    r.max(dep)
+                });
+            }
+        }
+        if let Some(b) = round.iter().position(|&r| r == NEVER) {
+            let block = &self.blocks[b];
             return Err(ParseBlifError::new(
                 block.line,
                 format!(
                     "combinational cycle or undriven signal feeding '{}'",
-                    block.signals.last().unwrap()
+                    self.names[block.output as usize]
                 ),
             ));
         }
+        let mut order: Vec<usize> = (0..self.blocks.len()).collect();
+        order.sort_by_key(|&b| round[b]); // stable: file order within a round
+        Ok(order)
     }
-
-    for (lineno, input, output, _) in &latches {
-        let Some(&next) = env.get(input) else {
-            return Err(ParseBlifError::new(
-                *lineno,
-                format!("latch input '{input}' is undriven"),
-            ));
-        };
-        let q = env[output];
-        aig.set_latch_next(q, next);
-    }
-    for (lineno, name) in &outputs {
-        let Some(&lit) = env.get(name) else {
-            return Err(ParseBlifError::new(
-                *lineno,
-                format!("output '{name}' is undriven"),
-            ));
-        };
-        aig.output(name.clone(), lit);
-    }
-    Ok(aig)
 }
 
 /// The netlist formats [`read_netlist_auto`] can detect.
@@ -351,29 +509,39 @@ pub fn read_netlist_auto(bytes: &[u8]) -> Result<Aig, ReadNetlistError> {
     }
 }
 
-/// Elaborate one `.names` SOP block (ON-set or OFF-set convention).
-fn build_sop(aig: &mut Aig, inputs: &[Lit], cubes: &[(String, char)]) -> Lit {
-    if cubes.is_empty() {
-        return Lit::FALSE; // empty table = constant 0
-    }
-    let on_set = cubes[0].1 != '0';
-    let mut terms = Vec::with_capacity(cubes.len());
-    for (mask, _) in cubes {
-        let mut lits = Vec::new();
-        for (i, ch) in mask.chars().enumerate() {
-            match ch {
-                '1' => lits.push(inputs[i]),
-                '0' => lits.push(!inputs[i]),
-                _ => {}
-            }
+/// Elaborates `.names` SOP blocks (ON-set or OFF-set convention), reusing
+/// its buffers across blocks.
+#[derive(Default)]
+struct Sop {
+    /// The block's input literals, filled by the caller.
+    inputs: Vec<Lit>,
+    cube: Vec<Lit>,
+    terms: Vec<Lit>,
+}
+
+impl Sop {
+    fn build(&mut self, aig: &mut Aig, cubes: &[&str], on_set: bool) -> Lit {
+        if cubes.is_empty() {
+            return Lit::FALSE; // empty table = constant 0
         }
-        terms.push(aig.and_many(&lits));
-    }
-    let cover = aig.or_many(&terms);
-    if on_set {
-        cover
-    } else {
-        !cover
+        self.terms.clear();
+        for mask in cubes {
+            self.cube.clear();
+            for (i, ch) in mask.chars().enumerate() {
+                match ch {
+                    '1' => self.cube.push(self.inputs[i]),
+                    '0' => self.cube.push(!self.inputs[i]),
+                    _ => {}
+                }
+            }
+            self.terms.push(aig.and_many(&self.cube));
+        }
+        let cover = aig.or_many(&self.terms);
+        if on_set {
+            cover
+        } else {
+            !cover
+        }
     }
 }
 
@@ -719,5 +887,84 @@ mod tests {
 ";
         let err = read_blif(text.as_bytes()).unwrap_err();
         assert!(err.to_string().contains("cycle"));
+    }
+
+    /// A `.names` output may not name a signal something already drives.
+    /// Over a latch output, the latch's next-state would otherwise be set
+    /// on the block's literal, which `set_latch_next` rejects with a panic.
+    #[test]
+    fn error_on_a_signal_driven_twice() {
+        for (text, message) in [
+            (
+                ".model t\n.inputs a\n.outputs q\n.latch d q 0\n.names a q\n1 1\n.names a d\n1 1\n.end\n",
+                "blif parse error at line 5: signal 'q' is driven more than once",
+            ),
+            (
+                ".model t\n.inputs a b\n.outputs b\n.names a b\n1 1\n",
+                "blif parse error at line 4: signal 'b' is driven more than once",
+            ),
+            (
+                ".model t\n.inputs a\n.outputs y\n.names a y\n1 1\n.names a y\n0 1\n",
+                "blif parse error at line 6: signal 'y' is driven more than once",
+            ),
+        ] {
+            let err = read_blif(text.as_bytes()).unwrap_err();
+            assert_eq!(err.to_string(), message);
+        }
+    }
+
+    /// A chain of two-input blocks, each reading the previous one; the
+    /// last drives output `y`.
+    fn chain(n: usize, reversed: bool) -> String {
+        let mut blocks: Vec<String> = (0..n)
+            .map(|i| {
+                let prev = if i == 0 {
+                    "a".to_string()
+                } else {
+                    format!("n{}", i - 1)
+                };
+                let out = if i + 1 == n {
+                    "y".to_string()
+                } else {
+                    format!("n{i}")
+                };
+                format!(".names {prev} b {out}\n11 1\n")
+            })
+            .collect();
+        if reversed {
+            blocks.reverse();
+        }
+        format!(
+            ".model chain\n.inputs a b\n.outputs y\n{}.end\n",
+            blocks.concat()
+        )
+    }
+
+    /// Elaboration is linear however the blocks are ordered. Written last
+    /// to first, every block waits on the one below it, which repeated
+    /// sweeps over the file would turn into work quadratic in the chain
+    /// length (minutes at this size even in an optimized build). The same
+    /// graph must come out either way.
+    #[test]
+    fn reversed_chain_parses_in_linear_time_to_the_forward_graph() {
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        const BLOCKS: usize = 100_000;
+        let forward = read_blif(chain(BLOCKS, false).as_bytes()).unwrap();
+        let (done, finished) = channel();
+        let worker = std::thread::spawn(move || {
+            let parsed = read_blif(chain(BLOCKS, true).as_bytes());
+            let _ = done.send(());
+            parsed
+        });
+        // A panic drops `done` and ends the wait early; `join` reports it.
+        let waited = finished.recv_timeout(std::time::Duration::from_secs(120));
+        assert!(
+            waited != Err(RecvTimeoutError::Timeout),
+            "a linear parse of 100k blocks takes seconds, not minutes"
+        );
+        let reversed = worker.join().expect("parse thread panicked").unwrap();
+        assert_eq!(reversed.num_ands(), BLOCKS);
+        assert_eq!(reversed.nodes(), forward.nodes());
+        assert_eq!(reversed.outputs(), forward.outputs());
     }
 }

@@ -54,3 +54,24 @@ fn exit_code_is_0_when_clean_and_2_when_missing() {
     assert_eq!(missing.status.code(), Some(2), "{missing:?}");
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// A netlist the reader rejects exits 2 with the parse error, not 101 from
+/// a panic: here a `.names` block redefines a latch output.
+#[test]
+fn parse_error_exits_2_not_a_panic() {
+    let dir = tmpdir("parse");
+    let file = dir.join("latch.blif");
+    fs::write(
+        &file,
+        ".model t\n.inputs a\n.outputs q\n.latch d q 0\n.names a q\n1 1\n.names a d\n1 1\n.end\n",
+    )
+    .unwrap();
+    let out = lint(&[], &file);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains("line 5: signal 'q' is driven more than once"),
+        "{stderr}"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -19,7 +19,10 @@
 //! torn final line (the crash may have landed mid-append). On open, the
 //! journal is compacted: completed jobs' records and spool files are
 //! dropped, pending jobs are re-spooled into a fresh log, and the id
-//! counter resumes past the highest id ever issued.
+//! counter resumes past the highest id ever handed out. Once there is one,
+//! the compacted log starts with an `H <id>` high-water record:
+//! without it, a restart that finds nothing pending would forget every id
+//! and hand out 1 again. A log without an `H` record still opens.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufWriter, Write};
@@ -111,6 +114,11 @@ impl Journal {
                             pending.retain(|(p, _)| *p != id);
                         }
                     }
+                    (Some("H"), Some(id), _) => {
+                        if let Ok(id) = id.parse::<u64>() {
+                            max_id = max_id.max(id);
+                        }
+                    }
                     // Torn or foreign line: skip, never fail recovery.
                     _ => {}
                 }
@@ -135,11 +143,15 @@ impl Journal {
             }
         }
 
-        // Compact: fresh log holding only the still-pending S records,
-        // then drop every spool file the new log does not reference.
+        // Compact: fresh log holding the high-water id and the
+        // still-pending S records, then drop every spool file the new log
+        // does not reference.
         let tmp = state_dir.join("journal.log.tmp");
         {
             let mut w = BufWriter::new(File::create(&tmp)?);
+            if max_id > 0 {
+                writeln!(w, "H {max_id}")?;
+            }
             for (id, spool) in &live_spools {
                 writeln!(w, "S {id} {spool}")?;
             }
@@ -268,6 +280,28 @@ mod tests {
         // Ids never repeat across incarnations.
         let max_recovered = recovered.iter().map(|r| r.id).max().unwrap();
         assert!(j2.next_id() > max_recovered);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Compaction drops finished records, so the id counter must survive
+    /// restarts that find nothing pending. The first restart reads a log
+    /// without a high-water record.
+    #[test]
+    fn ids_never_repeat_across_idle_restarts() {
+        let dir = tmpdir("idle");
+        {
+            let (j, _) = Journal::open(&dir).unwrap();
+            for expected in 1..=3 {
+                let id = j.next_id();
+                assert_eq!(id, expected);
+                j.record_submit(id, &req("job"), None).unwrap();
+                j.record_done(id, "ok").unwrap();
+            }
+        }
+        drop(Journal::open(&dir).unwrap()); // restart, no traffic
+        let (j, recovered) = Journal::open(&dir).unwrap();
+        assert!(recovered.is_empty());
+        assert_eq!(j.next_id(), 4);
         let _ = fs::remove_dir_all(&dir);
     }
 

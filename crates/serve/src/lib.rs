@@ -56,7 +56,9 @@
 //! stays bounded no matter the offered load. A hit needs no queue slot, so
 //! it is answered even while the queue is full. Watched-directory jobs are
 //! never lost by shedding — the file stays in the directory and is retried
-//! on the next poll.
+//! on the next poll. The admission parse takes time linear in the frame
+//! size, up to one sort of its `.names` blocks, so no submission holds an
+//! admitting thread much longer than its bytes take to read.
 //!
 //! **Durability.** Every job that reaches the queue is journaled
 //! (`state_dir/journal.log` plus a spool file with the full submission)

@@ -304,7 +304,22 @@ fn malformed_input_gets_a_structured_verdict_not_a_dead_server() {
         }
         other => panic!("expected Err, got {other:?}"),
     }
-    // Answered at admission: nothing was journaled or spooled for it.
+    // A `.names` block redefining a latch output: a line-numbered parse
+    // verdict, not `panicked`.
+    let redefined =
+        b".model t\n.inputs a\n.outputs q\n.latch d q 0\n.names a q\n1 1\n.names a d\n1 1\n.end\n";
+    match submit(&mut client, "latch-redefined", redefined.to_vec()) {
+        Response::Err { kind, verdict } => {
+            assert_eq!(kind, "parse");
+            let v = String::from_utf8(verdict).unwrap();
+            assert!(
+                v.contains("line 5: signal 'q' is driven more than once"),
+                "{v}"
+            );
+        }
+        other => panic!("expected Err, got {other:?}"),
+    }
+    // Answered at admission: nothing was journaled or spooled for either.
     assert!(
         journal_lines(&state).is_empty(),
         "{:?}",
