@@ -5,9 +5,17 @@
 //! New AND nodes are deduplicated through [`StrashTable`], an open-addressing
 //! (linear-probe) hash-cons table over the node arena: slots store only node
 //! indices, the key `(a, b)` is read back from the arena on probe, and the
-//! hash is one 64-bit multiply — no SipHash, no per-entry heap boxes, and
-//! removal (used by the optimization passes' speculative build/rollback)
-//! is backward-shift, so the table never accumulates tombstones.
+//! hash is one 64-bit multiply — no SipHash, no per-entry heap boxes. Nodes
+//! are only ever added, so the table has no removal and no tombstones.
+//!
+//! # Builders
+//!
+//! [`Build`] is the one definition of every gate's AND structure: its
+//! implementors supply `and`, and `or`, `xor`, `mux`, `and_many`,
+//! `or_many` and `xor_many` exist only as its provided methods. [`Aig`]
+//! implements it by creating nodes; [`DryRun`] implements it over a
+//! borrowed graph by counting the nodes a build would create, without
+//! touching the graph.
 
 use std::fmt;
 
@@ -72,42 +80,6 @@ impl StrashTable {
         self.len += 1;
     }
 
-    /// Remove node `idx` with backward-shift deletion (no tombstones).
-    fn remove(&mut self, idx: u32, nodes: &[NodeKind]) {
-        let mask = self.slots.len() - 1;
-        let NodeKind::And { a, b } = nodes[idx as usize] else {
-            unreachable!("only AND nodes are hashed");
-        };
-        let mut pos = strash_hash(a.raw(), b.raw()) as usize & mask;
-        loop {
-            match self.slots[pos] {
-                EMPTY => panic!("strash entry for n{idx} missing"),
-                slot if slot == idx => break,
-                _ => pos = (pos + 1) & mask,
-            }
-        }
-        // Backward-shift: pull displaced entries into the hole so probe
-        // chains stay contiguous.
-        let mut hole = pos;
-        let mut next = (hole + 1) & mask;
-        while self.slots[next] != EMPTY {
-            let entry = self.slots[next];
-            let NodeKind::And { a, b } = nodes[entry as usize] else {
-                unreachable!("only AND nodes are hashed");
-            };
-            let ideal = strash_hash(a.raw(), b.raw()) as usize & mask;
-            // `entry` may move into the hole iff its ideal slot does not lie
-            // strictly between the hole and its current position (cyclic).
-            if (next.wrapping_sub(ideal) & mask) >= (next.wrapping_sub(hole) & mask) {
-                self.slots[hole] = entry;
-                hole = next;
-            }
-            next = (next + 1) & mask;
-        }
-        self.slots[hole] = EMPTY;
-        self.len -= 1;
-    }
-
     fn grow(&mut self, nodes: &[NodeKind]) {
         let new_cap = (self.slots.len() * 2).max(16);
         let old = std::mem::replace(&mut self.slots, vec![EMPTY; new_cap]);
@@ -125,6 +97,149 @@ impl StrashTable {
             }
             self.slots[pos] = slot;
         }
+    }
+}
+
+/// A graph builder. Implementors supply [`Build::and`]; every other gate
+/// is a provided method built from it, so each gate's structure is defined
+/// here and nowhere else, and a [`DryRun`] builds exactly what an [`Aig`]
+/// would.
+pub trait Build {
+    /// AND of two literals, with [`Aig::and`]'s folding and hashing rules.
+    fn and(&mut self, a: Lit, b: Lit) -> Lit;
+
+    /// OR of two literals (`!(!a & !b)`).
+    fn or(&mut self, a: Lit, b: Lit) -> Lit {
+        !self.and(!a, !b)
+    }
+
+    /// XOR of two literals, built from three ANDs (or fewer with constants).
+    ///
+    /// Uses the `(a|b) & !(a&b)` structure, whose `a&b` product is shared
+    /// with carry logic — this is what makes [`crate::build::full_adder`]
+    /// come out at the 7-node minimum of the paper's Figure 4.
+    fn xor(&mut self, a: Lit, b: Lit) -> Lit {
+        // Canonicalize to positive-polarity inputs so `xor(a, !b)` produces
+        // the same internal nodes as `!xor(a, b)` — maximizing sharing.
+        let flip = a.is_complement() ^ b.is_complement();
+        let (a, b) = (a.positive(), b.positive());
+        let both = self.and(a, b);
+        let neither = self.and(!a, !b);
+        let x = self.and(!both, !neither);
+        x.complement_if(flip)
+    }
+
+    /// 2:1 multiplexer: `sel ? t : e`.
+    fn mux(&mut self, sel: Lit, t: Lit, e: Lit) -> Lit {
+        let pt = self.and(sel, t);
+        let pe = self.and(!sel, e);
+        self.or(pt, pe)
+    }
+
+    /// Conjunction of many literals, built as a balanced tree.
+    fn and_many(&mut self, lits: &[Lit]) -> Lit {
+        reduce_balanced(self, lits, Lit::TRUE, Self::and)
+    }
+
+    /// Disjunction of many literals, built as a balanced tree.
+    fn or_many(&mut self, lits: &[Lit]) -> Lit {
+        reduce_balanced(self, lits, Lit::FALSE, Self::or)
+    }
+
+    /// XOR of many literals, built as a balanced tree.
+    fn xor_many(&mut self, lits: &[Lit]) -> Lit {
+        reduce_balanced(self, lits, Lit::FALSE, Self::xor)
+    }
+}
+
+fn reduce_balanced<B: Build + ?Sized>(
+    builder: &mut B,
+    lits: &[Lit],
+    empty: Lit,
+    op: impl Fn(&mut B, Lit, Lit) -> Lit + Copy,
+) -> Lit {
+    match lits.len() {
+        0 => empty,
+        1 => lits[0],
+        n => {
+            let (lo, hi) = lits.split_at(n / 2);
+            let l = reduce_balanced(builder, lo, empty, op);
+            let r = reduce_balanced(builder, hi, empty, op);
+            op(builder, l, r)
+        }
+    }
+}
+
+/// `a & b` by the constant, unit, idempotence and complement rules, or the
+/// fanin pair in canonical (`a.raw() <= b.raw()`) order when it needs a
+/// node.
+#[inline]
+fn fold_and(a: Lit, b: Lit) -> Result<Lit, (Lit, Lit)> {
+    if a == Lit::FALSE || b == Lit::FALSE || a == !b {
+        return Ok(Lit::FALSE);
+    }
+    if a == Lit::TRUE {
+        return Ok(b);
+    }
+    if b == Lit::TRUE || a == b {
+        return Ok(a);
+    }
+    Err(if a.raw() <= b.raw() { (a, b) } else { (b, a) })
+}
+
+/// A [`Build`] that costs a build without performing it: it answers every
+/// call with the literal building into `base` would return and counts the
+/// AND nodes that build would add ([`DryRun::added`]). A pair is looked up
+/// read-only in `base`'s structural hash, then in the short list of
+/// would-be nodes, which are numbered from `base.num_nodes()` in creation
+/// order.
+///
+/// The would-be nodes live in a caller-owned buffer, so costing many
+/// candidates against one graph reuses one allocation.
+#[derive(Debug)]
+pub struct DryRun<'g> {
+    base: &'g Aig,
+    pending: &'g mut Vec<(Lit, Lit)>,
+}
+
+impl<'g> DryRun<'g> {
+    /// An empty overlay on `base`; `buffer` is cleared and holds the
+    /// would-be nodes.
+    pub fn new(base: &'g Aig, buffer: &'g mut Vec<(Lit, Lit)>) -> Self {
+        buffer.clear();
+        DryRun {
+            base,
+            pending: buffer,
+        }
+    }
+
+    /// AND nodes the calls so far would have added to the base graph.
+    pub fn added(&self) -> usize {
+        self.pending.len()
+    }
+}
+
+impl Build for DryRun<'_> {
+    fn and(&mut self, a: Lit, b: Lit) -> Lit {
+        let (a, b) = match fold_and(a, b) {
+            Ok(lit) => return lit,
+            Err(pair) => pair,
+        };
+        let first = self.base.nodes.len();
+        // A pair that names a would-be node cannot be in the base graph.
+        if b.node().index() < first {
+            if let Some(idx) = self.base.strash.lookup(a, b, &self.base.nodes) {
+                return Lit(idx << 1);
+            }
+        }
+        let pos = match self.pending.iter().position(|&p| p == (a, b)) {
+            Some(pos) => pos,
+            None => {
+                self.pending.push((a, b));
+                self.pending.len() - 1
+            }
+        };
+        NodeId::from_index(first + pos).lit()
     }
 }
 
@@ -468,17 +583,10 @@ impl Aig {
     /// and structural hashing, so the graph never contains two identical AND
     /// nodes.
     pub fn and(&mut self, a: Lit, b: Lit) -> Lit {
-        // Trivial cases.
-        if a == Lit::FALSE || b == Lit::FALSE || a == !b {
-            return Lit::FALSE;
-        }
-        if a == Lit::TRUE {
-            return b;
-        }
-        if b == Lit::TRUE || a == b {
-            return a;
-        }
-        let (a, b) = if a.raw() <= b.raw() { (a, b) } else { (b, a) };
+        let (a, b) = match fold_and(a, b) {
+            Ok(lit) => return lit,
+            Err(pair) => pair,
+        };
         if let Some(idx) = self.strash.lookup(a, b, &self.nodes) {
             return Lit(idx << 1);
         }
@@ -489,80 +597,49 @@ impl Aig {
         id.lit()
     }
 
-    /// OR of two literals (`!(!a & !b)`).
+    /// OR of two literals; see [`Build::or`].
     pub fn or(&mut self, a: Lit, b: Lit) -> Lit {
-        !self.and(!a, !b)
+        Build::or(self, a, b)
     }
 
     /// NAND of two literals.
     pub fn nand(&mut self, a: Lit, b: Lit) -> Lit {
-        !self.and(a, b)
+        !Build::and(self, a, b)
     }
 
     /// NOR of two literals.
     pub fn nor(&mut self, a: Lit, b: Lit) -> Lit {
-        self.and(!a, !b)
+        Build::and(self, !a, !b)
     }
 
-    /// XOR of two literals, built from three ANDs (or fewer with constants).
-    ///
-    /// Uses the `(a|b) & !(a&b)` structure, whose `a&b` product is shared
-    /// with carry logic — this is what makes [`crate::build::full_adder`]
-    /// come out at the 7-node minimum of the paper's Figure 4.
+    /// XOR of two literals; see [`Build::xor`].
     pub fn xor(&mut self, a: Lit, b: Lit) -> Lit {
-        // Canonicalize to positive-polarity inputs so `xor(a, !b)` produces
-        // the same internal nodes as `!xor(a, b)` — maximizing sharing.
-        let flip = a.is_complement() ^ b.is_complement();
-        let (a, b) = (a.positive(), b.positive());
-        let both = self.and(a, b);
-        let neither = self.and(!a, !b);
-        let x = self.and(!both, !neither);
-        x.complement_if(flip)
+        Build::xor(self, a, b)
     }
 
     /// XNOR of two literals.
     pub fn xnor(&mut self, a: Lit, b: Lit) -> Lit {
-        !self.xor(a, b)
+        !Build::xor(self, a, b)
     }
 
-    /// 2:1 multiplexer: `sel ? t : e`.
+    /// 2:1 multiplexer: `sel ? t : e`; see [`Build::mux`].
     pub fn mux(&mut self, sel: Lit, t: Lit, e: Lit) -> Lit {
-        let pt = self.and(sel, t);
-        let pe = self.and(!sel, e);
-        self.or(pt, pe)
+        Build::mux(self, sel, t, e)
     }
 
     /// Conjunction of many literals, built as a balanced tree.
     pub fn and_many(&mut self, lits: &[Lit]) -> Lit {
-        self.reduce_balanced(lits, Lit::TRUE, Self::and)
+        Build::and_many(self, lits)
     }
 
     /// Disjunction of many literals, built as a balanced tree.
     pub fn or_many(&mut self, lits: &[Lit]) -> Lit {
-        self.reduce_balanced(lits, Lit::FALSE, Self::or)
+        Build::or_many(self, lits)
     }
 
     /// XOR of many literals, built as a balanced tree.
     pub fn xor_many(&mut self, lits: &[Lit]) -> Lit {
-        self.reduce_balanced(lits, Lit::FALSE, Self::xor)
-    }
-
-    fn reduce_balanced(
-        &mut self,
-        lits: &[Lit],
-        empty: Lit,
-        mut op: impl FnMut(&mut Self, Lit, Lit) -> Lit + Copy,
-    ) -> Lit {
-        match lits.len() {
-            0 => empty,
-            1 => lits[0],
-            n => {
-                let (lo, hi) = lits.split_at(n / 2);
-                let l = self.reduce_balanced(lo, empty, op);
-                let r = self.reduce_balanced(hi, empty, op);
-                op(self, l, r)
-            }
-        }
+        Build::xor_many(self, lits)
     }
 
     /// Per-node logic level (`0` for constants/CIs, `1 + max(fanins)` for
@@ -751,25 +828,6 @@ impl Aig {
         out
     }
 
-    /// Remove all nodes with index `>= watermark`, undoing their structural
-    /// hash entries. Only valid when nothing below the watermark references
-    /// them (true for freshly appended nodes), which is how the optimization
-    /// passes evaluate candidate implementations without committing.
-    pub(crate) fn truncate_nodes(&mut self, watermark: usize) {
-        while self.nodes.len() > watermark {
-            let idx = self.nodes.len() - 1;
-            match self.nodes[idx] {
-                NodeKind::And { a, b } => {
-                    debug_assert_eq!(self.strash.lookup(a, b, &self.nodes), Some(idx as u32));
-                    self.strash.remove(idx as u32, &self.nodes);
-                    self.nodes.pop();
-                    self.and_count -= 1;
-                }
-                other => panic!("cannot truncate non-AND node {other:?} at {idx}"),
-            }
-        }
-    }
-
     /// Rebuild the graph keeping only nodes reachable from the outputs and
     /// latch next-state functions. The PI/PO/latch interface is preserved
     /// (all declared inputs and latches survive even if dangling).
@@ -835,6 +893,12 @@ impl Aig {
 impl fmt::Display for Aig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "aig '{}': {}", self.name, self.stats())
+    }
+}
+
+impl Build for Aig {
+    fn and(&mut self, a: Lit, b: Lit) -> Lit {
+        Aig::and(self, a, b)
     }
 }
 

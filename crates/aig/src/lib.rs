@@ -36,16 +36,20 @@
 //! guarantees with a counting global allocator.
 //!
 //! * **Structural hashing** — [`Aig::and`] deduplicates through an
-//!   open-addressing (linear-probe, backward-shift-delete) table whose slots
-//!   hold only node indices; keys are read back from the node arena and
-//!   hashed with one 64-bit multiply. [`Aig::num_ands`] is a maintained
-//!   counter, O(1).
+//!   open-addressing (linear-probe, insert-only) table whose slots hold
+//!   only node indices; keys are read back from the node arena and hashed
+//!   with one 64-bit multiply. [`Aig::num_ands`] is a maintained counter,
+//!   O(1). A [`DryRun`] probes the same table read-only to count what a
+//!   build would add.
 //! * **Cuts** — [`cuts::Cut`] stores up to [`cuts::MAX_CUT_SIZE`] leaves
 //!   inline (sorted by id) plus a 64-bit signature with bit `id % 64` set
 //!   per leaf. The signature has the subset property
 //!   `A ⊆ B ⇒ sig(A) & !sig(B) == 0`, so dominance checks and oversize
 //!   merges are rejected with one AND / popcount before any leaf scan.
-//!   Cone evaluation reuses a flat, generation-stamped
+//!   Enumerated cuts also carry their root's function as one `u64` word,
+//!   composed from the fanin cuts' words, which rewriting reads instead of
+//!   walking the cone.
+//!   Cone evaluation (refactor) reuses a flat, generation-stamped
 //!   [`cuts::CutScratch`] instead of per-cone hash maps.
 //! * **Truth tables** — [`tt::TruthTable`] stores ≤6-variable tables in a
 //!   single inline `u64` (the representation is an invariant tied to the
@@ -80,5 +84,5 @@ pub mod sim;
 pub mod synth;
 pub mod tt;
 
-pub use aig::{Aig, AigDefect, AigStats, Latch, NodeKind, Output};
+pub use aig::{Aig, AigDefect, AigStats, Build, DryRun, Latch, NodeKind, Output};
 pub use lit::{Lit, NodeId};

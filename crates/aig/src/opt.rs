@@ -14,17 +14,26 @@
 //!
 //! * **evaluate** — per candidate cut: the cut function, the MFFC size and
 //!   the isolation-cost prefilter, which drops a cut whose isolation cost
-//!   exceeds its MFFC by more than 2. A function of `s` leaves costs at
-//!   least `s - 1` ANDs, so a cut with `s - 1 - mffc > 2` is dropped before
-//!   it is costed; the bound is exact (it drops only cuts the cost would),
-//!   so it changes no result. These read only the *immutable input graph*
-//!   (plus the finished cut lists), so the batch fans out across the
-//!   [`xsfq_exec::ThreadPool`] with one [`CutScratch`] + [`Synthesizer`]
-//!   arena per worker thread.
-//! * **commit** — the sharing-aware gain measurement (speculative build +
-//!   rollback against the growing output graph) and the winning rebuild.
-//!   Commit order determines node ids and structural-hash sharing, so this
-//!   phase runs single-threaded in ascending node-index order.
+//!   exceeds its MFFC by more than 2. The rewrite passes read the function
+//!   from the cut itself (enumeration computes it, see [`cuts`]); refactor
+//!   walks the cone of its reconvergence cut. A function of `s` leaves
+//!   costs at least `s - 1` ANDs, so a cut with `s - 1 - mffc > 2` is
+//!   dropped before it is costed; the bound is exact (it drops only cuts
+//!   the cost would), so it changes no result. These read only the
+//!   *immutable input graph* (plus the finished cut lists), so the batch
+//!   fans out across the [`xsfq_exec::ThreadPool`] with one [`CutScratch`]
+//!   + [`Synthesizer`] arena per worker thread.
+//! * **commit** — the sharing-aware gain measurement and the winning
+//!   rebuild. Each candidate is costed by replaying its table's recorded
+//!   build on a [`DryRun`] over the growing output graph: the dry run looks
+//!   pairs up in the graph's structural hash and counts the ANDs the build
+//!   would add, so costing never pushes, hashes or rolls back a node. Only
+//!   the winner is built. The gain is the MFFC size minus the nodes added,
+//!   so it never exceeds the MFFC: a candidate whose MFFC cannot reach the
+//!   minimum gain, or beat the best gain so far, is skipped uncosted, which
+//!   changes no result. Commit order determines node ids and
+//!   structural-hash sharing, so this phase runs single-threaded in
+//!   ascending node-index order.
 //!
 //! Because every evaluate result is a pure function of `(input graph,
 //! node)`, scheduling cannot change it, and the committed output is
@@ -39,7 +48,7 @@ use crate::cuts::{self, Cut, CutArena, CutScratch};
 use crate::pass::{PassCtx, PassRegistry, Script};
 use crate::synth::Synthesizer;
 use crate::tt::TruthTable;
-use crate::{Aig, Lit, NodeId, NodeKind};
+use crate::{Aig, DryRun, Lit, NodeId, NodeKind};
 use xsfq_exec::{CancelToken, ThreadPool};
 
 /// Remove dangling nodes (alias of [`Aig::compact`]).
@@ -305,6 +314,7 @@ fn resynthesis_pass(aig: &Aig, mode: ResynthMode, ctx: &mut PassCtx) -> Aig {
     let states = &mut ctx.arenas;
     let mut commits = 0u64;
     let mut leaf_lits: Vec<Lit> = Vec::new();
+    let mut pending: Vec<(Lit, Lit)> = Vec::new();
 
     let and_ids: Vec<u32> = (0..aig.num_nodes() as u32)
         .filter(|&i| aig.nodes()[i as usize].is_and())
@@ -327,6 +337,7 @@ fn resynthesis_pass(aig: &Aig, mode: ResynthMode, ctx: &mut PassCtx) -> Aig {
                 &mut map,
                 &mut states[0].synth,
                 &mut leaf_lits,
+                &mut pending,
                 min_gain,
                 i as usize,
                 eval,
@@ -366,13 +377,17 @@ fn evaluate_node(
                 .iter()
                 .filter(|c| c.len() >= 2 && c.leaves() != [id])
             {
-                push_candidate(aig, id, *cut, fanouts, st, &mut candidates);
+                let tt = cut
+                    .function()
+                    .expect("enumerated cuts carry their function");
+                push_candidate(aig, id, *cut, tt, fanouts, st, &mut candidates);
             }
         }
         ResynthMode::Refactor { k } => {
             let cut = cuts::reconvergence_cut_with(aig, id, *k, &mut st.scratch);
             if cut.len() >= 2 {
-                push_candidate(aig, id, cut, fanouts, st, &mut candidates);
+                let tt = cuts::cut_function_with(aig, id, cut.leaves(), &mut st.scratch);
+                push_candidate(aig, id, cut, tt, fanouts, st, &mut candidates);
             }
         }
     }
@@ -383,11 +398,11 @@ fn push_candidate(
     aig: &Aig,
     id: NodeId,
     cut: Cut,
+    tt: TruthTable,
     fanouts: &[u32],
     st: &mut EvalScratch,
     candidates: &mut Vec<Candidate>,
 ) {
-    let tt = cuts::cut_function_with(aig, id, cut.leaves(), &mut st.scratch);
     let mffc = cuts::mffc_size_with(aig, id, cut.leaves(), fanouts, &mut st.scratch) as isize;
     // Cheap pre-filter on the isolation estimate (the synthesis cost is a
     // pure function of the table, so per-thread memos agree). The support
@@ -403,9 +418,9 @@ fn push_candidate(
 }
 
 /// Commit phase for one node: measure each surviving candidate's
-/// *sharing-aware* gain by building it on top of the output graph, counting
-/// the nodes actually created and rolling back; rebuild the winner for
-/// real. Returns whether a replacement was accepted.
+/// *sharing-aware* gain by costing its build on a [`DryRun`] over the
+/// output graph, then build the winner for real. Returns whether a
+/// replacement was accepted.
 #[allow(clippy::too_many_arguments)]
 fn commit_node(
     aig: &Aig,
@@ -413,6 +428,7 @@ fn commit_node(
     map: &mut [Lit],
     synth: &mut Synthesizer,
     leaf_lits: &mut Vec<Lit>,
+    pending: &mut Vec<(Lit, Lit)>,
     min_gain: isize,
     i: usize,
     eval: &NodeEval,
@@ -422,13 +438,17 @@ fn commit_node(
     };
     let mut best: Option<(isize, usize)> = None; // (gain, candidate index)
     for (ci, cand) in eval.candidates.iter().enumerate() {
+        // A build adds no negative number of nodes, so the gain never
+        // exceeds the MFFC: a candidate whose MFFC cannot reach `min_gain`
+        // or beat the best gain so far cannot win. Skip costing it.
+        if cand.mffc < min_gain || best.is_some_and(|(g, _)| cand.mffc <= g) {
+            continue;
+        }
         leaf_lits.clear();
         leaf_lits.extend(cand.cut.leaves().iter().map(|l| map[l.index()]));
-        let watermark = out.num_nodes();
-        synth.build(out, &cand.tt, leaf_lits);
-        let added = (out.num_nodes() - watermark) as isize;
-        out.truncate_nodes(watermark);
-        let gain = cand.mffc - added;
+        let mut dry = DryRun::new(out, pending);
+        synth.build(&mut dry, &cand.tt, leaf_lits);
+        let gain = cand.mffc - dry.added() as isize;
         if gain >= min_gain && best.is_none_or(|(g, _)| gain > g) {
             best = Some((gain, ci));
         }

@@ -221,14 +221,16 @@ pub trait PassObserver {
 
 /// The reusable arena set of a [`PassCtx`]: one evaluate-phase arena (cut
 /// scratch + synthesizer) per pool participant plus the shared CSR
-/// [`CutArena`] the rewrite passes enumerate into.
+/// [`CutArena`] the rewrite passes enumerate into, whose cuts carry their
+/// functions. Participant 0's synthesizer also serves the commit phase, so
+/// besides plans it holds the recorded builds that phase replays.
 ///
 /// Detach it with [`PassCtx::take_arenas`] and re-install it with
 /// [`PassCtx::reuse_arenas`] to keep the buffers (and the pure-function
-/// synthesis plan memos) warm across whole designs — the flow's `run_many`
-/// keeps one `PassArenas` per executor worker for an entire batch. Sharing
-/// arenas never changes results: everything they cache is a pure function
-/// of its inputs.
+/// synthesis memos: plans and recorded builds) warm across whole designs —
+/// the flow's `run_many` keeps one `PassArenas` per executor worker for an
+/// entire batch. Sharing arenas never changes results: everything they
+/// cache is a pure function of its inputs.
 #[derive(Default)]
 pub struct PassArenas {
     arenas: Vec<EvalScratch>,

@@ -14,23 +14,37 @@
 //!
 //! # Memoization
 //!
-//! A [`Synthesizer`] plans each truth table once: the top-level
-//! decomposition it picks and that decomposition's isolation cost are
-//! stored together, keyed by the table. [`Synthesizer::cost`] fills the
-//! memo; [`Synthesizer::build`] reads its plans from it, so a table costed
-//! in an evaluate phase is never re-planned (two ISOPs and a factoring for
-//! any table no cofactor rule decomposes) when a commit phase builds it.
+//! A [`Synthesizer`] keeps two memos, both keyed by the truth table.
+//!
+//! * **Plans.** Each table is planned once: the top-level decomposition it
+//!   picks and that decomposition's isolation cost are stored together.
+//!   [`Synthesizer::cost`] fills the memo and the first build of a table
+//!   reads its plans from it, so a table costed in an evaluate phase is
+//!   never re-planned (two ISOPs and a factoring for any table no cofactor
+//!   rule decomposes) when a commit phase builds it.
+//! * **Recordings.** The first build of a table runs the recursive builder
+//!   once against a recorder, which writes down every `and` and `xor` call
+//!   it makes. An operand is the constant, leaf `i` or the result of call
+//!   `j`, each with a complement bit. Every build, that first one included,
+//!   replays the recording against the real builder: a
+//!   [`DryRun`](crate::DryRun) to cost a
+//!   rewrite candidate, the output graph for the winner. Which calls the
+//!   recursion makes, and on which operands, depends only on the table:
+//!   no branch looks at a literal. So a replay makes the same calls with the
+//!   same literals as the recursion would, and builds the same graph, node
+//!   for node.
 //!
 //! Both memo values are pure functions of the table: a plan depends only
 //! on the table and on the costs of its cofactors, which are themselves
-//! memo values. So what a synthesizer has seen before — earlier cuts,
-//! passes or designs, or another thread's share of an evaluate batch —
-//! can change how fast it answers, never what it answers.
+//! memo values, and a recording only on the plans. So what a synthesizer
+//! has seen before — earlier cuts, passes or designs, or another thread's
+//! share of an evaluate batch — can change how fast it answers, never what
+//! it answers.
 
 use crate::hash::FxHashMap;
 use crate::isop::{isop, Cube};
 use crate::tt::TruthTable;
-use crate::{Aig, Lit};
+use crate::{Aig, Build, Lit, NodeId};
 
 /// Rebuild `tt` over the literals `leaves` inside `aig`.
 ///
@@ -55,13 +69,13 @@ pub fn synthesis_cost(tt: &TruthTable, num_leaves: usize) -> usize {
     scratch.num_ands()
 }
 
-/// Reusable resynthesis engine with a per-table plan memo.
+/// Reusable resynthesis engine with per-table plan and recording memos.
 ///
 /// Optimization passes that resynthesize many cuts should reuse one
 /// `Synthesizer` so repeated cut functions (buffers, carry chains…) are
-/// planned once. The memo never changes a result (see the [module
-/// docs](self)), so one engine may serve any sequence of passes and
-/// designs, and each thread of a parallel pass may keep its own.
+/// planned and recorded once. The memos never change a result (see the
+/// [module docs](self)), so one engine may serve any sequence of passes
+/// and designs, and each thread of a parallel pass may keep its own.
 #[derive(Default, Debug)]
 pub struct Synthesizer {
     /// Per-table memo: every table planned so far, with its plan and that
@@ -69,12 +83,61 @@ pub struct Synthesizer {
     /// single inline word, so the common key is 16 bytes and never
     /// heap-allocated.
     plans: FxHashMap<TruthTable, (Plan, usize)>,
-    /// Per-build node memo. Entries are only valid for one `build` call
-    /// (they bind leaf literals); the map is kept on the struct and cleared
-    /// per call so the commit phase of the rewriting passes — thousands of
-    /// `build`s per pass — reuses one allocation instead of building a
-    /// fresh `FxHashMap` each time.
+    /// Per-table memo: every table built so far, with its recording.
+    recordings: FxHashMap<TruthTable, Recording>,
+    /// The steps of every recording, back to back.
+    steps: Vec<Step>,
+    /// Node memo of the recursion that makes a recording, keyed by the
+    /// table each call built (cleared per recording, kept for its buckets).
     build_memo: FxHashMap<TruthTable, Lit>,
+    /// Replay scratch: the literal each step returned.
+    results: Vec<Lit>,
+}
+
+/// A recorded build: its steps, `steps[start..end]`, and the operand that
+/// is its result.
+#[derive(Copy, Clone, Debug)]
+struct Recording {
+    start: u32,
+    end: u32,
+    out: Lit,
+}
+
+/// One recorded builder call. Operands are literals over a numbering of
+/// the recording's own: node 0 is the constant, node `1 + i` is leaf `i`
+/// and node `1 + n + j` (for `n` leaves) is the result of step `j`.
+#[derive(Copy, Clone, Debug)]
+enum Step {
+    And(Lit, Lit),
+    Xor(Lit, Lit),
+}
+
+/// The [`Build`] a recording is made with: it appends each `and` and `xor`
+/// call to `steps` and answers with the operand naming its result. The
+/// other gates are [`Build`]'s provided methods, so they record as the
+/// `and`s they make; `xor` is recorded whole, because its structure
+/// depends on its operands' polarity, which only a replay knows.
+struct Recorder<'s> {
+    steps: &'s mut Vec<Step>,
+    start: usize,
+    leaves: usize,
+}
+
+impl Recorder<'_> {
+    fn push(&mut self, step: Step) -> Lit {
+        self.steps.push(step);
+        NodeId::from_index(self.leaves + self.steps.len() - self.start).lit()
+    }
+}
+
+impl Build for Recorder<'_> {
+    fn and(&mut self, a: Lit, b: Lit) -> Lit {
+        self.push(Step::And(a, b))
+    }
+
+    fn xor(&mut self, a: Lit, b: Lit) -> Lit {
+        self.push(Step::Xor(a, b))
+    }
 }
 
 /// How a function will be decomposed at the top level.
@@ -119,16 +182,64 @@ impl Synthesizer {
         Self::default()
     }
 
-    /// Build `tt` over `leaves` in `aig`; see [`synthesize`].
-    pub fn build(&mut self, aig: &mut Aig, tt: &TruthTable, leaves: &[Lit]) -> Lit {
+    /// Build `tt` over `leaves` with `builder` (an [`Aig`] or a
+    /// [`DryRun`](crate::DryRun)); see [`synthesize`]. Records the table on
+    /// its first build and replays the recording.
+    pub fn build<B: Build + ?Sized>(
+        &mut self,
+        builder: &mut B,
+        tt: &TruthTable,
+        leaves: &[Lit],
+    ) -> Lit {
         assert_eq!(leaves.len(), tt.num_vars(), "leaf count must match table");
-        // Take the retained memo (stale entries bind other leaves — clear),
-        // recurse, and put it back so its buckets survive to the next call.
-        let mut build_memo = std::mem::take(&mut self.build_memo);
-        build_memo.clear();
-        let lit = self.build_rec(aig, tt, leaves, &mut build_memo);
-        self.build_memo = build_memo;
-        lit
+        let rec = match self.recordings.get(tt) {
+            Some(&rec) => rec,
+            None => self.record(tt),
+        };
+        let n = leaves.len();
+        let results = &mut self.results;
+        results.clear();
+        let resolve = |results: &[Lit], op: Lit| {
+            let lit = match op.node().index() {
+                0 => Lit::FALSE,
+                i if i <= n => leaves[i - 1],
+                i => results[i - 1 - n],
+            };
+            lit.complement_if(op.is_complement())
+        };
+        for &step in &self.steps[rec.start as usize..rec.end as usize] {
+            let lit = match step {
+                Step::And(a, b) => builder.and(resolve(results, a), resolve(results, b)),
+                Step::Xor(a, b) => builder.xor(resolve(results, a), resolve(results, b)),
+            };
+            results.push(lit);
+        }
+        resolve(results, rec.out)
+    }
+
+    /// Record the builder calls [`Synthesizer::build_rec`] makes for `tt`.
+    fn record(&mut self, tt: &TruthTable) -> Recording {
+        let n = tt.num_vars();
+        let leaves: Vec<Lit> = (1..=n).map(|i| NodeId::from_index(i).lit()).collect();
+        let mut steps = std::mem::take(&mut self.steps);
+        let mut memo = std::mem::take(&mut self.build_memo);
+        memo.clear();
+        let start = steps.len();
+        let mut recorder = Recorder {
+            steps: &mut steps,
+            start,
+            leaves: n,
+        };
+        let out = self.build_rec(&mut recorder, tt, &leaves, &mut memo);
+        let rec = Recording {
+            start: start as u32,
+            end: steps.len() as u32,
+            out,
+        };
+        self.steps = steps;
+        self.build_memo = memo;
+        self.recordings.insert(tt.clone(), rec);
+        rec
     }
 
     /// Memoized AND-node cost of building `tt` (isolation estimate).
@@ -199,9 +310,11 @@ impl Synthesizer {
         }
     }
 
-    fn build_rec(
+    /// Build `tt` over `leaves` by its plans, recursing into cofactors;
+    /// `memo` holds what this build already made, by table.
+    fn build_rec<B: Build + ?Sized>(
         &mut self,
-        aig: &mut Aig,
+        aig: &mut B,
         tt: &TruthTable,
         leaves: &[Lit],
         memo: &mut FxHashMap<TruthTable, Lit>,
@@ -286,7 +399,7 @@ fn factored_cost(cover: &[Cube], num_leaves: usize) -> usize {
 
 /// Build a factored form of an SOP cover (SIS-style literal factoring):
 /// recursively divide the cover by its most frequent literal.
-pub fn build_factored(aig: &mut Aig, cover: &[Cube], leaves: &[Lit]) -> Lit {
+pub fn build_factored<B: Build + ?Sized>(aig: &mut B, cover: &[Cube], leaves: &[Lit]) -> Lit {
     if cover.is_empty() {
         return Lit::FALSE;
     }
@@ -351,7 +464,7 @@ pub fn build_factored(aig: &mut Aig, cover: &[Cube], leaves: &[Lit]) -> Lit {
     }
 }
 
-fn build_cube(aig: &mut Aig, cube: Cube, leaves: &[Lit]) -> Lit {
+fn build_cube<B: Build + ?Sized>(aig: &mut B, cube: Cube, leaves: &[Lit]) -> Lit {
     let mut lits = Vec::new();
     for (v, &leaf) in leaves.iter().enumerate() {
         if cube.pos >> v & 1 == 1 {
@@ -447,6 +560,49 @@ mod tests {
         assert_eq!(synthesize(&mut aig, &v1, &leaves), leaves[1]);
         assert_eq!(synthesize(&mut aig, &v1.not(), &leaves), !leaves[1]);
         assert_eq!(aig.num_ands(), 0);
+    }
+
+    #[test]
+    fn replay_matches_the_recursive_build() {
+        // A replay makes the recursion's calls on the same literals, so it
+        // must create the same nodes and return the same literal, whatever
+        // the leaves: duplicates, complements and constants included, over
+        // a graph that already holds some of the logic.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let mut synth = Synthesizer::new();
+        for case in 0..300 {
+            let mut g = Aig::new("base");
+            let xs: Vec<Lit> = (0..4).map(|i| g.input(format!("x{i}"))).collect();
+            let x01 = g.xor(xs[0], xs[1]);
+            let m = g.mux(xs[2], x01, xs[3]);
+            let pool = [Lit::FALSE, xs[0], xs[1], xs[2], xs[3], x01, m];
+            let vars = rng.gen_range(1..=8);
+            let mut tt = TruthTable::ones(vars);
+            for _ in 0..rng.gen_range(1..=3) {
+                let mut t = TruthTable::zeros(vars);
+                for p in 0..1usize << vars {
+                    t.set_bit(p, rng.gen());
+                }
+                tt.and_with(&t);
+            }
+            let leaves: Vec<Lit> = (0..vars)
+                .map(|_| pool[rng.gen_range(0..pool.len())].complement_if(rng.gen()))
+                .collect();
+            let mut direct = g.clone();
+            let want = synth.build_rec(&mut direct, &tt, &leaves, &mut FxHashMap::default());
+            // The first build records the table; the second replays the memo.
+            for round in 0..2 {
+                let mut replayed = g.clone();
+                let got = synth.build(&mut replayed, &tt, &leaves);
+                assert_eq!(got, want, "case {case} build {round}: {tt}");
+                assert_eq!(
+                    replayed.nodes(),
+                    direct.nodes(),
+                    "case {case} build {round}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Verifies the hot-path allocation guarantees with a counting global
-//! allocator: `Cut::merge` + dominance filtering never allocate, and
-//! ≤6-variable `TruthTable` operators never allocate.
+//! allocator: `Cut::merge` + dominance filtering never allocate,
+//! ≤6-variable `TruthTable` operators never allocate, and costing an
+//! already-recorded table on a `DryRun` that reuses its buffer never
+//! allocates.
 //!
 //! Single `#[test]` on purpose: the counter is process-global, so a second
 //! concurrently running test would perturb it.
@@ -100,4 +102,37 @@ fn hot_paths_do_not_allocate() {
     });
     assert!(checksum > 0, "table ops must actually run");
     assert_eq!(n, 0, "small-table TruthTable ops allocated {n} times");
+
+    // --- Dry-run costing of recorded tables ---
+    use xsfq_aig::synth::Synthesizer;
+    use xsfq_aig::{Aig, DryRun};
+    let mut g = Aig::new("base");
+    let xs: Vec<_> = (0..4).map(|i| g.input(format!("x{i}"))).collect();
+    let shared = g.and(xs[0], xs[1]);
+    let leaves = [shared, xs[1], !xs[2], xs[3]];
+    let tables = [
+        TruthTable::from_word(4, 0xE8E8),
+        TruthTable::from_word(4, 0x6996),
+        TruthTable::from_word(4, 0xCA3F),
+        TruthTable::from_word(4, 0x8001),
+    ];
+    let mut synth = Synthesizer::new();
+    let mut buffer = Vec::new();
+    for t in &tables {
+        synth.build(&mut DryRun::new(&g, &mut buffer), t, &leaves);
+    }
+    let (n, added) = alloc_count(|| {
+        let mut acc = 0usize;
+        for i in 0..100 {
+            let mut dry = DryRun::new(&g, &mut buffer);
+            synth.build(&mut dry, &tables[i % tables.len()], &leaves);
+            acc += dry.added();
+        }
+        acc
+    });
+    assert!(added > 0, "dry runs must actually cost something");
+    assert_eq!(
+        n, 0,
+        "dry-run costing of recorded tables allocated {n} times"
+    );
 }

@@ -8,14 +8,17 @@
 //!   and
 //! * the resynthesis engine's isolation cost vs. the support lower bound the
 //!   evaluate prefilter relies on, and a memo-warm [`Synthesizer`] vs. a
-//!   fresh one (same cost, same nodes).
+//!   fresh one (same cost, same nodes), and
+//! * the rewrite passes' costing vs. the cone walk and a real build: every
+//!   enumerated cut's stored function vs. [`cut_function`], and a
+//!   [`DryRun`] build vs. building into a clone of its base graph.
 
 use proptest::prelude::*;
 
-use xsfq_aig::cuts::{enumerate_cuts, Cut};
+use xsfq_aig::cuts::{cut_function, enumerate_cuts, Cut};
 use xsfq_aig::synth::Synthesizer;
 use xsfq_aig::tt::TruthTable;
-use xsfq_aig::{Aig, Lit, NodeId, NodeKind};
+use xsfq_aig::{Aig, DryRun, Lit, NodeId, NodeKind};
 
 // ---------------------------------------------------------------- cut refs
 
@@ -167,6 +170,23 @@ fn synth_table((vars, words, density, drop, recipe): &TableSeed) -> TruthTable {
         t.cofactor0_in_place(v);
     }
     t
+}
+
+/// The leaf literals of a `vars`-variable build over `g`: each draw picks
+/// the constant, a repeat of an earlier leaf or a node of `g`, complemented
+/// or not.
+fn leaf_lits(g: &Aig, draws: &[(u16, bool)], vars: usize) -> Vec<Lit> {
+    let mut leaves: Vec<Lit> = Vec::with_capacity(vars);
+    for &(pick, complement) in &draws[..vars] {
+        let pick = pick as usize;
+        let lit = match pick % 8 {
+            0 => Lit::FALSE,
+            1 if !leaves.is_empty() => leaves[pick / 8 % leaves.len()],
+            _ => NodeId::from_index(pick / 8 % g.num_nodes()).lit(),
+        };
+        leaves.push(lit.complement_if(complement));
+    }
+    leaves
 }
 
 /// `t` built by `synth` into a graph of its own: the nodes it creates.
@@ -336,4 +356,121 @@ proptest! {
         prop_assert_eq!(w.nodes(), fresh.nodes(), "warm build created different nodes");
         prop_assert_eq!(w.outputs(), fresh.outputs());
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every cut enumeration returns carries its root's function: the
+    /// stored word equals the cone walk's table, for k = 2..=6. This covers
+    /// the five- and six-leaf stretches and the one-word boundary, which the
+    /// rewrite passes (k = 4) never reach.
+    #[test]
+    fn cut_words_match_cone_walk(
+        recipe in prop::collection::vec((any::<u8>(), 0usize..64, 0usize..64), 4..60),
+        inputs in 2usize..8,
+        k in 2usize..=6,
+        max_cuts in 1usize..10,
+    ) {
+        let g = circuit_from_recipe(&recipe, inputs);
+        for (node, list) in enumerate_cuts(&g, k, max_cuts).iter().enumerate() {
+            for cut in list {
+                let walked = cut_function(&g, NodeId::from_index(node), cut.leaves());
+                prop_assert_eq!(cut.function(), Some(walked), "node {} cut {:?}", node, cut.leaves());
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Costing a build on a [`DryRun`] is exact. For a table over leaves
+    /// drawn from a base graph (repeats, complements and constants
+    /// included), the dry run returns the literal a real build into a clone
+    /// returns, counts exactly the ANDs the clone gains, and leaves the base
+    /// graph as it was. The table is built twice: the second build adds
+    /// nothing to the clone, and nothing to the overlay either, since every
+    /// pair it makes is then in the base graph or among the would-be nodes.
+    #[test]
+    fn dry_run_matches_a_real_build(
+        recipe in prop::collection::vec((any::<u8>(), 0usize..64, 0usize..64), 4..40),
+        inputs in 2usize..6,
+        seed in table_seed(),
+        draws in prop::collection::vec((any::<u16>(), any::<bool>()), 10),
+    ) {
+        let base = circuit_from_recipe(&recipe, inputs);
+        let before = base.clone();
+        let t = synth_table(&seed);
+        let leaves = leaf_lits(&base, &draws, t.num_vars());
+        let mut synth = Synthesizer::new();
+        let mut real = base.clone();
+        let mut buffer = Vec::new();
+        let mut dry = DryRun::new(&base, &mut buffer);
+        for round in 0..2 {
+            let (ands, added) = (real.num_ands(), dry.added());
+            let want = synth.build(&mut real, &t, &leaves);
+            let got = synth.build(&mut dry, &t, &leaves);
+            prop_assert_eq!(got, want, "literal, build {}", round);
+            prop_assert_eq!(dry.added() - added, real.num_ands() - ands, "ANDs added, build {}", round);
+        }
+        prop_assert_eq!(base.nodes(), before.nodes());
+        prop_assert!(base.validate().is_empty());
+    }
+}
+
+/// A graph where rewrite's own enumeration (k = 4, 8 cuts) keeps a cut with
+/// a leaf inside the cone of a fanin's cut: the cone walk stops at that
+/// leaf, so composing the fanin words would give another table. Such cuts
+/// must carry the walked function.
+#[test]
+fn cut_words_match_cone_walk_where_a_leaf_hides_in_a_fanin_cone() {
+    let recipe = [
+        (2, 2, 1),
+        (2, 0, 0),
+        (3, 0, 0),
+        (1, 0, 3),
+        (4, 2, 3),
+        (4, 0, 0),
+        (1, 3, 6),
+        (1, 0, 0),
+        (2, 3, 9),
+        (5, 0, 0),
+        (5, 0, 0),
+        (3, 1, 3),
+        (5, 0, 0),
+        (0, 11, 14),
+        (5, 7, 16),
+    ];
+    let g = circuit_from_recipe(&recipe, 3);
+    let reaches = |from: NodeId, to: NodeId| {
+        let mut stack = vec![from];
+        while let Some(n) = stack.pop() {
+            if n == to {
+                return true;
+            }
+            if let NodeKind::And { a, b } = g.node(n) {
+                stack.extend([a.node(), b.node()]);
+            }
+        }
+        false
+    };
+    let mut nested = 0;
+    for (node, list) in enumerate_cuts(&g, 4, 8).iter().enumerate() {
+        for cut in list {
+            let leaves = cut.leaves();
+            if leaves
+                .iter()
+                .any(|&x| leaves.iter().any(|&y| x != y && reaches(x, y)))
+            {
+                nested += 1;
+            }
+            let walked = cut_function(&g, NodeId::from_index(node), leaves);
+            assert_eq!(cut.function(), Some(walked), "node {node} cut {leaves:?}");
+        }
+    }
+    assert!(
+        nested > 0,
+        "the graph must keep a cut with one leaf above another"
+    );
 }
