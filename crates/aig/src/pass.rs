@@ -17,7 +17,7 @@
 //!   by the `script_golden` test suite).
 //! * [`PassStat`] — per-pass telemetry (wall time, node/depth deltas,
 //!   commit counts) recorded by the script engine and surfaced through the
-//!   flow report and `perf_summary`.
+//!   flow report.
 //!
 //! # Script grammar
 //!
@@ -115,8 +115,9 @@ impl fmt::Display for GuardKind {
 ///   runner) turns it into a structured guard-trip error.
 ///
 /// Budgets default to `None` (no guard): the checks are a size compare and
-/// a clock read per pass, so an unguarded script pays nothing measurable
-/// (the `flow/guarded_run` criterion pair pins the <2% envelope).
+/// a clock read per pass, so an unguarded script pays nothing measurable.
+/// Guards that never fire leave the flow's output unchanged (pinned by
+/// `flow::tests::unfired_guards_leave_outputs_unchanged` in `xsfq-core`).
 #[derive(Clone, Debug, Default)]
 pub struct PassGuards {
     /// Node-growth budget: the pass output may hold at most

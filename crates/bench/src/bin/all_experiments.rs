@@ -1,5 +1,4 @@
-//! Regenerates every table and figure in one run (the source of
-//! EXPERIMENTS.md's measured columns). Run with `--release`.
+//! Regenerates every table and figure in one run. Run with `--release`.
 
 fn main() {
     println!("{}", xsfq_bench::table1());
@@ -8,21 +7,9 @@ fn main() {
     println!("{}", xsfq_bench::fig3());
     println!("{}", xsfq_bench::fig4_5());
     println!("{}", xsfq_bench::table3_text());
-    println!(
-        "{}",
-        xsfq_bench::render_eval(
-            "Table 4 — ISCAS85 & EPFL combinational circuits vs PBMap-style RSFQ",
-            &xsfq_bench::table4()
-        )
-    );
+    println!("{}", xsfq_bench::table4_text());
     println!("{}", xsfq_bench::table5_text());
-    println!(
-        "{}",
-        xsfq_bench::render_eval(
-            "Table 6 — ISCAS89 sequential circuits vs qSeq-style RSFQ",
-            &xsfq_bench::table6()
-        )
-    );
+    println!("{}", xsfq_bench::table6_text());
     println!("{}", xsfq_bench::fig7());
     println!("{}", xsfq_bench::ablation_polarity());
     println!("{}", xsfq_bench::ablation_opt());

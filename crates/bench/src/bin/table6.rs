@@ -2,12 +2,5 @@
 //! Run with `--release`.
 
 fn main() {
-    let rows = xsfq_bench::table6();
-    print!(
-        "{}",
-        xsfq_bench::render_eval(
-            "Table 6 — ISCAS89 sequential circuits vs qSeq-style RSFQ",
-            &rows
-        )
-    );
+    print!("{}", xsfq_bench::table6_text());
 }

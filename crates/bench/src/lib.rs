@@ -2,12 +2,11 @@
 //!
 //! One function per table/figure of the paper; each `src/bin/` target
 //! prints its artifact, and `cargo run --release -p xsfq-bench --bin
-//! all_experiments` regenerates every result (EXPERIMENTS.md is produced
-//! from these). Criterion performance benches live under `benches/`.
+//! all_experiments` regenerates every result. The `paper_tables` test pins
+//! the rendered text of Tables 3–6. Performance is measured by the
+//! repository benchmark under `perfbench/`, not here.
 
 #![warn(missing_docs)]
-
-pub mod perf;
 
 use std::fmt::Write as _;
 
@@ -225,8 +224,24 @@ pub fn table6() -> Vec<EvalRow> {
         .collect()
 }
 
+/// Render Table 4.
+pub fn table4_text() -> String {
+    render_eval(
+        "Table 4 — ISCAS85 & EPFL combinational circuits vs PBMap-style RSFQ",
+        &table4(),
+    )
+}
+
+/// Render Table 6.
+pub fn table6_text() -> String {
+    render_eval(
+        "Table 6 — ISCAS89 sequential circuits vs qSeq-style RSFQ",
+        &table6(),
+    )
+}
+
 /// Render Table 4/6 rows.
-pub fn render_eval(title: &str, rows: &[EvalRow]) -> String {
+fn render_eval(title: &str, rows: &[EvalRow]) -> String {
     let mut out = String::new();
     writeln!(out, "{title}").unwrap();
     writeln!(

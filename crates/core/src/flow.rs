@@ -1148,6 +1148,43 @@ mod tests {
         assert_eq!(one.report.la_fa, four.report.la_fa);
     }
 
+    /// A cancellation token, a job deadline and both pass guards, installed
+    /// but never firing, leave the graph, the netlist and the pass log of
+    /// the default flow unchanged.
+    #[test]
+    fn unfired_guards_leave_outputs_unchanged() {
+        let hour = Duration::from_secs(3600);
+        let plain = SynthesisFlow::new();
+        let guarded = SynthesisFlow::new()
+            .cancel_token(CancelToken::default())
+            .job_deadline(hour)
+            .guards(PassGuards {
+                max_growth: Some(8.0),
+                wall_budget: Some(hour),
+                degrade_to_fast: false,
+            });
+        let pass_log = |r: &FlowResult| -> Vec<(String, u64)> {
+            let passes = r.report.passes.iter();
+            passes.map(|p| (p.name.clone(), p.commits)).collect()
+        };
+        for name in ["int2float", "dec", "priority", "cavlc"] {
+            let aig = xsfq_benchmarks::by_name(name).unwrap();
+            let want = plain.run(&aig).unwrap();
+            let got = guarded.run(&aig).unwrap();
+            assert_eq!(got.optimized.nodes(), want.optimized.nodes(), "{name}");
+            assert_eq!(got.optimized.outputs(), want.optimized.outputs(), "{name}");
+            assert_eq!(got.netlist().cells(), want.netlist().cells(), "{name}");
+            assert_eq!(got.netlist().inputs(), want.netlist().inputs(), "{name}");
+            assert_eq!(got.netlist().outputs(), want.netlist().outputs(), "{name}");
+            assert_eq!(pass_log(&got), pass_log(&want), "{name}");
+            assert!(
+                got.report.passes.iter().all(|p| p.tripped.is_none()),
+                "{name}"
+            );
+            assert!(!got.report.degraded, "{name}");
+        }
+    }
+
     #[test]
     fn pipeline_on_sequential_is_rejected() {
         let mut g = Aig::new("seq");

@@ -2,8 +2,7 @@
 //! is imported from here, never from `std` directly.
 //!
 //! In normal builds (the default) these are pure re-exports of the `std`
-//! types — zero cost, zero behavioural difference; the bench guard
-//! (`BENCH_10.json`, `flow/guarded_run` pair) and the bit-identical tier-1
+//! types — zero cost, zero behavioural difference; the bit-identical tier-1
 //! gates pin that. With `--features model` the same paths resolve to the
 //! [`xsfq_model`] instrumented runtime instead, which lets the `model_gate`
 //! test suite deterministically enumerate thread interleavings (including

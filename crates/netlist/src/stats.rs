@@ -103,14 +103,6 @@ impl Netlist {
         stats
     }
 
-    /// Compute the report unconditionally, neither reading nor filling the
-    /// cache. The honest cost yardstick for benchmarks that calibrate other
-    /// linear netlist traversals (the `lint` group's DRC rows) against the
-    /// stats pass — [`Netlist::stats`] would measure a cached clone.
-    pub fn stats_uncached(&self) -> NetlistStats {
-        self.compute_stats()
-    }
-
     fn compute_stats(&self) -> NetlistStats {
         let mut counts: HashMap<CellKind, usize> = HashMap::new();
         let mut s = NetlistStats::default();

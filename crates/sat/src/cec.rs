@@ -1,21 +1,17 @@
 //! Combinational equivalence checking.
 //!
-//! [`check_equivalence`] is the default decision procedure: it delegates to
-//! the simulation-guided SAT-sweeping engine ([`crate::sweep`]), which
-//! merges internally equivalent logic with small incremental queries before
-//! deciding the outputs. [`check_equivalence_monolithic`] keeps the classic
-//! encoding — shared inputs, per-output XORs, disjunction asserted true,
-//! one cold solve — as a cross-check oracle; the `sweep_agreement`
-//! integration test pins the two to identical verdicts.
+//! [`check_equivalence`] is the decision procedure: it delegates to the
+//! simulation-guided SAT-sweeping engine ([`crate::sweep`]), which merges
+//! internally equivalent logic with small incremental queries before
+//! deciding the outputs. The `sweep_agreement` integration test keeps the
+//! classic monolithic miter encoding — shared inputs, per-output XORs,
+//! disjunction asserted true, one cold solve — as its oracle and pins the
+//! two to identical verdicts.
 //!
 //! This is the verification backbone of the whole flow: every AIG
 //! optimization pass and every xSFQ mapping step is checked against it.
 
-use std::collections::HashMap;
-
-use xsfq_aig::{Aig, Lit as AigLit, NodeId, NodeKind};
-
-use crate::solver::{Lit, SatResult, Solver, Var};
+use xsfq_aig::Aig;
 
 /// Result of an equivalence check.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -34,64 +30,6 @@ impl EquivResult {
     }
 }
 
-/// Tseitin-encode the combinational logic of `aig` into `solver`.
-///
-/// Returns the literal map from AIG nodes to SAT literals. `input_vars` maps
-/// each primary input index to an existing SAT variable (so multiple AIGs
-/// can share inputs). Latch outputs are treated as free inputs via
-/// `latch_vars` (cut-point abstraction for sequential designs).
-pub fn encode(
-    solver: &mut Solver,
-    aig: &Aig,
-    input_vars: &[Var],
-    latch_vars: &[Var],
-) -> HashMap<NodeId, Lit> {
-    assert_eq!(input_vars.len(), aig.num_inputs(), "input var count");
-    assert_eq!(latch_vars.len(), aig.num_latches(), "latch var count");
-    let mut map: HashMap<NodeId, Lit> = HashMap::with_capacity(aig.num_nodes());
-    // Constant node: a frozen variable forced to false.
-    let const_var = solver.new_var();
-    solver.add_clause(&[const_var.negative()]);
-    map.insert(NodeId::CONST0, const_var.positive());
-    for (i, kind) in aig.nodes().iter().enumerate() {
-        let id = NodeId::from_index(i);
-        match *kind {
-            NodeKind::Const0 => {}
-            NodeKind::Input { index } => {
-                map.insert(id, input_vars[index as usize].positive());
-            }
-            NodeKind::Latch { index } => {
-                map.insert(id, latch_vars[index as usize].positive());
-            }
-            NodeKind::And { a, b } => {
-                let la = lit_of(&map, a);
-                let lb = lit_of(&map, b);
-                let n = solver.new_var().positive();
-                // n <-> la & lb
-                solver.add_clause(&[!n, la]);
-                solver.add_clause(&[!n, lb]);
-                solver.add_clause(&[n, !la, !lb]);
-                map.insert(id, n);
-            }
-        }
-    }
-    map
-}
-
-fn lit_of(map: &HashMap<NodeId, Lit>, l: AigLit) -> Lit {
-    let base = map[&l.node()];
-    if l.is_complement() {
-        !base
-    } else {
-        base
-    }
-}
-
-/// SAT literal of an AIG edge given the map produced by [`encode`].
-pub fn edge_lit(map: &HashMap<NodeId, Lit>, l: AigLit) -> Lit {
-    lit_of(map, l)
-}
-
 /// Check combinational equivalence of two AIGs with identical interfaces
 /// (same input count/order and output count/order). Latches, if present,
 /// must match pairwise and are treated as free cut-point inputs, which is
@@ -99,74 +37,14 @@ pub fn edge_lit(map: &HashMap<NodeId, Lit>, l: AigLit) -> Lit {
 /// checks for retimed designs).
 ///
 /// Decided by SAT sweeping ([`crate::sweep::check_equivalence_swept`]) with
-/// default options; verdicts and counterexample validity are identical to
-/// [`check_equivalence_monolithic`].
+/// default options; the `sweep_agreement` test pins its verdicts and
+/// counterexamples against a monolithic miter oracle.
 ///
 /// # Panics
 ///
 /// Panics if the interfaces differ.
 pub fn check_equivalence(a: &Aig, b: &Aig) -> EquivResult {
     crate::sweep::check_equivalence_swept(a, b, &crate::sweep::SweepOptions::default())
-}
-
-/// The classic one-shot miter encoding: every output pair XORed, the
-/// disjunction asserted, one monolithic solve on a cold solver. Kept as the
-/// reference oracle for the sweeping engine (and for callers that want a
-/// single self-contained query). Interface requirements and verdict
-/// semantics match [`check_equivalence`].
-///
-/// # Panics
-///
-/// Panics if the interfaces differ.
-pub fn check_equivalence_monolithic(a: &Aig, b: &Aig) -> EquivResult {
-    assert_eq!(a.num_inputs(), b.num_inputs(), "input counts differ");
-    assert_eq!(a.num_outputs(), b.num_outputs(), "output counts differ");
-    assert_eq!(a.num_latches(), b.num_latches(), "latch counts differ");
-
-    let mut solver = Solver::new();
-    let inputs: Vec<Var> = (0..a.num_inputs()).map(|_| solver.new_var()).collect();
-    let latches: Vec<Var> = (0..a.num_latches()).map(|_| solver.new_var()).collect();
-    let map_a = encode(&mut solver, a, &inputs, &latches);
-    let map_b = encode(&mut solver, b, &inputs, &latches);
-
-    // Miter: OR over outputs (and latch-next pairs) of XOR differences.
-    let mut diffs: Vec<Lit> = Vec::new();
-    let pairs = a
-        .outputs()
-        .iter()
-        .map(|o| o.lit)
-        .chain(a.latches().iter().map(|l| l.next))
-        .zip(
-            b.outputs()
-                .iter()
-                .map(|o| o.lit)
-                .chain(b.latches().iter().map(|l| l.next)),
-        );
-    for (oa, ob) in pairs {
-        let la = lit_of(&map_a, oa);
-        let lb = lit_of(&map_b, ob);
-        let d = solver.new_var().positive();
-        // d <-> la XOR lb
-        solver.add_clause(&[!d, la, lb]);
-        solver.add_clause(&[!d, !la, !lb]);
-        solver.add_clause(&[d, !la, lb]);
-        solver.add_clause(&[d, la, !lb]);
-        diffs.push(d);
-    }
-    if diffs.is_empty() {
-        return EquivResult::Equivalent;
-    }
-    solver.add_clause(&diffs);
-    match solver.solve() {
-        SatResult::Unsat => EquivResult::Equivalent,
-        SatResult::Sat => {
-            let pattern = inputs
-                .iter()
-                .map(|&v| solver.value(v).unwrap_or(false))
-                .collect();
-            EquivResult::Counterexample(pattern)
-        }
-    }
 }
 
 /// Convenience wrapper: `true` iff the designs are equivalent.
@@ -177,7 +55,7 @@ pub fn equivalent(a: &Aig, b: &Aig) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xsfq_aig::{build, opt, Aig};
+    use xsfq_aig::{build, opt, Aig, Lit as AigLit};
 
     #[test]
     fn equivalent_adders() {

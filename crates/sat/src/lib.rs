@@ -29,7 +29,7 @@ pub mod pass;
 mod solver;
 pub mod sweep;
 
-pub use cec::{check_equivalence, check_equivalence_monolithic, equivalent, EquivResult};
+pub use cec::{check_equivalence, equivalent, EquivResult};
 pub use pass::FraigPass;
 pub use solver::{Lit, SatResult, Solver, Var};
 pub use sweep::{check_equivalence_swept, fraig, fraig_with_stats, SweepOptions, SweepStats};

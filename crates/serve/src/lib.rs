@@ -144,9 +144,8 @@
 //! few hundred AND nodes run on the sequential path
 //! ([`xsfq_exec::ThreadPool::scoped_budget`]) where fan-out overhead would
 //! dominate. Throughput scales with `shards`; per-job latency with
-//! `threads_per_job`. The `serve/` criterion rows time one round trip
-//! (`throughput` with the cache off, `cache_hit` with it warm); designs/s
-//! under concurrent load is perfbench's `serve-hot` `designs_per_s`.
+//! `threads_per_job`. Throughput under concurrent load is measured by
+//! perfbench's `serve-hot` workload (`designs_per_s`, p50/p99 latency).
 //!
 //! ```no_run
 //! use xsfq_serve::{Server, ServeConfig};

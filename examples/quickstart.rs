@@ -29,8 +29,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .run(&aig)?;
     println!("report:       {}", result.report);
 
-    // 3. Per-pass telemetry: every scripted pass reports wall time and
-    //    node/depth deltas (the rows behind BENCH_<n>.json).
+    // 3. Per-pass telemetry: every scripted pass reports wall time,
+    //    node/depth deltas and its commit count.
     println!("passes:");
     for stat in &result.report.passes {
         println!("  {stat}");
