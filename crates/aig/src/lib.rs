@@ -6,11 +6,11 @@
 //! cut computation ([`cuts`]), truth-table manipulation ([`tt`], [`isop`],
 //! [`synth`]) and the optimization passes ([`opt`]) the paper applies
 //! off-the-shelf (§3.1.3: *"xSFQ netlists exhibit seamless compatibility
-//! with ABC's internal AIG representation"*). The passes are first-class
-//! values: [`pass`] provides the `Pass` trait, an ABC-style script parser
-//! (`Script::parse("b; rw; rf; b; rwz; rw")`) with `fast`/`standard`/`high`
-//! presets, and per-pass telemetry — [`opt::Effort`] is a facade over
-//! those presets.
+//! with ABC's internal AIG representation"*). Recipes are values: [`pass`]
+//! parses ABC-style scripts (`Script::parse("b; rw; rf; b; rwz; rw")`) with
+//! `fast`/`standard`/`high` presets, compiles them to its closed set of
+//! passes, and runs them with per-pass telemetry — [`opt::Effort`] is a
+//! facade over those presets.
 //!
 //! ```
 //! use xsfq_aig::{Aig, build, opt, sim};

@@ -45,7 +45,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::cuts::{self, Cut, CutArena, CutScratch};
-use crate::pass::{PassCtx, PassRegistry, Script};
+use crate::pass::{PassCtx, Script};
 use crate::synth::Synthesizer;
 use crate::tt::TruthTable;
 use crate::{Aig, DryRun, Lit, NodeId, NodeKind};
@@ -201,14 +201,14 @@ fn collect_supergate(aig: &Aig, id: NodeId, fanouts: &[u32], is_root: bool, leav
 /// 4-feasible cuts, resynthesize the best one, and accept when the new
 /// implementation is smaller than the node's maximum fanout-free cone.
 pub fn rewrite(aig: &Aig) -> Aig {
-    rewrite_ctx(aig, false, &mut PassCtx::new(ThreadPool::global()))
+    rewrite_ctx(aig, false, &mut PassCtx::new(ThreadPool::global())).0
 }
 
 /// Like [`rewrite`] but also accepts size-neutral replacements (ABC's
 /// `rewrite -z`): restructuring toward canonical forms unlocks gains in the
 /// following passes.
 pub fn rewrite_zero(aig: &Aig) -> Aig {
-    rewrite_ctx(aig, true, &mut PassCtx::new(ThreadPool::global()))
+    rewrite_ctx(aig, true, &mut PassCtx::new(ThreadPool::global())).0
 }
 
 /// Reconvergence-driven refactoring (ABC's `refactor`): one larger cut per
@@ -219,17 +219,18 @@ pub fn refactor(aig: &Aig) -> Aig {
 
 /// Like [`refactor`] with a custom cut size (up to 12).
 pub fn refactor_with_cut_size(aig: &Aig, k: usize) -> Aig {
-    refactor_ctx(aig, k, &mut PassCtx::new(ThreadPool::global()))
+    refactor_ctx(aig, k, &mut PassCtx::new(ThreadPool::global())).0
 }
 
-/// [`refactor`] against a pass context (pool + shared arenas + commit
-/// counter) — the form the script engine invokes.
-pub(crate) fn refactor_ctx(aig: &Aig, k: usize, ctx: &mut PassCtx) -> Aig {
+/// [`refactor`] against a pass context (pool + shared arenas), with the
+/// number of accepted replacements — the form the script engine invokes.
+pub(crate) fn refactor_ctx(aig: &Aig, k: usize, ctx: &mut PassCtx) -> (Aig, u64) {
     resynthesis_pass(aig, ResynthMode::Refactor { k: k.clamp(2, 12) }, ctx)
 }
 
-/// [`rewrite`] against a pass context — the form the script engine invokes.
-pub(crate) fn rewrite_ctx(aig: &Aig, zero_gain: bool, ctx: &mut PassCtx) -> Aig {
+/// [`rewrite`] against a pass context, with the number of accepted
+/// replacements — the form the script engine invokes.
+pub(crate) fn rewrite_ctx(aig: &Aig, zero_gain: bool, ctx: &mut PassCtx) -> (Aig, u64) {
     resynthesis_pass(
         aig,
         ResynthMode::Rewrite {
@@ -278,7 +279,7 @@ pub(crate) struct EvalScratch {
     pub(crate) synth: Synthesizer,
 }
 
-fn resynthesis_pass(aig: &Aig, mode: ResynthMode, ctx: &mut PassCtx) -> Aig {
+fn resynthesis_pass(aig: &Aig, mode: ResynthMode, ctx: &mut PassCtx) -> (Aig, u64) {
     let pool = ctx.pool();
     let fanouts = aig.fanout_counts(true);
     let zero_gain = matches!(
@@ -324,8 +325,7 @@ fn resynthesis_pass(aig: &Aig, mode: ResynthMode, ctx: &mut PassCtx) -> Aig {
         // time even mid-pass. The partial rebuild is abandoned and the
         // input graph returned unchanged (the engine discards it anyway).
         if token.is_cancelled() {
-            ctx.add_commits(commits);
-            return aig.clone();
+            return (aig.clone(), commits);
         }
         let evals = pool.map_reuse(batch, states, |st, _, &i| {
             evaluate_node(aig, &mode, enumerated, &fanouts, i, st)
@@ -345,14 +345,13 @@ fn resynthesis_pass(aig: &Aig, mode: ResynthMode, ctx: &mut PassCtx) -> Aig {
         }
     }
     finish(aig, &mut out, &map);
-    ctx.add_commits(commits);
     let out = out.compact();
     // The gain estimates are heuristic; never accept a larger graph
     // (zero-gain mode intentionally tolerates equal size).
     if out.num_ands() < aig.num_ands() || (zero_gain && out.num_ands() == aig.num_ands()) {
-        out
+        (out, commits)
     } else {
-        aig.clone()
+        (aig.clone(), commits)
     }
 }
 
@@ -535,8 +534,8 @@ pub fn optimize(aig: &Aig, effort: Effort) -> Aig {
 /// node-index order. The `parallel_identity` proptest gates this in CI.
 pub fn optimize_with(aig: &Aig, effort: Effort, pool: &ThreadPool) -> Aig {
     let compiled = Script::preset(effort)
-        .compile(&PassRegistry::structural())
-        .expect("preset scripts compile against the structural registry");
+        .compile(None)
+        .expect("preset scripts compile without a sweep");
     compiled.run(aig, &mut PassCtx::new(pool))
 }
 

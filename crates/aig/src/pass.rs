@@ -1,20 +1,18 @@
-//! Composable pass manager: first-class optimization passes, ABC-style
-//! scripts, and per-pass telemetry.
+//! Pass scripts: ABC-style optimization recipes, their execution engine,
+//! and per-pass telemetry.
 //!
 //! The paper's flow (§3.1.3) runs a fixed ABC recipe. This module makes the
 //! recipe a value instead of a hard-coded loop:
 //!
-//! * [`Pass`] — one transformation (`balance`, `rewrite`, …) with a name,
-//!   run against a [`PassCtx`] that carries the executor pool, the shared
-//!   per-worker synthesis arenas, and the telemetry sink.
-//! * [`PassRegistry`] — name → pass factory. [`PassRegistry::structural`]
-//!   registers the built-in AIG passes; downstream crates register more
-//!   (`xsfq-sat` adds `fraig`).
 //! * [`Script`] — a parsed ABC-style pass script (`"b; rw; rf; b; rwz;
 //!   rw"`), with a `repeat N { … }` keep-best construct and the named
 //!   presets `fast` / `standard` / `high` that expand to **bit-identical**
 //!   sequences to the legacy [`Effort`](crate::opt::Effort) paths (pinned
 //!   by the `script_golden` test suite).
+//! * [`CompiledScript`] — a script whose every statement is resolved to one
+//!   of a closed set of passes, run against a [`PassCtx`] that carries the
+//!   executor pool, the shared per-worker synthesis arenas, the guards and
+//!   the telemetry sink.
 //! * [`PassStat`] — per-pass telemetry (wall time, node/depth deltas,
 //!   commit counts) recorded by the script engine and surfaced through the
 //!   flow report.
@@ -28,16 +26,18 @@
 //!         |  PASS ARG*                    -- e.g. "rf -K 10"
 //! ```
 //!
-//! Built-in pass names (aliases in parentheses): `b` (`balance`), `rw`
-//! (`rewrite`), `rwz` (`rewrite_zero`), `rf` (`refactor`, optional
-//! `-K <2..=12>` cut size), `c` (`cleanup`). The synthesis flow also
-//! registers `f` (`fraig`). A `repeat N { body }` block runs `body` up to
-//! `N` times starting from its input, keeps the best graph seen (fewest AND
-//! nodes, ties broken by depth), and stops early when a round fails to
-//! shrink the graph — exactly the legacy `optimize` loop.
+//! Pass names (aliases in parentheses): `b` (`balance`), `rw` (`rewrite`),
+//! `rwz` (`rewrite_zero`), `rf` (`refactor`, optional `-K <2..=12>` cut
+//! size), `c` (`cleanup`), and `f` (`fraig`) — SAT sweeping, which lives in
+//! `xsfq-sat` and resolves only when [`Script::compile`] is given a
+//! [`Sweep`] (the synthesis flow passes `xsfq_sat::fraig_pass`). A
+//! `repeat N { body }` block runs `body` up to `N` times starting from its
+//! input, keeps the best graph seen (fewest AND nodes, ties broken by
+//! depth), and stops early when a round fails to shrink the graph —
+//! exactly the legacy `optimize` loop.
 //!
 //! ```
-//! use xsfq_aig::pass::{PassCtx, PassRegistry, Script};
+//! use xsfq_aig::pass::{PassCtx, Script};
 //! use xsfq_aig::{build, Aig};
 //! use xsfq_exec::ThreadPool;
 //!
@@ -50,7 +50,7 @@
 //! g.output("cout", co);
 //!
 //! let script = Script::parse("b; rw; rf; b; rwz; rw").unwrap();
-//! let compiled = script.compile(&PassRegistry::structural()).unwrap();
+//! let compiled = script.compile(None).unwrap();
 //! let mut ctx = PassCtx::new(ThreadPool::global());
 //! let out = compiled.run(&g, &mut ctx);
 //! assert!(out.num_ands() <= g.num_ands());
@@ -66,6 +66,13 @@ use crate::cuts::CutArena;
 use crate::opt::{self, EvalScratch};
 use crate::Aig;
 use xsfq_exec::{CancelToken, ThreadPool};
+
+/// The SAT sweep a script runs as `f` / `fraig`: merges proven-equivalent
+/// nodes, polls the token at its own boundaries, and returns its output
+/// graph with the number of proven merges. `xsfq-sat` provides it as
+/// `xsfq_sat::fraig_pass`; this crate cannot, because `xsfq-sat` depends
+/// on it.
+pub type Sweep = fn(&Aig, &CancelToken) -> (Aig, u64);
 
 // ---------------------------------------------------------------------------
 // Resource guards
@@ -121,9 +128,11 @@ impl fmt::Display for GuardKind {
 #[derive(Clone, Debug, Default)]
 pub struct PassGuards {
     /// Node-growth budget: the pass output may hold at most
-    /// `ceil(nodes_before * factor)` AND nodes. (The structural passes
-    /// never grow the graph by construction; this guards registered
-    /// third-party passes and chaos-injected growth.)
+    /// `ceil(nodes_before * factor)` AND nodes. No pass grows the graph:
+    /// `b` rebuilds each super-gate with at most the ANDs it had, `c` only
+    /// drops nodes, and the other passes keep their input unless their
+    /// result is smaller (`rwz`: no larger). So this budget guards nothing
+    /// today.
     pub max_growth: Option<f64>,
     /// Wall-time budget per pass invocation.
     pub wall_budget: Option<Duration>,
@@ -249,18 +258,16 @@ impl fmt::Debug for PassArenas {
 
 /// Execution context threaded through every pass of a script run.
 ///
-/// Carries the executor pool, one evaluate-phase arena
-/// (cut scratch + synthesizer) per pool participant — shared across passes
-/// so plan memos stay warm for the whole script — the shared CSR cut arena,
-/// the commit counter passes report into, and the telemetry sink. Arena
-/// sharing cannot change results: the memoized synthesis plans and costs
-/// are pure functions of the truth table (the invariant the
-/// `parallel_identity` and `script_golden` suites pin).
+/// Carries the executor pool, one evaluate-phase arena (cut scratch +
+/// synthesizer) per pool participant — shared across passes so plan memos
+/// stay warm for the whole script — the shared CSR cut arena, and the
+/// telemetry sink. Arena sharing cannot change results: the memoized
+/// synthesis plans and costs are pure functions of the truth table (the
+/// invariant the `parallel_identity` and `script_golden` suites pin).
 pub struct PassCtx<'p, 'o> {
     pool: &'p ThreadPool,
     pub(crate) arenas: Vec<EvalScratch>,
     pub(crate) cut_arena: CutArena,
-    commits: u64,
     telemetry: Vec<PassStat>,
     observer: Option<&'o mut dyn PassObserver>,
     /// Cooperative cancellation: checked at every pass boundary by the
@@ -293,7 +300,6 @@ impl<'p, 'o> PassCtx<'p, 'o> {
                 .map(|_| EvalScratch::default())
                 .collect(),
             cut_arena: CutArena::new(),
-            commits: 0,
             telemetry: Vec::new(),
             observer: None,
             token: CancelToken::default(),
@@ -402,12 +408,6 @@ impl<'p, 'o> PassCtx<'p, 'o> {
         &self.cut_arena
     }
 
-    /// Report `n` committed transformations (accepted replacements, merges,
-    /// rebuilt trees) for the currently running pass.
-    pub fn add_commits(&mut self, n: u64) {
-        self.commits += n;
-    }
-
     /// Telemetry of every pass executed through this context so far.
     pub fn telemetry(&self) -> &[PassStat] {
         &self.telemetry
@@ -419,20 +419,21 @@ impl<'p, 'o> PassCtx<'p, 'o> {
     }
 
     /// Run one pass with telemetry: time it, diff node/depth counts,
-    /// attribute the commit counter delta, and enforce the resource guards
-    /// (a tripping pass is rolled back to its input).
-    fn run_instrumented(&mut self, pass: &dyn Pass, aig: &Aig) -> Aig {
+    /// record its commit count, and enforce the resource guards (a tripping
+    /// pass is rolled back to its input).
+    fn run_instrumented(&mut self, pass: &Pass, aig: &Aig) -> Aig {
         // Pass boundary: a cancelled job must not start another pass.
         if self.token.is_cancelled() {
             self.cancelled = true;
             return aig.clone();
         }
+        let name = pass.to_string();
         let pass_index = self.passes_started;
         self.passes_started += 1;
         if let Some(obs) = self.observer.as_deref_mut() {
-            obs.on_pass_start(pass.name());
+            obs.on_pass_start(&name);
         }
-        let forced_trip = self.apply_chaos(pass.name(), pass_index);
+        let forced_trip = self.apply_chaos(&name, pass_index);
         // Second boundary check: cancellation may have arrived while the
         // pass was announced (or while a chaos stall held it). The pass
         // stays "in flight" — announced but never run, so it leaves no
@@ -443,9 +444,8 @@ impl<'p, 'o> PassCtx<'p, 'o> {
         }
         let nodes_before = aig.num_ands();
         let depth_before = aig.depth();
-        let commits_before = self.commits;
         let start = Instant::now();
-        let mut out = pass.run(aig, self);
+        let (mut out, commits) = pass.run(aig, self);
         let wall = start.elapsed();
         let mut tripped = if forced_trip {
             Some(GuardKind::Injected)
@@ -459,16 +459,16 @@ impl<'p, 'o> PassCtx<'p, 'o> {
             // Keep-best semantics generalized from `repeat {}`: the budget
             // violator's output is discarded, the pre-pass graph survives.
             out = aig.clone();
-            self.pending_trip = Some((pass.name().to_string(), kind));
+            self.pending_trip = Some((name.clone(), kind));
         }
         let stat = PassStat {
-            name: pass.name().to_string(),
+            name,
             wall_ns: wall.as_nanos() as u64,
             nodes_before,
             nodes_after: out.num_ands(),
             depth_before,
             depth_after: out.depth(),
-            commits: self.commits - commits_before,
+            commits,
             tripped,
         };
         if let Some(obs) = self.observer.as_deref_mut() {
@@ -517,234 +517,101 @@ impl fmt::Debug for PassCtx<'_, '_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PassCtx")
             .field("threads", &self.pool.num_threads())
-            .field("commits", &self.commits)
             .field("passes_run", &self.telemetry.len())
             .finish()
     }
 }
 
 // ---------------------------------------------------------------------------
-// Pass trait + built-in passes
+// Passes
 // ---------------------------------------------------------------------------
 
-/// One named AIG transformation.
+/// One resolved script statement's transformation. The set is closed: a
+/// script names only these, and [`Script::compile`] resolves each name and
+/// its arguments in one `match`.
 ///
-/// Passes must preserve the PI/PO/latch interface and the function of every
+/// Every pass preserves the PI/PO/latch interface and the function of every
 /// output (scripted flows are CEC-checked against their source in the test
-/// suites), and must be deterministic for every pool size — evaluate in
+/// suites), and is deterministic for every pool size — evaluate in
 /// parallel, commit in a canonical order (see `xsfq_exec`'s module docs).
-pub trait Pass: Send + Sync {
-    /// Canonical scripted name (used in telemetry and error messages).
-    fn name(&self) -> &str;
-    /// Apply the pass.
-    fn run(&self, aig: &Aig, ctx: &mut PassCtx) -> Aig;
+#[derive(Clone, Copy, Debug)]
+enum Pass {
+    Balance,
+    Rewrite { zero_gain: bool },
+    Refactor { k: usize },
+    Cleanup,
+    Sweep(Sweep),
 }
 
-struct BalancePass;
-
-impl Pass for BalancePass {
-    fn name(&self) -> &str {
-        "b"
-    }
-    fn run(&self, aig: &Aig, ctx: &mut PassCtx) -> Aig {
-        let (out, commits) = opt::balance_counted(aig, ctx.pool(), ctx.token());
-        ctx.add_commits(commits);
-        out
-    }
-}
-
-struct RewritePass {
-    zero_gain: bool,
-}
-
-impl Pass for RewritePass {
-    fn name(&self) -> &str {
-        if self.zero_gain {
-            "rwz"
-        } else {
-            "rw"
-        }
-    }
-    fn run(&self, aig: &Aig, ctx: &mut PassCtx) -> Aig {
-        opt::rewrite_ctx(aig, self.zero_gain, ctx)
-    }
-}
-
-struct RefactorPass {
-    k: usize,
-    name: String,
-}
-
-impl RefactorPass {
-    fn new(k: usize) -> Self {
-        RefactorPass {
-            name: if k == 8 {
-                "rf".to_string()
-            } else {
-                format!("rf -K {k}")
+impl Pass {
+    /// Resolve the scripted pass `name` with `args`; `f` / `fraig` resolve
+    /// only when a `sweep` is given.
+    fn resolve(name: &str, args: &[String], sweep: Option<Sweep>) -> Result<Pass, ScriptError> {
+        let pass = match (name, sweep) {
+            ("b" | "balance", _) => Pass::Balance,
+            ("rw" | "rewrite", _) => Pass::Rewrite { zero_gain: false },
+            ("rwz" | "rewrite_zero", _) => Pass::Rewrite { zero_gain: true },
+            ("rf" | "refactor", _) => Pass::Refactor {
+                k: refactor_k(args)?,
             },
-            k,
+            ("c" | "cleanup", _) => Pass::Cleanup,
+            ("f" | "fraig", Some(sweep)) => Pass::Sweep(sweep),
+            _ => return Err(ScriptError::UnknownPass(name.to_string())),
+        };
+        if !args.is_empty() && !matches!(pass, Pass::Refactor { .. }) {
+            return Err(ScriptError::BadArgs {
+                pass: pass.to_string(),
+                msg: format!("takes no arguments, got {args:?}"),
+            });
+        }
+        Ok(pass)
+    }
+
+    /// Apply the pass: its output graph and its commit count (accepted cut
+    /// replacements, rebuilt super-gates or proven merges; zero for `c`).
+    fn run(self, aig: &Aig, ctx: &mut PassCtx) -> (Aig, u64) {
+        match self {
+            Pass::Balance => opt::balance_counted(aig, ctx.pool(), ctx.token()),
+            Pass::Rewrite { zero_gain } => opt::rewrite_ctx(aig, zero_gain, ctx),
+            Pass::Refactor { k } => opt::refactor_ctx(aig, k, ctx),
+            Pass::Cleanup => (aig.compact(), 0),
+            Pass::Sweep(sweep) => sweep(aig, ctx.token()),
         }
     }
 }
 
-impl Pass for RefactorPass {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn run(&self, aig: &Aig, ctx: &mut PassCtx) -> Aig {
-        opt::refactor_ctx(aig, self.k, ctx)
-    }
-}
-
-struct CleanupPass;
-
-impl Pass for CleanupPass {
-    fn name(&self) -> &str {
-        "c"
-    }
-    fn run(&self, aig: &Aig, _ctx: &mut PassCtx) -> Aig {
-        aig.compact()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Registry
-// ---------------------------------------------------------------------------
-
-/// A pass factory: builds a pass instance from its script arguments.
-pub type PassFactory = Box<dyn Fn(&[String]) -> Result<Box<dyn Pass>, ScriptError> + Send + Sync>;
-
-/// Name → pass factory registry a [`Script`] is compiled against.
-///
-/// [`PassRegistry::structural`] covers the built-in AIG passes; crates that
-/// own heavier passes extend it (`xsfq_sat::pass::register` adds `fraig`,
-/// and `xsfq_core::flow_registry` returns the full synthesis-flow set).
-#[derive(Default)]
-pub struct PassRegistry {
-    entries: Vec<(Vec<&'static str>, PassFactory)>,
-}
-
-impl PassRegistry {
-    /// Empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registry of the built-in structural passes: `b`/`balance`,
-    /// `rw`/`rewrite`, `rwz`/`rewrite_zero`, `rf`/`refactor` (optional
-    /// `-K <cut size>`), `c`/`cleanup`.
-    pub fn structural() -> Self {
-        let mut reg = Self::new();
-        reg.register(&["b", "balance"], |args| {
-            no_args("b", args)?;
-            Ok(Box::new(BalancePass))
-        });
-        reg.register(&["rw", "rewrite"], |args| {
-            no_args("rw", args)?;
-            Ok(Box::new(RewritePass { zero_gain: false }))
-        });
-        reg.register(&["rwz", "rewrite_zero"], |args| {
-            no_args("rwz", args)?;
-            Ok(Box::new(RewritePass { zero_gain: true }))
-        });
-        reg.register(&["rf", "refactor"], |args| {
-            let k = match args {
-                [] => 8,
-                [flag, value] if flag == "-K" => {
-                    value.parse::<usize>().map_err(|_| ScriptError::BadArgs {
-                        pass: "rf".into(),
-                        msg: format!("cut size `{value}` is not a number"),
-                    })?
-                }
-                _ => {
-                    return Err(ScriptError::BadArgs {
-                        pass: "rf".into(),
-                        msg: format!("expected `rf` or `rf -K <k>`, got args {args:?}"),
-                    })
-                }
-            };
-            if !(2..=12).contains(&k) {
-                return Err(ScriptError::BadArgs {
-                    pass: "rf".into(),
-                    msg: format!("cut size {k} outside 2..=12"),
-                });
-            }
-            Ok(Box::new(RefactorPass::new(k)))
-        });
-        reg.register(&["c", "cleanup"], |args| {
-            no_args("c", args)?;
-            Ok(Box::new(CleanupPass))
-        });
-        reg
-    }
-
-    /// Register a pass under one or more aliases. Later registrations win
-    /// on alias collision.
-    /// # Panics
-    ///
-    /// Panics when an alias is one of the script parser's reserved words
-    /// (`repeat`, `fast`, `standard`, `high`, `{`, `}`, `;`) — the parser
-    /// intercepts those before registry lookup, so such a pass could never
-    /// be invoked from a script.
-    pub fn register(
-        &mut self,
-        aliases: &[&'static str],
-        factory: impl Fn(&[String]) -> Result<Box<dyn Pass>, ScriptError> + Send + Sync + 'static,
-    ) {
-        const RESERVED: [&str; 7] = ["repeat", "fast", "standard", "high", "{", "}", ";"];
-        for alias in aliases {
-            assert!(
-                !RESERVED.contains(alias),
-                "`{alias}` is reserved by the script grammar and cannot name a pass"
-            );
-        }
-        self.entries
-            .insert(0, (aliases.to_vec(), Box::new(factory)));
-    }
-
-    /// Build the pass registered under `name` with `args`.
-    pub fn build(&self, name: &str, args: &[String]) -> Result<Box<dyn Pass>, ScriptError> {
-        for (aliases, factory) in &self.entries {
-            if aliases.contains(&name) {
-                return factory(args);
-            }
-        }
-        Err(ScriptError::UnknownPass(name.to_string()))
-    }
-
-    /// Every *effective* alias (for diagnostics): lookup order, shadowed
-    /// registrations omitted.
-    pub fn names(&self) -> Vec<&'static str> {
-        let mut names: Vec<&'static str> = Vec::new();
-        for (aliases, _) in &self.entries {
-            for alias in aliases {
-                if !names.contains(alias) {
-                    names.push(alias);
-                }
-            }
-        }
-        names
-    }
-}
-
-impl fmt::Debug for PassRegistry {
+/// The canonical scripted name (telemetry and error messages).
+impl fmt::Display for Pass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PassRegistry")
-            .field("passes", &self.names())
-            .finish()
+        match self {
+            Pass::Balance => f.write_str("b"),
+            Pass::Rewrite { zero_gain: false } => f.write_str("rw"),
+            Pass::Rewrite { zero_gain: true } => f.write_str("rwz"),
+            Pass::Refactor { k: 8 } => f.write_str("rf"),
+            Pass::Refactor { k } => write!(f, "rf -K {k}"),
+            Pass::Cleanup => f.write_str("c"),
+            Pass::Sweep(_) => f.write_str("f"),
+        }
     }
 }
 
-fn no_args(pass: &str, args: &[String]) -> Result<(), ScriptError> {
-    if args.is_empty() {
-        Ok(())
-    } else {
-        Err(ScriptError::BadArgs {
-            pass: pass.to_string(),
-            msg: format!("takes no arguments, got {args:?}"),
-        })
-    }
+/// The cut size of `rf` / `rf -K <k>`, with `k` in `2..=12`.
+fn refactor_k(args: &[String]) -> Result<usize, ScriptError> {
+    let k = match args {
+        [] => Ok(8),
+        [flag, value] if flag == "-K" => value
+            .parse::<usize>()
+            .map_err(|_| format!("cut size `{value}` is not a number")),
+        _ => Err(format!("expected `rf` or `rf -K <k>`, got args {args:?}")),
+    };
+    k.and_then(|k| match k {
+        2..=12 => Ok(k),
+        _ => Err(format!("cut size {k} outside 2..=12")),
+    })
+    .map_err(|msg| ScriptError::BadArgs {
+        pass: "rf".into(),
+        msg,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -764,7 +631,8 @@ pub enum ScriptError {
         /// The offending token, verbatim (empty at end of input).
         token: String,
     },
-    /// A pass name is not in the registry the script was compiled against.
+    /// No pass answers to this name (`f` / `fraig` when the script was
+    /// compiled without a sweep).
     UnknownPass(String),
     /// A pass rejected its arguments.
     BadArgs {
@@ -800,26 +668,16 @@ impl Error for ScriptError {}
 
 /// One statement of a [`Script`].
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ScriptStmt {
-    /// Run one pass.
-    Pass {
-        /// Registered pass name.
-        name: String,
-        /// Arguments (e.g. `["-K", "10"]`).
-        args: Vec<String>,
-    },
+enum ScriptStmt {
+    /// Run the pass `name` with `args` (e.g. `["-K", "10"]`).
+    Pass { name: String, args: Vec<String> },
     /// Keep-best loop: run `body` up to `times` times starting from the
     /// incoming graph, keep the best result (fewest AND nodes, ties broken
     /// by depth), stop early when a round does not shrink the best graph.
-    Repeat {
-        /// Maximum rounds.
-        times: usize,
-        /// Statements run each round.
-        body: Vec<ScriptStmt>,
-    },
+    Repeat { times: usize, body: Vec<ScriptStmt> },
 }
 
-/// A parsed, registry-independent pass script. See the
+/// A parsed pass script, not yet resolved to passes. See the
 /// [module docs](self) for the grammar.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Script {
@@ -841,18 +699,6 @@ impl Script {
             ));
         }
         Ok(Script { stmts })
-    }
-
-    /// A one-statement script invoking the pass `name` with no arguments,
-    /// built directly on the AST — no parse step, so no parse error to
-    /// handle for names that are plain identifiers.
-    pub fn single(name: &str) -> Script {
-        Script {
-            stmts: vec![ScriptStmt::Pass {
-                name: name.to_string(),
-                args: Vec::new(),
-            }],
-        }
     }
 
     /// The named preset (`"fast"`, `"standard"`, `"high"`), if any.
@@ -909,55 +755,33 @@ impl Script {
         }
     }
 
-    /// Statements of the script.
-    pub fn stmts(&self) -> &[ScriptStmt] {
-        &self.stmts
-    }
-
-    /// Concatenate two scripts (`self` then `other`).
-    #[must_use]
-    pub fn then(mut self, other: Script) -> Script {
-        self.stmts.extend(other.stmts);
-        self
-    }
-
-    /// Number of pass invocations an execution performs at most (repeat
-    /// bodies count `times` times).
-    pub fn max_passes(&self) -> usize {
-        fn count(stmts: &[ScriptStmt]) -> usize {
-            stmts
-                .iter()
-                .map(|s| match s {
-                    ScriptStmt::Pass { .. } => 1,
-                    ScriptStmt::Repeat { times, body } => times * count(body),
-                })
-                .sum()
-        }
-        count(&self.stmts)
-    }
-
-    /// Resolve every pass against `registry`, producing an executable
-    /// script.
-    pub fn compile(&self, registry: &PassRegistry) -> Result<CompiledScript, ScriptError> {
+    /// Resolve every pass, producing an executable script. `sweep` is the
+    /// pass `f` / `fraig` runs; without one those names are unknown.
+    ///
+    /// # Errors
+    ///
+    /// [`ScriptError::UnknownPass`] for a name no pass answers to, and
+    /// [`ScriptError::BadArgs`] for arguments the pass rejects.
+    pub fn compile(&self, sweep: Option<Sweep>) -> Result<CompiledScript, ScriptError> {
         fn compile_stmts(
             stmts: &[ScriptStmt],
-            registry: &PassRegistry,
+            sweep: Option<Sweep>,
         ) -> Result<Vec<CompiledStmt>, ScriptError> {
             stmts
                 .iter()
                 .map(|s| match s {
                     ScriptStmt::Pass { name, args } => {
-                        Ok(CompiledStmt::Pass(registry.build(name, args)?))
+                        Ok(CompiledStmt::Pass(Pass::resolve(name, args, sweep)?))
                     }
                     ScriptStmt::Repeat { times, body } => Ok(CompiledStmt::Repeat {
                         times: *times,
-                        body: compile_stmts(body, registry)?,
+                        body: compile_stmts(body, sweep)?,
                     }),
                 })
                 .collect()
         }
         Ok(CompiledScript {
-            stmts: compile_stmts(&self.stmts, registry)?,
+            stmts: compile_stmts(&self.stmts, sweep)?,
         })
     }
 }
@@ -1133,18 +957,20 @@ fn parse_stmts(
 // Compiled script + execution
 // ---------------------------------------------------------------------------
 
+#[derive(Debug)]
 enum CompiledStmt {
-    Pass(Box<dyn Pass>),
+    Pass(Pass),
     Repeat {
         times: usize,
         body: Vec<CompiledStmt>,
     },
 }
 
-/// A [`Script`] resolved against a [`PassRegistry`], ready to run.
+/// A [`Script`] with every pass resolved, ready to run.
 ///
 /// Compiled scripts are `Sync`, so one compilation can drive many designs
 /// concurrently (the flow's `run_many` does exactly that).
+#[derive(Debug)]
 pub struct CompiledScript {
     stmts: Vec<CompiledStmt>,
 }
@@ -1176,32 +1002,15 @@ impl CompiledScript {
 }
 
 /// The compiled `fast` preset the guard-degradation path falls back to.
-/// Preset scripts only use structural passes, so one compilation against
-/// [`PassRegistry::structural`] serves the whole process.
+/// Presets never name `f`, so one compilation without a sweep serves the
+/// whole process.
 fn fast_fallback() -> &'static CompiledScript {
     static FALLBACK: OnceLock<CompiledScript> = OnceLock::new();
     FALLBACK.get_or_init(|| {
         Script::preset(opt::Effort::Fast)
-            .compile(&PassRegistry::structural())
-            .expect("preset scripts compile against the structural registry")
+            .compile(None)
+            .expect("preset scripts compile without a sweep")
     })
-}
-
-impl fmt::Debug for CompiledScript {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fn count(stmts: &[CompiledStmt]) -> usize {
-            stmts
-                .iter()
-                .map(|s| match s {
-                    CompiledStmt::Pass(_) => 1,
-                    CompiledStmt::Repeat { body, .. } => count(body),
-                })
-                .sum()
-        }
-        f.debug_struct("CompiledScript")
-            .field("distinct_passes", &count(&self.stmts))
-            .finish()
-    }
 }
 
 fn run_seq(stmts: &[CompiledStmt], aig: &Aig, ctx: &mut PassCtx) -> Aig {
@@ -1220,7 +1029,7 @@ fn run_seq(stmts: &[CompiledStmt], aig: &Aig, ctx: &mut PassCtx) -> Aig {
 
 fn run_stmt(stmt: &CompiledStmt, aig: &Aig, ctx: &mut PassCtx) -> Aig {
     match stmt {
-        CompiledStmt::Pass(pass) => ctx.run_instrumented(pass.as_ref(), aig),
+        CompiledStmt::Pass(pass) => ctx.run_instrumented(pass, aig),
         CompiledStmt::Repeat { times, body } => {
             // The legacy optimize loop: run the body on the best graph so
             // far, keep the result only when it improves (fewer ANDs, or
@@ -1291,8 +1100,8 @@ mod tests {
         // Presets inline into surrounding scripts.
         let s = Script::parse("fast; c").unwrap();
         assert_eq!(
-            s.stmts().len(),
-            Script::preset(opt::Effort::Fast).stmts().len() + 1
+            s.stmts.len(),
+            Script::preset(opt::Effort::Fast).stmts.len() + 1
         );
     }
 
@@ -1314,17 +1123,16 @@ mod tests {
             Script::parse("repeat 2 { }"),
             Err(ScriptError::Parse { .. })
         ));
-        let reg = PassRegistry::structural();
         assert!(matches!(
-            Script::parse("nosuch").unwrap().compile(&reg),
+            Script::parse("nosuch").unwrap().compile(None),
             Err(ScriptError::UnknownPass(_))
         ));
         assert!(matches!(
-            Script::parse("rf -K 99").unwrap().compile(&reg),
+            Script::parse("rf -K 99").unwrap().compile(None),
             Err(ScriptError::BadArgs { .. })
         ));
         assert!(matches!(
-            Script::parse("b -K 3").unwrap().compile(&reg),
+            Script::parse("b -K 3").unwrap().compile(None),
             Err(ScriptError::BadArgs { .. })
         ));
     }
@@ -1332,10 +1140,7 @@ mod tests {
     #[test]
     fn script_runs_and_records_telemetry() {
         let g = adder();
-        let compiled = Script::parse("c; b; rw")
-            .unwrap()
-            .compile(&PassRegistry::structural())
-            .unwrap();
+        let compiled = Script::parse("c; b; rw").unwrap().compile(None).unwrap();
         let mut ctx = PassCtx::new(ThreadPool::global());
         let out = compiled.run(&g, &mut ctx);
         assert!(out.num_ands() <= g.num_ands());
@@ -1359,10 +1164,7 @@ mod tests {
             }
         }
         let g = adder();
-        let compiled = Script::parse("b; rw; b")
-            .unwrap()
-            .compile(&PassRegistry::structural())
-            .unwrap();
+        let compiled = Script::parse("b; rw; b").unwrap().compile(None).unwrap();
         let mut count = Count(0);
         let pool = ThreadPool::new(1);
         let mut ctx = PassCtx::with_observer(&pool, &mut count);
@@ -1375,12 +1177,11 @@ mod tests {
     #[test]
     fn repeat_keeps_best_and_stops_early() {
         let g = adder();
-        let reg = PassRegistry::structural();
         // A repeat of a no-op pass must terminate after one round (no
         // improvement) and return an unchanged graph.
         let compiled = Script::parse("repeat 5 { c }")
             .unwrap()
-            .compile(&reg)
+            .compile(None)
             .unwrap();
         let mut ctx = PassCtx::new(ThreadPool::global());
         let out = compiled.run(&g.compact(), &mut ctx);
@@ -1391,10 +1192,7 @@ mod tests {
     #[test]
     fn context_stays_runnable_after_take_arenas_and_reuse_is_invisible() {
         let g = adder();
-        let compiled = Script::parse("b; rw")
-            .unwrap()
-            .compile(&PassRegistry::structural())
-            .unwrap();
+        let compiled = Script::parse("b; rw").unwrap().compile(None).unwrap();
         let pool = ThreadPool::new(2);
         let mut ctx = PassCtx::new(&pool);
         let a = compiled.run(&g, &mut ctx);
@@ -1407,19 +1205,6 @@ mod tests {
         warm.reuse_arenas(arenas);
         let c = compiled.run(&g, &mut warm);
         assert_eq!(a.nodes(), c.nodes());
-    }
-
-    #[test]
-    #[should_panic(expected = "reserved by the script grammar")]
-    fn registering_a_reserved_name_panics() {
-        let mut reg = PassRegistry::structural();
-        reg.register(&["fast"], |_| Ok(Box::new(CleanupPass)));
-    }
-
-    #[test]
-    fn max_passes_counts_repeat_expansion() {
-        let s = Script::parse("c; repeat 3 { b; rw }").unwrap();
-        assert_eq!(s.max_passes(), 1 + 3 * 2);
     }
 
     #[test]
@@ -1454,11 +1239,34 @@ mod tests {
     }
 
     #[test]
-    fn single_builds_a_one_pass_script() {
-        let s = Script::single("f");
-        assert_eq!(s.max_passes(), 1);
-        assert_eq!(s.to_string(), "f");
-        assert_eq!(Script::parse("f").unwrap(), s);
+    fn long_aliases_resolve_to_the_short_passes() {
+        let g = adder();
+        let run = |text: &str| {
+            let compiled = Script::parse(text).unwrap().compile(None).unwrap();
+            let mut ctx = PassCtx::new(ThreadPool::global());
+            let out = compiled.run(&g, &mut ctx);
+            let names: Vec<String> = ctx.take_telemetry().into_iter().map(|s| s.name).collect();
+            (out, names)
+        };
+        let (long, long_names) = run(
+            "cleanup; balance; rewrite; refactor; refactor -K 10; balance; rewrite_zero; \
+             refactor -K 8",
+        );
+        let (short, short_names) = run("c; b; rw; rf; rf -K 10; b; rwz; rf");
+        assert_eq!(long.nodes(), short.nodes());
+        assert_eq!(long.outputs(), short.outputs());
+        assert_eq!(
+            long_names,
+            ["c", "b", "rw", "rf", "rf -K 10", "b", "rwz", "rf"]
+        );
+        assert_eq!(short_names, long_names);
+        // Without a sweep, `f` and its alias name no pass.
+        for name in ["f", "fraig"] {
+            assert_eq!(
+                Script::parse(name).unwrap().compile(None).unwrap_err(),
+                ScriptError::UnknownPass(name.to_string())
+            );
+        }
     }
 
     #[test]
@@ -1467,7 +1275,7 @@ mod tests {
         let g = adder();
         let compiled = Script::parse("c; b; rw; rf; b; rwz")
             .unwrap()
-            .compile(&PassRegistry::structural())
+            .compile(None)
             .unwrap();
         let token = CancelToken::new();
         token.cancel();
@@ -1482,10 +1290,7 @@ mod tests {
     #[test]
     fn wall_time_guard_rolls_back_and_stops_without_degradation() {
         let g = adder();
-        let compiled = Script::parse("b; rw; rf")
-            .unwrap()
-            .compile(&PassRegistry::structural())
-            .unwrap();
+        let compiled = Script::parse("b; rw; rf").unwrap().compile(None).unwrap();
         let mut ctx = PassCtx::new(ThreadPool::global());
         ctx.set_guards(PassGuards {
             wall_budget: Some(Duration::ZERO),
@@ -1506,10 +1311,7 @@ mod tests {
     #[test]
     fn wall_time_guard_degrades_to_the_fast_preset() {
         let g = adder();
-        let compiled = Script::parse("high")
-            .unwrap()
-            .compile(&PassRegistry::structural())
-            .unwrap();
+        let compiled = Script::parse("high").unwrap().compile(None).unwrap();
         let mut ctx = PassCtx::new(ThreadPool::global());
         ctx.set_guards(PassGuards {
             wall_budget: Some(Duration::ZERO),
@@ -1526,9 +1328,7 @@ mod tests {
         assert!(stats.len() > 1, "fallback passes ran");
         assert!(stats[1..].iter().all(|s| s.tripped.is_none()));
         // The fallback output matches a plain fast run from the same input.
-        let fast = Script::preset(opt::Effort::Fast)
-            .compile(&PassRegistry::structural())
-            .unwrap();
+        let fast = Script::preset(opt::Effort::Fast).compile(None).unwrap();
         let mut plain = PassCtx::new(ThreadPool::global());
         let want = fast.run(&g, &mut plain);
         assert_eq!(out.nodes(), want.nodes());
@@ -1537,10 +1337,7 @@ mod tests {
     #[test]
     fn node_growth_guard_passes_shrinking_passes() {
         let g = adder();
-        let compiled = Script::parse("c; b; rw")
-            .unwrap()
-            .compile(&PassRegistry::structural())
-            .unwrap();
+        let compiled = Script::parse("c; b; rw").unwrap().compile(None).unwrap();
         let mut ctx = PassCtx::new(ThreadPool::global());
         ctx.set_guards(PassGuards {
             max_growth: Some(1.0),

@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 
 use xsfq_aig::opt::{self, Effort};
-use xsfq_aig::pass::{PassCtx, PassRegistry, Script};
+use xsfq_aig::pass::{PassCtx, Script};
 use xsfq_aig::Aig;
 use xsfq_exec::ThreadPool;
 
@@ -77,7 +77,7 @@ proptest! {
         let text = picks.iter().map(|&i| TOKENS[i]).collect::<Vec<_>>().join("; ");
         let compiled = Script::parse(&text)
             .unwrap()
-            .compile(&PassRegistry::structural())
+            .compile(None)
             .unwrap();
         let sequential = ThreadPool::new(1);
         let parallel = ThreadPool::new(4);

@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 
 use xsfq_aig::opt::{self, Effort};
-use xsfq_aig::pass::{PassCtx, PassRegistry, Script};
+use xsfq_aig::pass::{PassCtx, Script};
 use xsfq_aig::{build, Aig, Lit};
 use xsfq_exec::ThreadPool;
 
@@ -49,7 +49,7 @@ fn legacy_optimize(aig: &Aig, effort: Effort) -> Aig {
 
 fn run_preset(aig: &Aig, effort: Effort, pool: &ThreadPool) -> Aig {
     Script::preset(effort)
-        .compile(&PassRegistry::structural())
+        .compile(None)
         .expect("presets compile")
         .run(aig, &mut PassCtx::new(pool))
 }

@@ -18,8 +18,7 @@ use std::time::{Duration, Instant};
 
 use xsfq_aig::opt::Effort;
 use xsfq_aig::pass::{
-    self, CompiledScript, GuardKind, PassArenas, PassCtx, PassGuards, PassRegistry, PassStat,
-    Script, ScriptError,
+    self, CompiledScript, GuardKind, PassArenas, PassCtx, PassGuards, PassStat, Script, ScriptError,
 };
 use xsfq_aig::Aig;
 use xsfq_cells::{CellKind, InterconnectStyle};
@@ -34,13 +33,8 @@ use crate::polarity::{assign_polarities_with_pool, PolarityMode};
 use crate::verify::verify_mapping;
 use xsfq_timing::{BalanceMode, TimingOptions, TimingSummary};
 
-/// The pass registry the synthesis flow compiles scripts against: the
-/// structural AIG passes plus `f`/`fraig` from `xsfq-sat`.
-pub fn flow_registry() -> PassRegistry {
-    let mut registry = PassRegistry::structural();
-    xsfq_sat::pass::register(&mut registry);
-    registry
-}
+/// Window (in levels) for the min-width rank placement search.
+const RANK_WINDOW: u32 = 3;
 
 /// Flow configuration (builder-style).
 #[derive(Clone, Debug)]
@@ -55,8 +49,6 @@ pub struct FlowOptions {
     pub style: InterconnectStyle,
     /// Architectural pipeline stages to insert (combinational designs only).
     pub pipeline_stages: usize,
-    /// Window (in levels) for the min-width rank placement search.
-    pub rank_window: u32,
     /// Prove the mapped netlist equivalent to the source (combinational
     /// designs; sequential designs are validated by the pulse simulator).
     pub verify: bool,
@@ -107,7 +99,6 @@ impl Default for FlowOptions {
             polarity: PolarityMode::Heuristic,
             style: InterconnectStyle::Abutted,
             pipeline_stages: 0,
-            rank_window: 3,
             verify: false,
             threads: None,
             cancel: None,
@@ -565,11 +556,6 @@ impl SynthesisFlow {
         Self::default()
     }
 
-    /// Flow with explicit options.
-    pub fn with_options(options: FlowOptions) -> Self {
-        SynthesisFlow { options }
-    }
-
     /// Set the optimization pass script.
     #[must_use]
     pub fn script(mut self, script: Script) -> Self {
@@ -686,9 +672,10 @@ impl SynthesisFlow {
         &self.options
     }
 
-    /// The options script compiled against [`flow_registry`].
+    /// The options script compiled with `f` / `fraig` resolving to
+    /// [`xsfq_sat::fraig_pass`].
     fn compiled_script(&self) -> Result<CompiledScript, ScriptError> {
-        self.options.script.compile(&flow_registry())
+        self.options.script.compile(Some(xsfq_sat::fraig_pass))
     }
 
     /// The private pool `threads(n)` asks for; `None` means the
@@ -702,13 +689,13 @@ impl SynthesisFlow {
     ///
     /// # Errors
     ///
-    /// [`FlowError::Script`] when the configured script does not compile
-    /// against [`flow_registry`]; [`FlowError::PipelineOnSequential`] when
-    /// pipeline stages are requested for a design with latches;
-    /// [`FlowError::Verification`] when the mapped netlist fails the
-    /// equivalence proof; [`FlowError::Cancelled`] when the token fired or
-    /// the job deadline expired. A panicking job re-raises its panic with
-    /// the [`JobError`] message.
+    /// [`FlowError::Script`] when the configured script does not compile;
+    /// [`FlowError::PipelineOnSequential`] when pipeline stages are
+    /// requested for a design with latches; [`FlowError::Verification`]
+    /// when the mapped netlist fails the equivalence proof;
+    /// [`FlowError::Cancelled`] when the token fired or the job deadline
+    /// expired. A panicking job re-raises its panic with the [`JobError`]
+    /// message.
     pub fn run(&self, aig: &Aig) -> Result<FlowResult, FlowError> {
         let pool = self.private_pool();
         let pool = pool.as_ref().unwrap_or_else(|| ThreadPool::global());
@@ -949,7 +936,7 @@ impl SynthesisFlow {
 
         // -- Pipeline: rank-level selection (no-op for 0 stages).
         let start = Instant::now();
-        let rank_levels = choose_rank_levels(&optimized, o.pipeline_stages, o.rank_window);
+        let rank_levels = choose_rank_levels(&optimized, o.pipeline_stages, RANK_WINDOW);
         note(FlowStage::Pipeline, start);
 
         // -- Polarity: output phase assignment (parallel candidate costing).

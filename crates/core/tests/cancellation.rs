@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use xsfq_aig::pass::{PassCtx, PassObserver, PassStat, Script};
 use xsfq_aig::{build, Aig, Lit};
-use xsfq_core::{flow_registry, FlowError, JobErrorKind, SynthesisFlow};
+use xsfq_core::{FlowError, JobErrorKind, SynthesisFlow};
 use xsfq_exec::{CancelCause, CancelToken, ThreadPool};
 
 fn adder() -> Aig {
@@ -81,7 +81,7 @@ fn cancel_after_first_pass_stops_at_the_boundary() {
     // A long keep-best loop: without cancellation this runs 64 rounds.
     let compiled = Script::parse("repeat 64 { b; rw; rf; rwz }")
         .unwrap()
-        .compile(&flow_registry())
+        .compile(Some(xsfq_sat::fraig_pass))
         .unwrap();
     let (one, four) = (ThreadPool::new(1), ThreadPool::new(4));
     let pools = [

@@ -575,10 +575,7 @@ impl ThreadPool {
         self.num_threads().min(self.budget.load(Ordering::Relaxed))
     }
 
-    /// The process-wide pool: sized by the `XSFQ_THREADS` environment
-    /// variable when it holds a positive integer, otherwise by
-    /// [`std::thread::available_parallelism`] (so `0`, empty or malformed
-    /// values keep the hardware default rather than silently serializing).
+    /// The process-wide pool, sized by [`default_threads`].
     pub fn global() -> &'static ThreadPool {
         static POOL: OnceLock<ThreadPool> = OnceLock::new();
         POOL.get_or_init(|| ThreadPool::new(default_threads()))
@@ -896,7 +893,11 @@ fn worker_loop(shared: &Shared, wid: usize) {
     }
 }
 
-fn default_threads() -> usize {
+/// The worker count of [`ThreadPool::global`] and of the daemon's shard
+/// pools: the `XSFQ_THREADS` environment variable when it holds a positive
+/// integer (surrounding whitespace allowed), otherwise
+/// [`std::thread::available_parallelism`], or 1 when that is unknown.
+pub fn default_threads() -> usize {
     let hardware = || std::thread::available_parallelism().map_or(1, |n| n.get());
     match std::env::var("XSFQ_THREADS") {
         // `0` means "no override"; a malformed value must not silently

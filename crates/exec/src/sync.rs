@@ -1,17 +1,20 @@
-//! Synchronization facade: every concurrency primitive the executor touches
-//! is imported from here, never from `std` directly.
+//! Synchronization facade: every concurrency primitive the executor and the
+//! daemon's admission queue (`xsfq_serve::queue`) touch is imported from
+//! here, never from `std` directly. It is the workspace's one facade.
 //!
 //! In normal builds (the default) these are pure re-exports of the `std`
 //! types — zero cost, zero behavioural difference; the bit-identical tier-1
-//! gates pin that. With `--features model` the same paths resolve to the
-//! [`xsfq_model`] instrumented runtime instead, which lets the `model_gate`
-//! test suite deterministically enumerate thread interleavings (including
+//! gates pin that. With `--features model` (`xsfq-serve`'s `model` feature
+//! turns it on too) the same paths resolve to the [`xsfq_model`]
+//! instrumented runtime instead, which lets the `model_gate` test suites
+//! deterministically enumerate thread interleavings (including
 //! store-buffer reorderings of the non-SeqCst operations) around the very
 //! code that ships.
 //!
-//! The rule for executor code: `use crate::sync::…` for atomics, fences,
-//! `Mutex`/`Condvar`, `thread` and `Instant`. `Arc` and `Duration` stay on
-//! `std` (they carry no scheduling-visible behaviour).
+//! The rule for code under the facade: `use xsfq_exec::sync::…` (`crate::`
+//! inside the executor) for atomics, fences, `Mutex`/`Condvar`, `thread`
+//! and `Instant`. `Arc` and `Duration` stay on `std` (they carry no
+//! scheduling-visible behaviour).
 
 /// Std-backed primitives (normal builds).
 #[cfg(not(feature = "model"))]
@@ -25,7 +28,7 @@ mod imp {
     pub mod thread {
         pub use std::thread::{Builder, JoinHandle};
     }
-    /// Monotonic time for cancellation deadlines.
+    /// Monotonic time for cancellation deadlines and queue retry due-times.
     pub mod time {
         pub use std::time::Instant;
     }

@@ -3,9 +3,10 @@
 //! A self-contained incremental CDCL SAT solver ([`Solver`]), combinational
 //! equivalence checking of AND-Inverter graphs ([`cec`]), and the
 //! simulation-guided SAT-sweeping engine ([`sweep`]) that powers both the
-//! default CEC path and the `fraig` optimization pass. In the paper's
-//! toolchain this role is played by ABC's `cec`/`fraig`; here it verifies
-//! every optimization and technology-mapping step of the xSFQ flow.
+//! default CEC path and [`fraig_pass`], the sweep a pass script runs as
+//! `f` / `fraig`. In the paper's toolchain this role is played by ABC's
+//! `cec`/`fraig`; here it verifies every optimization and
+//! technology-mapping step of the xSFQ flow.
 //!
 //! ```
 //! use xsfq_aig::{Aig, build, opt, Lit};
@@ -25,11 +26,11 @@
 #![warn(missing_docs)]
 
 pub mod cec;
-pub mod pass;
+mod pass;
 mod solver;
 pub mod sweep;
 
 pub use cec::{check_equivalence, equivalent, EquivResult};
-pub use pass::FraigPass;
+pub use pass::fraig_pass;
 pub use solver::{Lit, SatResult, Solver, Var};
 pub use sweep::{check_equivalence_swept, fraig, fraig_with_stats, SweepOptions, SweepStats};

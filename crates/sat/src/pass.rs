@@ -1,74 +1,39 @@
-//! SAT sweeping as a first-class optimization pass.
+//! SAT sweeping as a scripted optimization pass.
 //!
 //! The structural passes in `xsfq-aig` cannot see functionally equivalent
-//! cones with different structure; [`fraig`](crate::sweep::fraig) can. This
-//! module wraps the sweep as an [`xsfq_aig::pass::Pass`] so scripts can
-//! schedule it (`"standard; f"`), and [`register`] adds it to a
-//! [`PassRegistry`] under `f` / `fraig` — `xsfq_core::flow_registry` calls
-//! that for the synthesis flow.
+//! cones with different structure; [`fraig`](crate::sweep::fraig) can.
+//! [`fraig_pass`] is the [`Sweep`](xsfq_aig::pass::Sweep) a script runs as
+//! `f` / `fraig` (`"standard; f"`): the synthesis flow compiles its scripts
+//! with `Script::compile(Some(fraig_pass))`.
 
-use xsfq_aig::pass::{Pass, PassCtx, PassRegistry, ScriptError};
 use xsfq_aig::Aig;
+use xsfq_exec::CancelToken;
 
 use crate::sweep::{fraig_with_stats, SweepOptions};
 
 /// The SAT-sweeping (`fraig`) pass: merge proven-equivalent nodes, keeping
 /// the result only when it is strictly smaller than its input (sweeping
-/// never helps when nothing merges).
-#[derive(Default, Debug, Clone)]
-pub struct FraigPass {
-    opts: SweepOptions,
-}
-
-impl FraigPass {
-    /// Pass with default sweep options.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Pass with explicit sweep options.
-    pub fn with_options(opts: SweepOptions) -> Self {
-        FraigPass { opts }
-    }
-}
-
-impl Pass for FraigPass {
-    fn name(&self) -> &str {
-        "f"
-    }
-
-    fn run(&self, aig: &Aig, ctx: &mut PassCtx) -> Aig {
-        // Thread the job's cancellation token into the sweep so a cancelled
-        // job escapes a long proving round at a class boundary.
-        let mut opts = self.opts.clone();
-        opts.cancel = ctx.token().clone();
-        let (swept, stats) = fraig_with_stats(aig, &opts);
-        ctx.add_commits(stats.proved as u64);
-        if swept.num_ands() < aig.num_ands() {
-            swept
-        } else {
-            aig.clone()
-        }
-    }
-}
-
-/// Register the `f` / `fraig` pass (no arguments) in `registry`.
-pub fn register(registry: &mut PassRegistry) {
-    registry.register(&["f", "fraig"], |args| {
-        if !args.is_empty() {
-            return Err(ScriptError::BadArgs {
-                pass: "f".to_string(),
-                msg: format!("takes no arguments, got {args:?}"),
-            });
-        }
-        Ok(Box::new(FraigPass::new()))
-    });
+/// never helps when nothing merges). Returns the output graph and the
+/// number of proven merges. `cancel` is threaded into the sweep, so a
+/// cancelled job escapes a long proving round at a class boundary.
+pub fn fraig_pass(aig: &Aig, cancel: &CancelToken) -> (Aig, u64) {
+    let opts = SweepOptions {
+        cancel: cancel.clone(),
+        ..SweepOptions::default()
+    };
+    let (swept, stats) = fraig_with_stats(aig, &opts);
+    let out = if swept.num_ands() < aig.num_ands() {
+        swept
+    } else {
+        aig.clone()
+    };
+    (out, stats.proved as u64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xsfq_aig::pass::Script;
+    use xsfq_aig::pass::{PassCtx, Script, ScriptError};
     use xsfq_exec::ThreadPool;
 
     /// Duplicated xor/mux cones the structural passes cannot share.
@@ -86,27 +51,35 @@ mod tests {
     #[test]
     fn fraig_runs_as_scripted_pass() {
         let g = duplicated();
-        let mut reg = PassRegistry::structural();
-        register(&mut reg);
-        let compiled = Script::parse("c; f").unwrap().compile(&reg).unwrap();
-        let mut ctx = PassCtx::new(ThreadPool::global());
-        let out = compiled.run(&g, &mut ctx);
+        let run = |text: &str| {
+            let compiled = Script::parse(text)
+                .unwrap()
+                .compile(Some(fraig_pass))
+                .unwrap();
+            let mut ctx = PassCtx::new(ThreadPool::global());
+            let out = compiled.run(&g, &mut ctx);
+            (out, ctx.take_telemetry())
+        };
+        let (out, stats) = run("c; f");
         assert!(out.num_ands() < g.num_ands(), "sweep must merge the cones");
-        let stats = ctx.telemetry();
         assert_eq!(stats[1].name, "f");
         assert!(stats[1].commits > 0, "proved merges are the commit count");
         assert!(
             crate::check_equivalence(&g, &out).is_equivalent(),
             "fraig pass broke the function"
         );
+        // The long alias is the same pass.
+        let (aliased, aliased_stats) = run("c; fraig");
+        assert_eq!(aliased.nodes(), out.nodes());
+        assert_eq!(aliased.outputs(), out.outputs());
+        assert_eq!(aliased_stats[1].name, "f");
+        assert_eq!(aliased_stats[1].commits, stats[1].commits);
     }
 
     #[test]
     fn fraig_rejects_arguments() {
-        let mut reg = PassRegistry::structural();
-        register(&mut reg);
         assert!(matches!(
-            Script::parse("f -K 4").unwrap().compile(&reg),
+            Script::parse("f -K 4").unwrap().compile(Some(fraig_pass)),
             Err(ScriptError::BadArgs { .. })
         ));
     }

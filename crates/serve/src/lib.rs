@@ -166,7 +166,6 @@ pub mod protocol;
 pub mod queue;
 pub mod server;
 pub mod signal;
-mod sync;
 
 pub use client::{Client, ClientError};
 pub use server::{ServeConfig, Server};

@@ -18,8 +18,8 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::time::Duration;
 
-use crate::sync::time::Instant;
-use crate::sync::{Condvar, Mutex};
+use xsfq_exec::sync::time::Instant;
+use xsfq_exec::sync::{Condvar, Mutex};
 
 use crate::job::Job;
 

@@ -89,14 +89,6 @@ pub struct ServeConfig {
     pub drain_grace: Duration,
 }
 
-fn env_threads() -> usize {
-    std::env::var("XSFQ_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| thread::available_parallelism().map_or(2, |n| n.get()))
-}
-
 impl ServeConfig {
     /// Defaults: ephemeral localhost port, 2 shards, `XSFQ_THREADS` (or
     /// hardware) threads per shard, 64-deep queue, 60 s deadline, 2
@@ -108,7 +100,7 @@ impl ServeConfig {
             watch_dir: None,
             out_dir: None,
             shards: 2,
-            threads_per_job: env_threads(),
+            threads_per_job: xsfq_exec::default_threads(),
             queue_capacity: 64,
             max_connections: 64,
             job_deadline: Some(Duration::from_secs(60)),

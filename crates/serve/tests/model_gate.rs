@@ -1,9 +1,9 @@
 //! Model-checker gates for the daemon's admission queue, plus the PR-7
 //! stats-vs-journal regression.
 //!
-//! Only meaningful with `--features model`, which swaps the crate-local
-//! `sync` facade (used by `queue.rs` alone) to the `xsfq_model`
-//! instrumented runtime; run as
+//! Only meaningful with `--features model`, which swaps `xsfq_exec::sync`
+//! (the facade `queue.rs` imports its lock, condvar and clock from) to the
+//! `xsfq_model` instrumented runtime; run as
 //!
 //! ```text
 //! cargo test -p xsfq-serve --features model --test model_gate

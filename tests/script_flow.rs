@@ -1,4 +1,4 @@
-//! Scripted-flow correctness: any permutation of registered passes —
+//! Scripted-flow correctness: any permutation of script passes —
 //! including `fraig` — must preserve the function of the design, proven by
 //! SAT CEC against the source AIG, and the full flow over a scripted
 //! recipe must still pass post-mapping verification.
@@ -7,11 +7,11 @@ use proptest::prelude::*;
 
 use xsfq::aig::pass::{PassCtx, Script};
 use xsfq::aig::{Aig, Lit};
-use xsfq::core::{flow_registry, SynthesisFlow};
+use xsfq::core::SynthesisFlow;
 use xsfq::exec::ThreadPool;
 use xsfq::sat::cec;
 
-/// Every pass name a script can draw from (the flow registry set).
+/// Every pass name a script can draw from (the set the flow compiles).
 const TOKENS: [&str; 7] = ["b", "rw", "rwz", "rf", "rf -K 6", "c", "f"];
 
 fn circuit_from_recipe(recipe: &[(u8, usize, usize)], inputs: usize) -> Aig {
@@ -68,7 +68,7 @@ proptest! {
         let text = script_text(&picks, repeat_split);
         let compiled = Script::parse(&text)
             .unwrap_or_else(|e| panic!("script `{text}` must parse: {e}"))
-            .compile(&flow_registry())
+            .compile(Some(xsfq::sat::fraig_pass))
             .unwrap_or_else(|e| panic!("script `{text}` must compile: {e}"));
         let pool = ThreadPool::new(2);
         let out = compiled.run(&g, &mut PassCtx::new(&pool));
