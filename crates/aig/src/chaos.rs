@@ -1,9 +1,9 @@
 //! Deterministic fault injection for the pass engine (`chaos` feature).
 //!
 //! Robustness claims are only as good as the faults they were tested
-//! against. This module lets a test *plan* a fault — a panic, a stall, or a
-//! forced guard trip — at pass *i* of design *j*, and the pass engine fires
-//! it at exactly that point. Every recovery path in the hardened job runner
+//! against. This module lets a test *plan* a fault — a panic or a stall —
+//! at pass *i* of design *j*, and the pass engine fires it at exactly that
+//! point. Every recovery path in the hardened job runner
 //! (`xsfq_core::flow::SynthesisFlow::run_many_isolated`) is exercised by
 //! real injected faults rather than hand-mocked errors:
 //!
@@ -13,10 +13,6 @@
 //!   cancels (a deadline firing or an explicit cancel), testing the
 //!   deadline path with a *real* stuck pass instead of a sleep of a guessed
 //!   length.
-//! * [`FaultKind::GuardTrip`] — force the pass's guard check to report
-//!   [`GuardKind::Injected`](crate::pass::GuardKind::Injected), testing
-//!   rollback and fast-preset degradation without needing a pass that
-//!   actually misbehaves.
 //!
 //! The plan is deterministic — `(design index, pass index) → fault` — so
 //! chaos tests are exactly reproducible under every pool size.
@@ -44,8 +40,6 @@ pub enum FaultKind {
     Panic,
     /// Busy-wait until the job's cancellation token fires.
     Stall,
-    /// Force the pass's resource-guard check to trip.
-    GuardTrip,
 }
 
 /// A deterministic fault plan for a whole batch: which fault (if any) fires
@@ -128,12 +122,12 @@ mod tests {
     #[test]
     fn plan_routes_faults_by_design_and_pass() {
         let plan = FaultPlan::new()
-            .fault(0, 2, FaultKind::GuardTrip)
+            .fault(0, 2, FaultKind::Stall)
             .fault(2, 0, FaultKind::Panic)
             .fault(2, 5, FaultKind::Stall);
         assert!(plan.for_design(1).is_none());
         let d0 = plan.for_design(0).unwrap();
-        assert_eq!(d0.fault_at(2), Some(FaultKind::GuardTrip));
+        assert_eq!(d0.fault_at(2), Some(FaultKind::Stall));
         assert_eq!(d0.fault_at(0), None);
         let d2 = plan.for_design(2).unwrap();
         assert_eq!(d2.fault_at(0), Some(FaultKind::Panic));

@@ -11,8 +11,8 @@
 //!   by the `script_golden` test suite).
 //! * [`CompiledScript`] — a script whose every statement is resolved to one
 //!   of a closed set of passes, run against a [`PassCtx`] that carries the
-//!   executor pool, the shared per-worker synthesis arenas, the guards and
-//!   the telemetry sink.
+//!   executor pool, the shared per-worker synthesis arenas, the cancellation
+//!   token and the telemetry sink.
 //! * [`PassStat`] — per-pass telemetry (wall time, node/depth deltas,
 //!   commit counts) recorded by the script engine and surfaced through the
 //!   flow report.
@@ -59,8 +59,7 @@
 
 use std::error::Error;
 use std::fmt;
-use std::sync::OnceLock;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::cuts::CutArena;
 use crate::opt::{self, EvalScratch};
@@ -73,96 +72,6 @@ use xsfq_exec::{CancelToken, ThreadPool};
 /// `xsfq_sat::fraig_pass`; this crate cannot, because `xsfq-sat` depends
 /// on it.
 pub type Sweep = fn(&Aig, &CancelToken) -> (Aig, u64);
-
-// ---------------------------------------------------------------------------
-// Resource guards
-// ---------------------------------------------------------------------------
-
-/// Which resource guard rejected a pass's result (see [`PassGuards`]).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum GuardKind {
-    /// The pass grew the graph past the node-growth budget.
-    NodeGrowth,
-    /// The pass overran its wall-time budget.
-    WallTime,
-    /// A chaos-injected trip (`chaos` feature; tests of the recovery path).
-    Injected,
-}
-
-impl GuardKind {
-    /// Stable lowercase name (telemetry / error messages).
-    pub fn name(self) -> &'static str {
-        match self {
-            GuardKind::NodeGrowth => "node-growth",
-            GuardKind::WallTime => "wall-time",
-            GuardKind::Injected => "injected",
-        }
-    }
-}
-
-impl fmt::Display for GuardKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Per-pass resource budgets with graceful degradation.
-///
-/// A pass whose output violates a budget is **rolled back**: its result is
-/// discarded and the script continues (or degrades, see below) from the
-/// pre-pass graph — the same keep-best idea `repeat { … }` blocks always
-/// had, generalized to every pass. What happens to the *rest* of the script
-/// depends on [`PassGuards::degrade_to_fast`]:
-///
-/// * `true` — the remaining script is abandoned and the cheap `fast` preset
-///   runs (unguarded) on the rolled-back graph instead; the job still
-///   succeeds, with [`PassCtx::degraded`] set and the trip recorded in the
-///   tripping pass's [`PassStat::tripped`].
-/// * `false` — the script stops at the trip and the caller (the flow's job
-///   runner) turns it into a structured guard-trip error.
-///
-/// Budgets default to `None` (no guard): the checks are a size compare and
-/// a clock read per pass, so an unguarded script pays nothing measurable.
-/// Guards that never fire leave the flow's output unchanged (pinned by
-/// `flow::tests::unfired_guards_leave_outputs_unchanged` in `xsfq-core`).
-#[derive(Clone, Debug, Default)]
-pub struct PassGuards {
-    /// Node-growth budget: the pass output may hold at most
-    /// `ceil(nodes_before * factor)` AND nodes. No pass grows the graph:
-    /// `b` rebuilds each super-gate with at most the ANDs it had, `c` only
-    /// drops nodes, and the other passes keep their input unless their
-    /// result is smaller (`rwz`: no larger). So this budget guards nothing
-    /// today.
-    pub max_growth: Option<f64>,
-    /// Wall-time budget per pass invocation.
-    pub wall_budget: Option<Duration>,
-    /// On a trip, degrade the remainder of the script to the `fast` preset
-    /// instead of stopping with an error.
-    pub degrade_to_fast: bool,
-}
-
-impl PassGuards {
-    /// No budgets, no degradation (the default).
-    pub fn none() -> PassGuards {
-        PassGuards::default()
-    }
-
-    /// Evaluate the budgets against one executed pass.
-    fn check(&self, nodes_before: usize, nodes_after: usize, wall: Duration) -> Option<GuardKind> {
-        if let Some(factor) = self.max_growth {
-            let allowed = (nodes_before as f64 * factor).ceil() as usize;
-            if nodes_after > allowed {
-                return Some(GuardKind::NodeGrowth);
-            }
-        }
-        if let Some(budget) = self.wall_budget {
-            if wall > budget {
-                return Some(GuardKind::WallTime);
-            }
-        }
-        None
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Telemetry
@@ -187,9 +96,6 @@ pub struct PassStat {
     /// resynthesis passes, rebuilt super-gates for `balance`, proven merges
     /// for `fraig`, zero for `cleanup`.
     pub commits: u64,
-    /// The resource guard this pass tripped, if any — the pass was rolled
-    /// back, so `nodes_after`/`depth_after` equal the *pre-pass* values.
-    pub tripped: Option<GuardKind>,
 }
 
 impl fmt::Display for PassStat {
@@ -204,11 +110,7 @@ impl fmt::Display for PassStat {
             self.depth_after,
             self.commits,
             self.wall_ns as f64 / 1e6,
-        )?;
-        if let Some(kind) = self.tripped {
-            write!(f, " [tripped {kind} guard, rolled back]")?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -219,9 +121,9 @@ pub trait PassObserver {
     fn on_pass_start(&mut self, _name: &str) {}
     /// Called once per executed pass, in execution order.
     fn on_pass(&mut self, stat: &PassStat);
-    /// Called with the graph a pass produced (after guard rollback, so it
-    /// is exactly the graph the rest of the script will see). Paranoid
-    /// validation hooks in here; the default does nothing.
+    /// Called with the graph a pass produced, which is exactly the graph
+    /// the rest of the script will see. Paranoid validation hooks in here;
+    /// the default does nothing.
     fn on_graph(&mut self, _aig: &Aig) {}
 }
 
@@ -274,15 +176,9 @@ pub struct PassCtx<'p, 'o> {
     /// engine and at every evaluate-batch boundary inside the parallel
     /// passes. Defaults to a token that never cancels.
     token: CancelToken,
-    /// Per-pass resource budgets (default: none).
-    guards: PassGuards,
     /// Set once a boundary check observed the token cancelled; the engine
     /// stops the script and callers map it to a structured job error.
     cancelled: bool,
-    /// The most recent un-handled guard trip: `(pass name, kind)`.
-    pending_trip: Option<(String, GuardKind)>,
-    /// Whether the script fell back to the `fast` preset after a trip.
-    degraded: bool,
     /// Executed-pass counter across the whole context lifetime (unlike
     /// `telemetry.len()`, never drained) — keys chaos fault injection.
     passes_started: usize,
@@ -303,10 +199,7 @@ impl<'p, 'o> PassCtx<'p, 'o> {
             telemetry: Vec::new(),
             observer: None,
             token: CancelToken::default(),
-            guards: PassGuards::default(),
             cancelled: false,
-            pending_trip: None,
-            degraded: false,
             passes_started: 0,
             #[cfg(feature = "chaos")]
             chaos: None,
@@ -325,31 +218,10 @@ impl<'p, 'o> PassCtx<'p, 'o> {
         &self.token
     }
 
-    /// Install per-pass resource budgets.
-    pub fn set_guards(&mut self, guards: PassGuards) {
-        self.guards = guards;
-    }
-
-    /// The active resource budgets.
-    pub fn guards(&self) -> &PassGuards {
-        &self.guards
-    }
-
     /// Whether a boundary check observed the token cancelled (the script
     /// stopped early and its output must be discarded).
     pub fn cancelled(&self) -> bool {
         self.cancelled
-    }
-
-    /// The guard trip that stopped the script, when degradation is off:
-    /// `(pass name, guard kind)`.
-    pub fn guard_trip(&self) -> Option<(&str, GuardKind)> {
-        self.pending_trip.as_ref().map(|(n, k)| (n.as_str(), *k))
-    }
-
-    /// Whether the script degraded to the `fast` preset after a guard trip.
-    pub fn degraded(&self) -> bool {
-        self.degraded
     }
 
     /// Install a chaos injection plan for this job (deterministic fault
@@ -418,9 +290,8 @@ impl<'p, 'o> PassCtx<'p, 'o> {
         std::mem::take(&mut self.telemetry)
     }
 
-    /// Run one pass with telemetry: time it, diff node/depth counts,
-    /// record its commit count, and enforce the resource guards (a tripping
-    /// pass is rolled back to its input).
+    /// Run one pass with telemetry: time it, diff node/depth counts and
+    /// record its commit count.
     fn run_instrumented(&mut self, pass: &Pass, aig: &Aig) -> Aig {
         // Pass boundary: a cancelled job must not start another pass.
         if self.token.is_cancelled() {
@@ -433,7 +304,7 @@ impl<'p, 'o> PassCtx<'p, 'o> {
         if let Some(obs) = self.observer.as_deref_mut() {
             obs.on_pass_start(&name);
         }
-        let forced_trip = self.apply_chaos(&name, pass_index);
+        self.apply_chaos(&name, pass_index);
         // Second boundary check: cancellation may have arrived while the
         // pass was announced (or while a chaos stall held it). The pass
         // stays "in flight" — announced but never run, so it leaves no
@@ -445,31 +316,15 @@ impl<'p, 'o> PassCtx<'p, 'o> {
         let nodes_before = aig.num_ands();
         let depth_before = aig.depth();
         let start = Instant::now();
-        let (mut out, commits) = pass.run(aig, self);
-        let wall = start.elapsed();
-        let mut tripped = if forced_trip {
-            Some(GuardKind::Injected)
-        } else {
-            None
-        };
-        if tripped.is_none() {
-            tripped = self.guards.check(nodes_before, out.num_ands(), wall);
-        }
-        if let Some(kind) = tripped {
-            // Keep-best semantics generalized from `repeat {}`: the budget
-            // violator's output is discarded, the pre-pass graph survives.
-            out = aig.clone();
-            self.pending_trip = Some((name.clone(), kind));
-        }
+        let (out, commits) = pass.run(aig, self);
         let stat = PassStat {
             name,
-            wall_ns: wall.as_nanos() as u64,
+            wall_ns: start.elapsed().as_nanos() as u64,
             nodes_before,
             nodes_after: out.num_ands(),
             depth_before,
             depth_after: out.depth(),
             commits,
-            tripped,
         };
         if let Some(obs) = self.observer.as_deref_mut() {
             obs.on_pass(&stat);
@@ -480,37 +335,26 @@ impl<'p, 'o> PassCtx<'p, 'o> {
     }
 
     /// Fire the chaos fault planned for this `(job, pass_index)`, if any.
-    /// Returns whether a guard trip must be forced. Compiled to a constant
-    /// `false` without the `chaos` feature.
+    /// Compiled to nothing without the `chaos` feature.
     #[cfg(feature = "chaos")]
-    fn apply_chaos(&mut self, pass_name: &str, pass_index: usize) -> bool {
+    fn apply_chaos(&mut self, pass_name: &str, pass_index: usize) {
         let Some(injector) = &self.chaos else {
-            return false;
+            return;
         };
         match injector.fault_at(pass_index) {
             Some(crate::chaos::FaultKind::Panic) => {
                 panic!("chaos: injected panic in pass `{pass_name}` (pass #{pass_index})")
             }
             Some(crate::chaos::FaultKind::Stall) => {
-                crate::chaos::stall_until_cancelled(&self.token);
-                false
+                crate::chaos::stall_until_cancelled(&self.token)
             }
-            Some(crate::chaos::FaultKind::GuardTrip) => true,
-            None => false,
+            None => {}
         }
     }
 
     #[cfg(not(feature = "chaos"))]
     #[inline]
-    fn apply_chaos(&mut self, _pass_name: &str, _pass_index: usize) -> bool {
-        false
-    }
-
-    /// Whether the engine must stop before running another statement:
-    /// the job was cancelled, or a guard trip awaits handling.
-    fn stopped(&self) -> bool {
-        self.cancelled || self.pending_trip.is_some()
-    }
+    fn apply_chaos(&mut self, _pass_name: &str, _pass_index: usize) {}
 }
 
 impl fmt::Debug for PassCtx<'_, '_> {
@@ -981,36 +825,10 @@ impl CompiledScript {
     ///
     /// Execution stops early when the context's [`CancelToken`] reports
     /// cancelled (check [`PassCtx::cancelled`]; the returned graph must be
-    /// discarded) or when a resource guard trips ([`PassCtx::guard_trip`]).
-    /// With [`PassGuards::degrade_to_fast`] set, a trip instead abandons
-    /// the rest of this script and runs the `fast` preset — unguarded, so
-    /// degradation cannot recurse — on the rolled-back graph; the job then
-    /// completes normally with [`PassCtx::degraded`] set.
+    /// discarded).
     pub fn run(&self, aig: &Aig, ctx: &mut PassCtx) -> Aig {
-        let mut cur = run_seq(&self.stmts, aig, ctx);
-        if ctx.pending_trip.is_some() && ctx.guards.degrade_to_fast && !ctx.cancelled {
-            ctx.pending_trip = None;
-            ctx.degraded = true;
-            // The fallback runs without budgets: it exists to finish the
-            // job, and a second trip would have nowhere left to degrade to.
-            let saved = std::mem::take(&mut ctx.guards);
-            cur = run_seq(&fast_fallback().stmts, &cur, ctx);
-            ctx.guards = saved;
-        }
-        cur
+        run_seq(&self.stmts, aig, ctx)
     }
-}
-
-/// The compiled `fast` preset the guard-degradation path falls back to.
-/// Presets never name `f`, so one compilation without a sweep serves the
-/// whole process.
-fn fast_fallback() -> &'static CompiledScript {
-    static FALLBACK: OnceLock<CompiledScript> = OnceLock::new();
-    FALLBACK.get_or_init(|| {
-        Script::preset(opt::Effort::Fast)
-            .compile(None)
-            .expect("preset scripts compile without a sweep")
-    })
 }
 
 fn run_seq(stmts: &[CompiledStmt], aig: &Aig, ctx: &mut PassCtx) -> Aig {
@@ -1019,7 +837,7 @@ fn run_seq(stmts: &[CompiledStmt], aig: &Aig, ctx: &mut PassCtx) -> Aig {
     };
     let mut cur = run_stmt(first, aig, ctx);
     for stmt in &stmts[1..] {
-        if ctx.stopped() {
+        if ctx.cancelled {
             break;
         }
         cur = run_stmt(stmt, &cur, ctx);
@@ -1039,9 +857,8 @@ fn run_stmt(stmt: &CompiledStmt, aig: &Aig, ctx: &mut PassCtx) -> Aig {
             for _ in 0..*times {
                 let before = best.num_ands();
                 let cur = run_seq(body, &best, ctx);
-                if ctx.stopped() {
-                    // Cancelled output is discarded by the caller; a tripped
-                    // round already rolled back, so keep-best still holds.
+                if ctx.cancelled {
+                    // Cancelled output is discarded by the caller.
                     break;
                 }
                 if cur.num_ands() < best.num_ands()
@@ -1285,68 +1102,5 @@ mod tests {
         assert!(ctx.cancelled());
         assert_eq!(ctx.telemetry().len(), 0, "no pass may start when cancelled");
         assert_eq!(out.nodes(), g.nodes(), "input passes through unchanged");
-    }
-
-    #[test]
-    fn wall_time_guard_rolls_back_and_stops_without_degradation() {
-        let g = adder();
-        let compiled = Script::parse("b; rw; rf").unwrap().compile(None).unwrap();
-        let mut ctx = PassCtx::new(ThreadPool::global());
-        ctx.set_guards(PassGuards {
-            wall_budget: Some(Duration::ZERO),
-            ..PassGuards::none()
-        });
-        let out = compiled.run(&g, &mut ctx);
-        // Every pass takes > 0ns, so the very first one trips and the
-        // script stops: one stat, graph rolled back to the input.
-        assert_eq!(ctx.telemetry().len(), 1);
-        let stat = &ctx.telemetry()[0];
-        assert_eq!(stat.tripped, Some(GuardKind::WallTime));
-        assert_eq!(stat.nodes_after, stat.nodes_before, "rolled back");
-        assert_eq!(ctx.guard_trip(), Some(("b", GuardKind::WallTime)));
-        assert!(!ctx.degraded());
-        assert_eq!(out.nodes(), g.nodes());
-    }
-
-    #[test]
-    fn wall_time_guard_degrades_to_the_fast_preset() {
-        let g = adder();
-        let compiled = Script::parse("high").unwrap().compile(None).unwrap();
-        let mut ctx = PassCtx::new(ThreadPool::global());
-        ctx.set_guards(PassGuards {
-            wall_budget: Some(Duration::ZERO),
-            degrade_to_fast: true,
-            ..PassGuards::none()
-        });
-        let out = compiled.run(&g, &mut ctx);
-        assert!(ctx.degraded());
-        assert_eq!(ctx.guard_trip(), None, "trip was absorbed by degradation");
-        // Stats: the tripped pass, then the whole fast fallback (whose
-        // guards are cleared, so none of its passes trip).
-        let stats = ctx.telemetry();
-        assert_eq!(stats[0].tripped, Some(GuardKind::WallTime));
-        assert!(stats.len() > 1, "fallback passes ran");
-        assert!(stats[1..].iter().all(|s| s.tripped.is_none()));
-        // The fallback output matches a plain fast run from the same input.
-        let fast = Script::preset(opt::Effort::Fast).compile(None).unwrap();
-        let mut plain = PassCtx::new(ThreadPool::global());
-        let want = fast.run(&g, &mut plain);
-        assert_eq!(out.nodes(), want.nodes());
-    }
-
-    #[test]
-    fn node_growth_guard_passes_shrinking_passes() {
-        let g = adder();
-        let compiled = Script::parse("c; b; rw").unwrap().compile(None).unwrap();
-        let mut ctx = PassCtx::new(ThreadPool::global());
-        ctx.set_guards(PassGuards {
-            max_growth: Some(1.0),
-            ..PassGuards::none()
-        });
-        compiled.run(&g, &mut ctx);
-        // Structural passes never grow the graph, so nothing trips.
-        assert_eq!(ctx.guard_trip(), None);
-        assert_eq!(ctx.telemetry().len(), 3);
-        assert!(ctx.telemetry().iter().all(|s| s.tripped.is_none()));
     }
 }

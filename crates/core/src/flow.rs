@@ -17,9 +17,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use xsfq_aig::opt::Effort;
-use xsfq_aig::pass::{
-    self, CompiledScript, GuardKind, PassArenas, PassCtx, PassGuards, PassStat, Script, ScriptError,
-};
+use xsfq_aig::pass::{self, CompiledScript, PassArenas, PassCtx, PassStat, Script, ScriptError};
 use xsfq_aig::Aig;
 use xsfq_cells::{CellKind, InterconnectStyle};
 use xsfq_exec::{panic_message, CancelCause, CancelToken, ThreadPool};
@@ -27,7 +25,7 @@ use xsfq_lint::{CheckLevel, Diag, NetlistProfile};
 use xsfq_netlist::writers::Json;
 use xsfq_netlist::Netlist;
 
-use crate::map::{map_with_assignment_pool, MapOptions, MappedDesign};
+use crate::map::{map_with_assignment, MapOptions, MappedDesign};
 use crate::pipeline::choose_rank_levels;
 use crate::polarity::{assign_polarities_with_pool, PolarityMode};
 use crate::verify::verify_mapping;
@@ -65,11 +63,6 @@ pub struct FlowOptions {
     /// exceeding it is cancelled (its [`JobError`] reports
     /// [`JobErrorKind::DeadlineExpired`]); other jobs are unaffected.
     pub job_deadline: Option<Duration>,
-    /// Per-pass resource budgets for the optimization script (node growth,
-    /// wall time, and whether a trip degrades the remainder of the script
-    /// to the `fast` preset instead of failing the job). Defaults to no
-    /// budgets. See [`PassGuards`].
-    pub guards: PassGuards,
     /// Static checking level (see [`CheckLevel`]): `Off` is byte-for-byte
     /// the unchecked flow, `Stage` validates the AIG after the optimize
     /// stage and DRCs both mapped netlists after the map stage, `Paranoid`
@@ -103,7 +96,6 @@ impl Default for FlowOptions {
             threads: None,
             cancel: None,
             job_deadline: None,
-            guards: PassGuards::none(),
             check: CheckLevel::Off,
             timing: None,
             #[cfg(feature = "chaos")]
@@ -124,15 +116,6 @@ pub enum FlowError {
     /// The job was cancelled (explicitly, or by a deadline — see the
     /// [`CancelCause`]) before the flow completed.
     Cancelled(CancelCause),
-    /// A pass tripped its resource guard and degradation was off
-    /// ([`PassGuards::degrade_to_fast`] false): the job stopped at the
-    /// trip, rolled back to the pre-pass graph.
-    GuardTripped {
-        /// The pass whose budget was violated.
-        pass: String,
-        /// Which budget.
-        kind: GuardKind,
-    },
     /// A static check ([`FlowOptions::check`]) found error-severity
     /// diagnostics; the job stopped at the stage that produced the
     /// ill-formed structure.
@@ -149,9 +132,6 @@ impl fmt::Display for FlowError {
             FlowError::Verification(e) => write!(f, "{e}"),
             FlowError::Cancelled(CancelCause::Explicit) => write!(f, "job cancelled"),
             FlowError::Cancelled(CancelCause::Deadline) => write!(f, "job deadline expired"),
-            FlowError::GuardTripped { pass, kind } => {
-                write!(f, "pass `{pass}` tripped its {kind} guard")
-            }
             FlowError::LintFailed(diags) => {
                 write!(f, "lint failed with {} finding(s)", diags.len())?;
                 for d in diags.iter().take(3) {
@@ -219,7 +199,7 @@ pub enum JobErrorKind {
     /// The job overran [`FlowOptions::job_deadline`].
     DeadlineExpired,
     /// The flow failed with an ordinary error (script, pipelining,
-    /// verification, or an undegraded guard trip).
+    /// verification or lint).
     Flow(FlowError),
 }
 
@@ -280,15 +260,11 @@ impl JobErrorKind {
         }
     }
 
-    /// Whether a retry could plausibly succeed: panics (a poisoned arena,
-    /// a transient resource spike) and guard trips (budgets may pass on a
-    /// quieter machine) are transient; cancellations, deadline overruns
-    /// and deterministic flow errors are not.
+    /// Whether a retry could plausibly succeed: only panics (a poisoned
+    /// arena, a transient resource spike) are transient; cancellations,
+    /// deadline overruns and deterministic flow errors are not.
     pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            JobErrorKind::Panicked { .. } | JobErrorKind::Flow(FlowError::GuardTripped { .. })
-        )
+        matches!(self, JobErrorKind::Panicked { .. })
     }
 }
 
@@ -344,8 +320,7 @@ pub struct StageStat {
 /// boundary, so the completed-pass telemetry and the name of the pass in
 /// flight survive a panic and land in the [`JobError`]. Under
 /// [`CheckLevel::Paranoid`] it also validates the graph after every pass
-/// (via [`pass::PassObserver::on_graph`], which sees the post-rollback
-/// graph) and accumulates any findings.
+/// (via [`pass::PassObserver::on_graph`]) and accumulates any findings.
 struct PassObserver {
     check: CheckLevel,
     lint: Vec<Diag>,
@@ -407,10 +382,6 @@ pub struct FlowReport {
     pub passes: Vec<PassStat>,
     /// Wall-clock telemetry per flow stage, in execution order.
     pub stages: Vec<StageStat>,
-    /// Whether a guard trip degraded the optimization script to the `fast`
-    /// preset ([`PassGuards::degrade_to_fast`]); the tripping pass carries
-    /// [`PassStat::tripped`] in [`FlowReport::passes`].
-    pub degraded: bool,
     /// Result of the optional Timing stage: engine-measured critical path,
     /// worst slack/skew, and the buffer/JJ cost of balancing. `None` when
     /// [`FlowOptions::timing`] was unset (and then absent from the JSON,
@@ -421,7 +392,7 @@ pub struct FlowReport {
 impl FlowReport {
     /// Serialize the report as a single JSON object — the wire format of
     /// the serving daemon's result payload. Keys are stable, schema tagged
-    /// `xsfq-flow-report/1`, rendered by the one JSON writer ([`Json`]).
+    /// `xsfq-flow-report/2`, rendered by the one JSON writer ([`Json`]).
     pub fn to_json(&self) -> String {
         let passes = self.passes.iter().map(|p| {
             Json::object([
@@ -432,7 +403,6 @@ impl FlowReport {
                 ("depth_before", p.depth_before.into()),
                 ("depth_after", p.depth_after.into()),
                 ("commits", p.commits.into()),
-                ("tripped", p.tripped.map(GuardKind::name).into()),
             ])
         });
         let stages = self.stages.iter().map(|s| {
@@ -442,7 +412,7 @@ impl FlowReport {
             ])
         });
         let mut members = vec![
-            ("schema", "xsfq-flow-report/1".into()),
+            ("schema", "xsfq-flow-report/2".into()),
             ("name", self.name.as_str().into()),
             ("aig_nodes", self.aig_nodes.into()),
             ("aig_depth", self.aig_depth.into()),
@@ -458,7 +428,6 @@ impl FlowReport {
             ("critical_delay_ps", self.critical_delay_ps.into()),
             ("circuit_ghz", self.circuit_ghz.into()),
             ("arch_ghz", self.arch_ghz.into()),
-            ("degraded", self.degraded.into()),
             ("passes", Json::Array(passes.collect())),
             ("stages", Json::Array(stages.collect())),
         ];
@@ -627,15 +596,6 @@ impl SynthesisFlow {
     #[must_use]
     pub fn job_deadline(mut self, deadline: Duration) -> Self {
         self.options.job_deadline = Some(deadline);
-        self
-    }
-
-    /// Install per-pass resource budgets (see [`PassGuards`]): node-growth
-    /// and wall-time limits, with optional degradation to the `fast`
-    /// preset instead of failing the job on a trip.
-    #[must_use]
-    pub fn guards(mut self, guards: PassGuards) -> Self {
-        self.options.guards = guards;
         self
     }
 
@@ -893,10 +853,9 @@ impl SynthesisFlow {
         // hands in its warm arena set; it is returned after the script so
         // the next design reuses it.
         let start = Instant::now();
-        let (optimized, passes, degraded, guard_trip, arena_lint) = {
+        let (optimized, passes, arena_lint) = {
             let mut ctx = PassCtx::with_observer(pool, observer);
             ctx.set_token(token.clone());
-            ctx.set_guards(o.guards.clone());
             #[cfg(feature = "chaos")]
             if let Some(injector) = chaos {
                 ctx.set_chaos(injector);
@@ -913,17 +872,11 @@ impl SynthesisFlow {
                 Vec::new()
             };
             *arenas = ctx.take_arenas();
-            let guard_trip = ctx
-                .guard_trip()
-                .map(|(pass, kind)| (pass.to_string(), kind));
-            (optimized, passes, ctx.degraded(), guard_trip, arena_lint)
+            (optimized, passes, arena_lint)
         };
         note(FlowStage::Optimize, start);
         if token.is_cancelled() {
             return Err(cancelled());
-        }
-        if let Some((pass, kind)) = guard_trip {
-            return Err(FlowError::GuardTripped { pass, kind });
         }
         if o.check >= CheckLevel::Stage {
             let mut diags = std::mem::take(&mut observer.lint);
@@ -939,7 +892,7 @@ impl SynthesisFlow {
         let rank_levels = choose_rank_levels(&optimized, o.pipeline_stages, RANK_WINDOW);
         note(FlowStage::Pipeline, start);
 
-        // -- Polarity: output phase assignment (parallel candidate costing).
+        // -- Polarity: output phase assignment.
         let start = Instant::now();
         let (assignment, _requirements) = assign_polarities_with_pool(&optimized, o.polarity, pool);
         note(FlowStage::Polarity, start);
@@ -947,10 +900,9 @@ impl SynthesisFlow {
             return Err(cancelled());
         }
 
-        // -- Map: dual-rail mapping (parallel requirements sweep, sequential
-        // emission commit) + splitter insertion.
+        // -- Map: dual-rail mapping + splitter insertion.
         let start = Instant::now();
-        let mut mapped = map_with_assignment_pool(
+        let mut mapped = map_with_assignment(
             &optimized,
             &MapOptions {
                 polarity: o.polarity,
@@ -958,7 +910,6 @@ impl SynthesisFlow {
                 rank_levels,
             },
             assignment,
-            pool,
         );
         note(FlowStage::Map, start);
         if token.is_cancelled() {
@@ -1035,7 +986,6 @@ impl SynthesisFlow {
             arch_ghz: circuit_ghz / 2.0,
             passes,
             stages,
-            degraded,
             timing: timing_summary,
         };
         Ok(FlowResult {
@@ -1135,21 +1085,16 @@ mod tests {
         assert_eq!(one.report.la_fa, four.report.la_fa);
     }
 
-    /// A cancellation token, a job deadline and both pass guards, installed
-    /// but never firing, leave the graph, the netlist and the pass log of
-    /// the default flow unchanged.
+    /// A cancellation token and a job deadline, installed but never firing,
+    /// leave the graph, the netlist and the pass log of the default flow
+    /// unchanged.
     #[test]
     fn unfired_guards_leave_outputs_unchanged() {
         let hour = Duration::from_secs(3600);
         let plain = SynthesisFlow::new();
         let guarded = SynthesisFlow::new()
             .cancel_token(CancelToken::default())
-            .job_deadline(hour)
-            .guards(PassGuards {
-                max_growth: Some(8.0),
-                wall_budget: Some(hour),
-                degrade_to_fast: false,
-            });
+            .job_deadline(hour);
         let pass_log = |r: &FlowResult| -> Vec<(String, u64)> {
             let passes = r.report.passes.iter();
             passes.map(|p| (p.name.clone(), p.commits)).collect()
@@ -1164,11 +1109,6 @@ mod tests {
             assert_eq!(got.netlist().inputs(), want.netlist().inputs(), "{name}");
             assert_eq!(got.netlist().outputs(), want.netlist().outputs(), "{name}");
             assert_eq!(pass_log(&got), pass_log(&want), "{name}");
-            assert!(
-                got.report.passes.iter().all(|p| p.tripped.is_none()),
-                "{name}"
-            );
-            assert!(!got.report.degraded, "{name}");
         }
     }
 
@@ -1185,8 +1125,8 @@ mod tests {
     #[test]
     fn bad_scripts_are_rejected() {
         assert!(SynthesisFlow::new().script_str("repeat {").is_err());
-        // Unknown passes surface at run time (compile against the flow
-        // registry).
+        // Unknown passes surface at run time, when the flow compiles the
+        // script.
         let flow = SynthesisFlow::new().script_str("b; nosuch").unwrap();
         let mut g = Aig::new("t");
         let a = g.input("a");
@@ -1308,11 +1248,29 @@ mod tests {
         assert!(matches!(err, FlowError::PipelineOnSequential));
     }
 
+    /// Serve's retry lane retries a failed job only when its kind is
+    /// transient: a panic may not recur, every other failure would.
+    #[test]
+    fn only_panics_are_transient() {
+        let panicked = JobErrorKind::Panicked {
+            message: "boom".into(),
+        };
+        assert!(panicked.is_transient());
+        for kind in [
+            JobErrorKind::Cancelled,
+            JobErrorKind::DeadlineExpired,
+            JobErrorKind::Flow(FlowError::PipelineOnSequential),
+            JobErrorKind::Flow(FlowError::LintFailed(vec![])),
+        ] {
+            assert!(!kind.is_transient(), "{kind:?}");
+        }
+    }
+
     /// A literal report that exercises every token kind of
-    /// `xsfq-flow-report/1`: an escaped name, a tripped pass, integral and
-    /// fractional floats, and a non-finite float.
+    /// `xsfq-flow-report/2`: an escaped name, integral and fractional
+    /// floats, and a non-finite float.
     fn literal_report() -> FlowReport {
-        let pass = |name: &str, tripped| PassStat {
+        let pass = |name: &str| PassStat {
             name: name.into(),
             wall_ns: 1200,
             nodes_before: 9,
@@ -1320,7 +1278,6 @@ mod tests {
             depth_before: 4,
             depth_after: 3,
             commits: 2,
-            tripped,
         };
         FlowReport {
             name: "fa\"\tv2".into(),
@@ -1338,10 +1295,7 @@ mod tests {
             critical_delay_ps: 40.0,
             circuit_ghz: f64::INFINITY,
             arch_ghz: 12.5,
-            passes: vec![
-                pass("rf -K 10", None),
-                pass("b", Some(GuardKind::NodeGrowth)),
-            ],
+            passes: vec![pass("rf -K 10"), pass("b")],
             stages: vec![
                 StageStat {
                     stage: FlowStage::Optimize,
@@ -1352,7 +1306,6 @@ mod tests {
                     wall_ns: 20,
                 },
             ],
-            degraded: true,
             timing: None,
         }
     }
@@ -1361,7 +1314,7 @@ mod tests {
     fn report_json_bytes_are_pinned() {
         assert_eq!(
             literal_report().to_json(),
-            r#"{"schema":"xsfq-flow-report/1","name":"fa\"\tv2","aig_nodes":7,"aig_depth":3,"la_fa":5,"duplication_percent":12.5,"splitters":4,"drocs_plain":1,"drocs_preload":2,"jj_total":58,"jj_clock_tree":0,"depth_logic":3,"depth_with_splitters":5,"critical_delay_ps":40,"circuit_ghz":null,"arch_ghz":12.5,"degraded":true,"passes":[{"name":"rf -K 10","wall_ns":1200,"nodes_before":9,"nodes_after":7,"depth_before":4,"depth_after":3,"commits":2,"tripped":null},{"name":"b","wall_ns":1200,"nodes_before":9,"nodes_after":7,"depth_before":4,"depth_after":3,"commits":2,"tripped":"node-growth"}],"stages":[{"stage":"optimize","wall_ns":10},{"stage":"map","wall_ns":20}]}"#
+            r#"{"schema":"xsfq-flow-report/2","name":"fa\"\tv2","aig_nodes":7,"aig_depth":3,"la_fa":5,"duplication_percent":12.5,"splitters":4,"drocs_plain":1,"drocs_preload":2,"jj_total":58,"jj_clock_tree":0,"depth_logic":3,"depth_with_splitters":5,"critical_delay_ps":40,"circuit_ghz":null,"arch_ghz":12.5,"passes":[{"name":"rf -K 10","wall_ns":1200,"nodes_before":9,"nodes_after":7,"depth_before":4,"depth_after":3,"commits":2},{"name":"b","wall_ns":1200,"nodes_before":9,"nodes_after":7,"depth_before":4,"depth_after":3,"commits":2}],"stages":[{"stage":"optimize","wall_ns":10},{"stage":"map","wall_ns":20}]}"#
         );
     }
 

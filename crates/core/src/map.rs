@@ -8,27 +8,22 @@
 //! pairs with the preload/trigger initialization strategy (§3.2) are
 //! inserted here as well.
 //!
-//! # Parallel evaluate, sequential commit
+//! # Two sequential sweeps
 //!
-//! Mapping follows the same mold as the resynthesis passes (see
-//! `xsfq_exec`'s module docs):
+//! * **requirements** — one backward sweep in reverse node-index order
+//!   computes `needs_pos`/`needs_neg`/`needs_any` per node. Every consumer
+//!   of a node has a larger index, so a node's requirements are final when
+//!   the sweep reaches it.
+//! * **emission** — cells are emitted in ascending node-index order (DROC
+//!   chains created on first demand). Cell instantiation order fixes
+//!   `NetId`/`CellId` numbering.
 //!
-//! * **evaluate** — the backward rail-requirements sweep
-//!   (`needs_pos`/`needs_neg`/`needs_any` per node). A node's requirements
-//!   are fixed once every consumer (always at a strictly higher logic
-//!   level) has propagated its demands, so the sweep walks the levels top
-//!   down and fans each level's nodes across the executor pool; each node
-//!   computes its own promoted flags plus the demands it pushes onto its
-//!   two fanins, all pure functions of already-finalized state. The
-//!   per-level demands are then committed in node-index order — and since
-//!   they only OR monotone flags, the final requirement vectors are
-//!   **bit-identical** to the sequential reverse-id sweep for every thread
-//!   count.
-//! * **commit** — netlist emission. Cell instantiation order determines
-//!   `NetId`/`CellId` numbering, so cells are emitted single-threaded in
-//!   ascending node-index order (DROC chains created on first demand),
-//!   which pins the mapped netlist bit-identical for every thread count.
-//!   The `map_identity` proptest gates this in CI.
+//! Neither sweep uses the executor: a levelized parallel requirements
+//! sweep measured slower than the sequential one on two cores, and the
+//! emission order is inherently serial. Only the exhaustive polarity
+//! search fans out, and it reduces in a fixed order, so the mapped netlist
+//! is bit-identical for every pool size. The `map_identity` proptest gates
+//! this in CI.
 
 use xsfq_aig::{Aig, Lit, NodeId, NodeKind};
 use xsfq_cells::{CellKind, CellLibrary, InterconnectStyle};
@@ -128,8 +123,8 @@ pub fn map_xsfq(aig: &Aig, options: &MapOptions) -> MappedDesign {
     map_xsfq_with_pool(aig, options, ThreadPool::global())
 }
 
-/// [`map_xsfq`] on an explicit executor pool. The mapped netlist is
-/// bit-identical for every pool size.
+/// [`map_xsfq`] with the polarity search on an explicit executor pool. The
+/// mapped netlist is bit-identical for every pool size.
 ///
 /// # Panics
 ///
@@ -140,39 +135,26 @@ pub fn map_xsfq_with_pool(aig: &Aig, options: &MapOptions, pool: &ThreadPool) ->
         "pipeline ranks apply to combinational designs only"
     );
     let (assignment, _) = crate::polarity::assign_polarities_with_pool(aig, options.polarity, pool);
-    map_with_assignment_pool(aig, options, assignment, pool)
+    map_with_assignment(aig, options, assignment)
 }
 
-/// Map with an explicit polarity assignment (for ablation studies), on the
-/// global executor pool.
-pub fn map_with_assignment(
-    aig: &Aig,
-    options: &MapOptions,
-    assignment: PolarityAssignment,
-) -> MappedDesign {
-    map_with_assignment_pool(aig, options, assignment, ThreadPool::global())
-}
-
-/// Demands one node pushes onto its fanins, plus its own promoted flags —
-/// the evaluate-phase output of the requirements sweep. Pure in the
-/// already-finalized requirement state, so the parallel fan-out cannot
-/// change it.
-#[derive(Copy, Clone, Default)]
-struct NodeDemand {
-    pos: bool,
-    neg: bool,
-    /// Fanin demands: (node index, rail) with rail 0 = pos, 1 = neg,
-    /// 2 = any (cross-rank reference). At most 2 senses × 2 edges.
-    edges: [(u32, u8); 4],
-    n_edges: u8,
-}
-
-/// [`map_with_assignment`] on an explicit executor pool.
+/// [`map_with_assignment`], which takes no pool: mapping runs sequentially
+/// (see the [module docs](self)), so `pool` is unused. The signature stays
+/// because perfbench's `trace.rs` calls it.
 pub fn map_with_assignment_pool(
     aig: &Aig,
     options: &MapOptions,
     assignment: PolarityAssignment,
-    pool: &ThreadPool,
+    _pool: &ThreadPool,
+) -> MappedDesign {
+    map_with_assignment(aig, options, assignment)
+}
+
+/// Map with an explicit polarity assignment (for ablation studies).
+pub fn map_with_assignment(
+    aig: &Aig,
+    options: &MapOptions,
+    assignment: PolarityAssignment,
 ) -> MappedDesign {
     let n = aig.num_nodes();
     let levels = aig.levels();
@@ -185,13 +167,6 @@ pub fn map_with_assignment_pool(
     let dual_rail = options.polarity == PolarityMode::DualRail;
 
     // ---- Requirements analysis (rank-aware backward sweep) ----
-    //
-    // Evaluate phase of the mapper: levelized top-down over the executor.
-    // A node's requirements are final once every consumer — all at strictly
-    // higher levels — has been committed, so the nodes of one level fan out
-    // in parallel and their fanin demands are committed in node-index order
-    // before the next (lower) level starts. Demands are monotone flag ORs,
-    // making the result bit-identical to a sequential reverse-id sweep.
     let mut needs_pos = vec![false; n];
     let mut needs_neg = vec![false; n];
     let mut needs_any = vec![false; n];
@@ -222,133 +197,47 @@ pub fn map_with_assignment_pool(
         seed(latch.next, latch.init, 0);
     }
 
-    // A one-participant pool runs the plain reverse-id sweep — no level
-    // bucketing, no demand buffers. The levelized parallel path below
-    // computes exactly the same flags (demands are monotone ORs over
-    // consumers, which all sit at strictly higher levels); `map_identity`
-    // compares the two paths in CI.
-    if pool.num_threads() == 1 {
-        for i in (1..n).rev() {
-            let NodeKind::And { a, b } = aig.nodes()[i] else {
-                continue;
-            };
-            if dual_rail && (needs_pos[i] || needs_neg[i] || needs_any[i]) {
-                needs_pos[i] = true;
-                needs_neg[i] = true;
-            }
-            // Promote a registered-only requirement to a single rail.
-            if needs_any[i] && !needs_pos[i] && !needs_neg[i] {
-                needs_pos[i] = true;
-            }
-            let nr = base_rank[i];
-            for (sense, active) in [(true, needs_pos[i]), (false, needs_neg[i])] {
-                if !active {
-                    continue;
-                }
-                for edge in [a, b] {
-                    let c = edge.node().index();
-                    if nr > base_rank[c] {
-                        needs_any[c] = true;
-                    } else if sense ^ edge.is_complement() {
-                        needs_pos[c] = true;
-                    } else {
-                        needs_neg[c] = true;
-                    }
-                }
-            }
-        }
-        return emit_mapping(
-            aig, options, assignment, needs_pos, needs_neg, base_rank, out_rank, dual_rail,
-        );
-    }
-
-    // AND nodes bucketed by level, descending; ids ascending within a level
-    // (stable sort), which fixes the commit order.
-    let mut order: Vec<u32> = (0..n as u32)
-        .filter(|&i| aig.nodes()[i as usize].is_and())
-        .collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(levels[i as usize]));
-    let mut start = 0;
-    while start < order.len() {
-        let level = levels[order[start] as usize];
-        let mut end = start + 1;
-        while end < order.len() && levels[order[end] as usize] == level {
-            end += 1;
-        }
-        let group = &order[start..end];
-        let demands = {
-            let (np, nn, na) = (&needs_pos, &needs_neg, &needs_any);
-            let base = &base_rank;
-            pool.map_init(
-                group,
-                || (),
-                |(), _, &i| {
-                    let i = i as usize;
-                    let NodeKind::And { a, b } = aig.nodes()[i] else {
-                        unreachable!("only AND nodes are swept per level");
-                    };
-                    let (mut pos, mut neg) = (np[i], nn[i]);
-                    if dual_rail && (pos || neg || na[i]) {
-                        pos = true;
-                        neg = true;
-                    }
-                    // Promote a registered-only requirement to a single
-                    // (positive) rail.
-                    if na[i] && !pos && !neg {
-                        pos = true;
-                    }
-                    let nr = base[i];
-                    let mut d = NodeDemand {
-                        pos,
-                        neg,
-                        ..Default::default()
-                    };
-                    for (sense, active) in [(true, pos), (false, neg)] {
-                        if !active {
-                            continue;
-                        }
-                        for edge in [a, b] {
-                            let c = edge.node().index();
-                            let rail = if nr > base[c] {
-                                2
-                            } else if sense ^ edge.is_complement() {
-                                0
-                            } else {
-                                1
-                            };
-                            d.edges[d.n_edges as usize] = (c as u32, rail);
-                            d.n_edges += 1;
-                        }
-                    }
-                    d
-                },
-            )
+    // Every consumer of a node has a larger id, so one reverse-id sweep
+    // reaches each node with its requirements final.
+    for i in (1..n).rev() {
+        let NodeKind::And { a, b } = aig.nodes()[i] else {
+            continue;
         };
-        for (&i, d) in group.iter().zip(&demands) {
-            needs_pos[i as usize] = d.pos;
-            needs_neg[i as usize] = d.neg;
-            for &(c, rail) in &d.edges[..d.n_edges as usize] {
-                match rail {
-                    0 => needs_pos[c as usize] = true,
-                    1 => needs_neg[c as usize] = true,
-                    _ => needs_any[c as usize] = true,
+        if dual_rail && (needs_pos[i] || needs_neg[i] || needs_any[i]) {
+            needs_pos[i] = true;
+            needs_neg[i] = true;
+        }
+        // Promote a registered-only requirement to a single rail.
+        if needs_any[i] && !needs_pos[i] && !needs_neg[i] {
+            needs_pos[i] = true;
+        }
+        let nr = base_rank[i];
+        for (sense, active) in [(true, needs_pos[i]), (false, needs_neg[i])] {
+            if !active {
+                continue;
+            }
+            for edge in [a, b] {
+                let c = edge.node().index();
+                if nr > base_rank[c] {
+                    needs_any[c] = true;
+                } else if sense ^ edge.is_complement() {
+                    needs_pos[c] = true;
+                } else {
+                    needs_neg[c] = true;
                 }
             }
         }
-        start = end;
     }
-    // Inputs/constants referenced only across ranks also need promotion so
-    // the DROC chain has a source rail (input rails exist anyway).
+    // Inputs and constants referenced only across ranks need no promotion:
+    // their rails exist anyway, so every DROC chain has a source rail.
     emit_mapping(
         aig, options, assignment, needs_pos, needs_neg, base_rank, out_rank, dual_rail,
     )
 }
 
-/// Emission — the mapper's sequential commit phase. Cell instantiation
-/// order determines `CellId`/`NetId` numbering, so this always runs
-/// single-threaded in ascending node-index order (DROC rank chains created
-/// on first demand), which is what makes the mapped netlist bit-identical
-/// for every thread count.
+/// Emission, in ascending node-index order (DROC rank chains created on
+/// first demand). Cell instantiation order determines `CellId`/`NetId`
+/// numbering, so this order pins the mapped netlist.
 #[allow(clippy::too_many_arguments)]
 fn emit_mapping(
     aig: &Aig,

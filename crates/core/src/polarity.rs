@@ -44,8 +44,8 @@ pub enum PolarityMode {
     /// paper's default.
     #[default]
     Heuristic,
-    /// Try all `2^(outputs+latches)` assignments (only for tiny designs /
-    /// ablation studies).
+    /// Try all `2^outputs` assignments (only for tiny designs / ablation
+    /// studies).
     Exhaustive,
 }
 
@@ -123,11 +123,10 @@ pub fn rail_requirements(
 }
 
 /// [`rail_requirements`] into caller-owned buffers, optionally evaluating a
-/// **speculative single-output flip** (`flip = Some(o)` costs the
-/// assignment with output `o`'s polarity flipped, without cloning the
-/// assignment). This is the evaluate-phase kernel the parallel polarity
-/// search fans out per candidate; reusing the buffers keeps the inner loop
-/// allocation-free.
+/// **single-output flip** (`flip = Some(o)` costs the assignment with
+/// output `o`'s polarity flipped, without cloning the assignment). Both
+/// polarity searches cost their candidates with it; reusing the buffers
+/// keeps the inner loop allocation-free.
 fn rail_requirements_into(
     aig: &Aig,
     assignment: &PolarityAssignment,
@@ -217,10 +216,11 @@ pub fn assign_polarities(aig: &Aig, mode: PolarityMode) -> (PolarityAssignment, 
 
 /// [`assign_polarities`] on an explicit executor pool.
 ///
-/// The heuristic and exhaustive searches fan their per-candidate
-/// [`rail_requirements`] costing across the pool; the accept/reduce step is
-/// committed in candidate order, so the chosen assignment is **identical**
-/// to the sequential search for every pool size.
+/// Only the exhaustive search uses the pool: it fans its per-candidate
+/// [`rail_requirements`] costing across it and reduces in candidate order,
+/// so the chosen assignment is **identical** for every pool size. The
+/// heuristic search runs sequentially; a speculative parallel version
+/// measured slower on two cores.
 pub fn assign_polarities_with_pool(
     aig: &Aig,
     mode: PolarityMode,
@@ -237,91 +237,31 @@ pub fn assign_polarities_with_pool(
             let r = rail_requirements(aig, &a, false);
             (a, r)
         }
-        PolarityMode::Heuristic => heuristic_assignment(aig, pool),
+        PolarityMode::Heuristic => heuristic_assignment(aig),
         PolarityMode::Exhaustive => exhaustive_assignment(aig, pool),
     }
 }
 
-/// Candidate flips evaluated per speculative batch: enough per participant
-/// to amortize dispatch, bounded so an accepted flip does not throw away
-/// much speculation (a sequential pool speculates barely past the accept
-/// point the sequential greedy would stop at).
-fn flip_batch(pool: &ThreadPool) -> usize {
-    (pool.num_threads() * 32).clamp(32, 1024)
-}
-
-/// Greedy improvement: starting all-positive, repeatedly flip the single
-/// output (or latch rail) that reduces the LA/FA cell count the most, until
-/// no flip helps (the Puri–Bjorksten–Rosser heuristic adapted to AIGs).
-///
-/// Parallel evaluate, ordered commit: candidate flips are costed
-/// speculatively in batches across the pool (each candidate assumes no
-/// earlier candidate was accepted), then the batch is scanned **in output
-/// order** and the first improving flip is accepted; later speculative
-/// results are stale at that point and are discarded, and the scan resumes
-/// right after the accepted flip. That reproduces the sequential
-/// first-improvement walk decision for decision, so the chosen assignment
-/// is identical for every thread count.
-fn heuristic_assignment(aig: &Aig, pool: &ThreadPool) -> (PolarityAssignment, RailRequirements) {
+/// Greedy improvement (the Puri–Bjorksten–Rosser heuristic adapted to
+/// AIGs): starting all-positive, walk the outputs in order and flip each
+/// one whose flip lowers the LA/FA cell count, so the first improving flip
+/// wins, not the best. Walks repeat until one flips nothing, at most 8
+/// times. Only outputs are candidates: latch rails follow
+/// [`xsfq_aig::Latch::init`] (§3.2).
+fn heuristic_assignment(aig: &Aig) -> (PolarityAssignment, RailRequirements) {
     let mut assignment = PolarityAssignment::all_positive(aig);
-    let mut best_cost = rail_requirements(aig, &assignment, false).cell_count(aig);
-    let outputs = assignment.outputs.len();
-    let mut states: Vec<RailRequirements> = (0..pool.num_threads())
-        .map(|_| RailRequirements::default())
-        .collect();
-    // A one-participant pool *is* the sequential greedy; skip the
-    // speculative batching (and its wasted evaluations past each accepted
-    // flip) entirely. The parallel path below reproduces these decisions
-    // exactly — the `map_identity` gate compares the two.
-    if pool.num_threads() == 1 {
-        let req = &mut states[0];
-        for _pass in 0..8 {
-            let mut improved = false;
-            for o in 0..outputs {
-                rail_requirements_into(aig, &assignment, false, Some(o), req);
-                let cost = req.cell_count(aig);
-                if cost < best_cost {
-                    assignment.outputs[o] = assignment.outputs[o].flipped();
-                    best_cost = cost;
-                    improved = true;
-                }
-            }
-            if !improved {
-                break;
-            }
-        }
-        let best_req = rail_requirements(aig, &assignment, false);
-        debug_assert_eq!(best_req.cell_count(aig), best_cost);
-        return (assignment, best_req);
-    }
-    // Bounded number of improvement passes.
+    let mut req = rail_requirements(aig, &assignment, false);
+    let mut best_cost = req.cell_count(aig);
     for _pass in 0..8 {
         let mut improved = false;
-        let mut o = 0;
-        while o < outputs {
-            let batch: Vec<usize> = (o..(o + flip_batch(pool)).min(outputs)).collect();
-            // Evaluate: cost every candidate flip against the current
-            // assignment (pure; per-worker requirement buffers).
-            let costs = {
-                let assignment = &assignment;
-                pool.map_reuse(&batch, &mut states, |req, _, &cand| {
-                    rail_requirements_into(aig, assignment, false, Some(cand), req);
-                    req.cell_count(aig)
-                })
-            };
-            // Commit in candidate order: accept the first improving flip,
-            // discard the (stale) speculation behind it.
-            let mut next = *batch.last().unwrap() + 1;
-            for (&cand, &cost) in batch.iter().zip(&costs) {
-                if cost < best_cost {
-                    assignment.outputs[cand] = assignment.outputs[cand].flipped();
-                    best_cost = cost;
-                    improved = true;
-                    next = cand + 1;
-                    break;
-                }
+        for o in 0..assignment.outputs.len() {
+            rail_requirements_into(aig, &assignment, false, Some(o), &mut req);
+            let cost = req.cell_count(aig);
+            if cost < best_cost {
+                assignment.outputs[o] = assignment.outputs[o].flipped();
+                best_cost = cost;
+                improved = true;
             }
-            o = next;
         }
         if !improved {
             break;

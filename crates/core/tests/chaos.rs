@@ -1,8 +1,8 @@
 //! Fault-isolation acceptance suite (CI-gated under the `chaos` feature,
 //! run under both the default pool and `XSFQ_THREADS=1`).
 //!
-//! Deterministic faults — a panic, a stall past the job deadline, a forced
-//! guard trip — are injected into specific (design, pass) coordinates of a
+//! Deterministic faults — a panic and a stall past the job deadline — are
+//! injected into specific (design, pass) coordinates of a
 //! [`SynthesisFlow::run_many_isolated`] batch. The contract under test:
 //!
 //! * every faulted design yields a structured [`JobError`] naming the
@@ -18,8 +18,7 @@
 use std::time::Duration;
 
 use xsfq_aig::chaos::{FaultKind, FaultPlan};
-use xsfq_aig::pass::{GuardKind, PassGuards};
-use xsfq_aig::{build, sim, Aig, Lit};
+use xsfq_aig::{build, Aig, Lit};
 use xsfq_core::{FlowError, FlowResult, JobErrorKind, SynthesisFlow};
 
 /// A small batch with enough structural variety that "bit-identical"
@@ -134,92 +133,6 @@ fn batch_isolates_panic_and_deadline_faults() {
             .unwrap()
             .report
             .jj_total
-    );
-}
-
-/// A forced guard trip with degradation off fails the job with the tripped
-/// pass named, and the trip lands in the telemetry.
-#[test]
-fn injected_guard_trip_fails_the_job_when_degradation_is_off() {
-    let designs = batch();
-    let flow = SynthesisFlow::new().chaos_plan(FaultPlan::new().fault(0, 1, FaultKind::GuardTrip));
-    let results = flow.run_many_isolated(&designs[..1]);
-    let err = results[0].as_ref().expect_err("design 0 must trip");
-    let JobErrorKind::Flow(FlowError::GuardTripped { pass, kind }) = &err.kind else {
-        panic!("expected a guard-trip verdict, got {:?}", err.kind);
-    };
-    assert_eq!(*kind, GuardKind::Injected);
-    assert!(!pass.is_empty());
-    // The tripped pass recorded a rolled-back telemetry row.
-    let tripped = err
-        .passes
-        .iter()
-        .find(|p| p.tripped.is_some())
-        .expect("trip must appear in telemetry");
-    assert_eq!(&tripped.name, pass);
-    assert_eq!(
-        tripped.nodes_after, tripped.nodes_before,
-        "tripped pass must be rolled back"
-    );
-}
-
-/// The same forced trip with `degrade_to_fast` completes the job: the
-/// remainder of the script is replaced by the `fast` preset, the report
-/// says so, and the function is preserved.
-#[test]
-fn injected_guard_trip_degrades_to_the_fast_preset() {
-    let designs = batch();
-    let flow = SynthesisFlow::new()
-        .guards(PassGuards {
-            degrade_to_fast: true,
-            ..PassGuards::none()
-        })
-        .chaos_plan(FaultPlan::new().fault(0, 1, FaultKind::GuardTrip));
-    let results = flow.run_many_isolated(&designs[..1]);
-    let res = results[0].as_ref().unwrap_or_else(|e| {
-        panic!("degraded job must succeed: {e}");
-    });
-    assert!(res.report.degraded, "report must flag the degradation");
-    let trip_at = res
-        .report
-        .passes
-        .iter()
-        .position(|p| p.tripped.is_some())
-        .expect("trip must appear in telemetry");
-    assert!(
-        res.report.passes.len() > trip_at + 1,
-        "fast-preset passes must run after the trip"
-    );
-    assert!(
-        sim::random_equiv(&designs[0], &res.optimized, 16, 7),
-        "degraded optimization broke the function"
-    );
-}
-
-/// A guard trip under `degrade_to_fast` rolls the tripped pass back and
-/// switches presets mid-script — exactly the path where a buggy rollback
-/// would leave a corrupt graph behind. Paranoid checking validates the
-/// graph after every pass (including the rolled-back one), so a clean
-/// completion here pins the rollback's structural integrity.
-#[test]
-fn degraded_jobs_stay_lint_clean_under_paranoid_checking() {
-    use xsfq_core::CheckLevel;
-    let designs = batch();
-    let flow = SynthesisFlow::new()
-        .check(CheckLevel::Paranoid)
-        .guards(PassGuards {
-            degrade_to_fast: true,
-            ..PassGuards::none()
-        })
-        .chaos_plan(FaultPlan::new().fault(0, 1, FaultKind::GuardTrip));
-    let results = flow.run_many_isolated(&designs[..1]);
-    let res = results[0].as_ref().unwrap_or_else(|e| {
-        panic!("degraded job must stay lint-clean: {e}");
-    });
-    assert!(res.report.degraded, "report must flag the degradation");
-    assert!(
-        sim::random_equiv(&designs[0], &res.optimized, 16, 7),
-        "degraded optimization broke the function"
     );
 }
 

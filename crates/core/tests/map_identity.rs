@@ -1,14 +1,13 @@
-//! CI gate for the parallel mapping pipeline: the mapped physical netlist
-//! must be **bit-identical** across thread counts — same cell table (kinds
-//! and pin wiring, which fixes `CellId`/`NetId` numbering), same ports,
-//! same trigger marks, same polarity assignment and rail requirements.
+//! CI gate for the mapping pipeline: the mapped physical netlist must be
+//! **bit-identical** across thread counts — same cell table (kinds and pin
+//! wiring, which fixes `CellId`/`NetId` numbering), same ports, same
+//! trigger marks, same polarity assignment and rail requirements.
 //!
-//! This is the contract that makes the parallel requirements sweep and the
-//! parallel polarity search safe: both evaluate pure functions of the input
-//! graph and commit in a fixed order (node-index emission; candidate-order
-//! flip acceptance), so scheduling cannot leak into the result. Run in CI
-//! as a named step under the default pool and `XSFQ_THREADS=1`, like
-//! `parallel_identity` and `script_golden`.
+//! The requirements sweep, the heuristic polarity search and the emission
+//! run sequentially; only the exhaustive polarity search fans out, and it
+//! reduces in candidate order. This pins that the pool cannot leak into
+//! the result. Run in CI as a named step under the default pool and
+//! `XSFQ_THREADS=1`, like `parallel_identity` and `script_golden`.
 
 use proptest::prelude::*;
 

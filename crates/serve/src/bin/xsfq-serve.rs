@@ -5,7 +5,6 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use xsfq_aig::pass::PassGuards;
 use xsfq_serve::{signal, CheckLevel, ServeConfig, Server};
 
 const USAGE: &str = "\
@@ -29,8 +28,6 @@ OPTIONS:
     --cache-budget BYTES   result-cache byte budget (default 67108864; 0 = off)
     --script SCRIPT        default pass script (default \"standard\")
     --check LEVEL          static checking: off | stage | paranoid (default stage)
-    --max-growth FACTOR    per-pass node-growth guard (off by default)
-    --pass-budget-ms MS    per-pass wall-time guard (off by default)
     --drain-grace-ms MS    drain grace before cancelling in-flight jobs (default 5000)
     --help                 print this text
 ";
@@ -83,21 +80,6 @@ fn parse_args() -> Result<ServeConfig, String> {
                     other => {
                         return Err(format!("--check expects off|stage|paranoid, got `{other}`"))
                     }
-                };
-            }
-            "--max-growth" => {
-                let factor = v
-                    .parse::<f64>()
-                    .map_err(|_| format!("--max-growth expects a float, got `{v}`"))?;
-                cfg.guards = PassGuards {
-                    max_growth: Some(factor),
-                    ..cfg.guards
-                };
-            }
-            "--pass-budget-ms" => {
-                cfg.guards = PassGuards {
-                    wall_budget: Some(Duration::from_millis(num(&v, &flag)?)),
-                    ..cfg.guards
                 };
             }
             "--drain-grace-ms" => cfg.drain_grace = Duration::from_millis(num(&v, &flag)?),

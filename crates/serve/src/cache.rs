@@ -1,7 +1,8 @@
 //! Canonical-AIG result cache: synthesis as a content-addressed function.
 //!
 //! The cache key is `(canonical digest of the input AIG, script text,
-//! guard fingerprint)` — everything the synthesis output is a function of.
+//! server configuration fingerprint)` — everything the synthesis output is
+//! a function of.
 //! The canonical digest ([`xsfq_aig::digest::canonical_digest`]) sees
 //! through internal node numbering and signal naming, so a design
 //! resubmitted from a different tool's BLIF writer still hits. The cached
@@ -27,7 +28,9 @@ pub struct CacheKey {
     pub digest: Digest,
     /// Pass script text (post-defaulting, so `""` never appears).
     pub script: String,
-    /// Fingerprint of the server's guard/flow configuration.
+    /// Fingerprint of the server's flow configuration: job deadline,
+    /// checking level, timing options and script defaults. The field keeps
+    /// its old name because perfbench builds `CacheKey` by field name.
     pub guards: String,
 }
 

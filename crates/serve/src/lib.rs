@@ -27,12 +27,12 @@
 //! BLIF, ASCII AIGER, or binary AIGER — the server sniffs the format by
 //! content ([`xsfq_aig::io::read_netlist_auto`]). An empty `script` means
 //! the server's default; `fault_kind` is 0 except in chaos builds (1
-//! panic, 2 stall, 3 guard-trip at pass `fault_pass` — non-chaos servers
-//! reject nonzero values). Response kinds:
+//! panic, 2 stall at pass `fault_pass`; any other kind is rejected, and
+//! non-chaos servers reject nonzero values). Response kinds:
 //!
 //! | kind | name  | payload |
 //! |------|-------|---------|
-//! | 0x81 | OK    | `u8 cache_hit`, `u32_be n` + netlist (Verilog), `u32_be m` + report JSON (`xsfq-flow-report/1`) |
+//! | 0x81 | OK    | `u8 cache_hit`, `u32_be n` + netlist (Verilog), `u32_be m` + report JSON (`xsfq-flow-report/2`) |
 //! | 0x82 | ERR   | `str kind`, `u32_be n` + verdict JSON (`xsfq-serve-verdict/1`) |
 //! | 0x83 | BUSY  | `u32_be retry_after_ms` |
 //! | 0x84 | PONG  | empty |
@@ -75,8 +75,9 @@
 //! resubmission gets the same answer.
 //!
 //! **Deadlines and retries.** Each job runs under `job_deadline`
-//! (wall-clock, counted from job start) and the per-pass resource
-//! `guards`. Transient failures — worker panics and guard trips — are
+//! (wall-clock, counted from job start), the one resource bound: the flow
+//! polls it at every pass boundary and every evaluate batch, so it also
+//! stops a runaway pass. A worker panic, the only transient failure, is
 //! retried with exponential backoff (`retry_base × 2^attempt`) up to
 //! `retry_limit` times before the client sees the final verdict;
 //! deterministic failures (parse errors, verification failures,
@@ -85,7 +86,8 @@
 //! unaffected (chaos-soak tested, bit-identical to solo runs).
 //!
 //! **Result cache.** Results are cached under the key *(canonical AIG
-//! digest, script, guard fingerprint)*. The digest
+//! digest, script, configuration fingerprint)*; the fingerprint covers the
+//! job deadline, the checking level and the timing options. The digest
 //! ([`xsfq_aig::digest::canonical_digest`]) is renaming- and
 //! node-order-independent, so the same circuit resubmitted from a
 //! different tool's writer hits. A hit returns the exact bytes the

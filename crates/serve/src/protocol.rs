@@ -114,10 +114,11 @@ pub fn write_frame<W: Write>(w: &mut W, kind: u8, payload: &[u8]) -> io::Result<
 }
 
 /// A deterministic fault a SUBMIT may request (chaos builds only): which
-/// kind (1 panic, 2 stall, 3 guard-trip) at which 0-based pass index.
+/// kind (1 panic, 2 stall) at which 0-based pass index. Admission rejects
+/// any other kind.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct FaultSpec {
-    /// 1 = panic, 2 = stall, 3 = guard-trip.
+    /// 1 = panic, 2 = stall.
     pub kind: u8,
     /// 0-based pass index the fault fires at.
     pub pass: u16,
@@ -229,7 +230,7 @@ pub enum Response {
         cache_hit: bool,
         /// The mapped netlist, Verilog text.
         netlist: Vec<u8>,
-        /// The per-pass telemetry report, JSON (`xsfq-flow-report/1`).
+        /// The per-pass telemetry report, JSON (`xsfq-flow-report/2`).
         report: Vec<u8>,
     },
     /// Synthesis failed. The verdict is JSON (`xsfq-serve-verdict/1`).

@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use xsfq_aig::digest::canonical_digest;
 use xsfq_aig::io::read_netlist_auto;
-use xsfq_aig::pass::{PassArenas, PassGuards, Script};
+use xsfq_aig::pass::{PassArenas, Script};
 use xsfq_core::SynthesisFlow;
 use xsfq_exec::{panic_message, CancelToken, ThreadPool};
 use xsfq_lint::{has_errors, lint_aig, CheckLevel, Diag};
@@ -61,7 +61,7 @@ pub struct ServeConfig {
     pub max_connections: usize,
     /// Per-job wall-clock deadline (counted from job start, not submit).
     pub job_deadline: Option<Duration>,
-    /// Retries for transient failures (panics, guard trips). 0 disables.
+    /// Retries for transient failures (panics). 0 disables.
     pub retry_limit: u32,
     /// First retry delay; doubles per attempt.
     pub retry_base: Duration,
@@ -69,8 +69,6 @@ pub struct ServeConfig {
     pub cache_budget: usize,
     /// Script used when a submission leaves its script field empty.
     pub default_script: String,
-    /// Per-pass resource guards applied to every job.
-    pub guards: PassGuards,
     /// Static checking level for every job (see [`CheckLevel`]): the
     /// default `Stage` lints submissions at admission (ill-formed netlists
     /// are rejected with structured diagnostics instead of occupying a
@@ -108,7 +106,6 @@ impl ServeConfig {
             retry_base: Duration::from_millis(20),
             cache_budget: 64 << 20,
             default_script: "standard".into(),
-            guards: PassGuards::none(),
             check: CheckLevel::Stage,
             timing: None,
             drain_grace: Duration::from_secs(5),
@@ -143,12 +140,11 @@ struct Shared {
     retry_limit: u32,
     retry_base: Duration,
     job_deadline: Option<Duration>,
-    guards: PassGuards,
     check: CheckLevel,
     timing: Option<TimingOptions>,
     /// Cache-key component covering everything job-independent the result
-    /// depends on (guards, deadline presence, flow defaults).
-    guard_fp: String,
+    /// depends on (deadline, checking level, timing, flow defaults).
+    config_fp: String,
     default_script: String,
 }
 
@@ -215,7 +211,7 @@ impl Refusal {
 /// yields the AIG and its result-cache key.
 fn vet(sh: &Shared, request: &SubmitRequest) -> Result<Input, Refusal> {
     if let Some(f) = request.fault {
-        if !(1..=3).contains(&f.kind) {
+        if !(1..=2).contains(&f.kind) {
             let detail = format!("unknown fault kind {}", f.kind);
             return Err(Refusal::new("rejected", detail));
         }
@@ -251,7 +247,7 @@ fn vet(sh: &Shared, request: &SubmitRequest) -> Result<Input, Refusal> {
     let key = CacheKey {
         digest: canonical_digest(&aig),
         script,
-        guards: sh.guard_fp.clone(),
+        guards: sh.config_fp.clone(),
     };
     Ok(Input { aig, key })
 }
@@ -446,7 +442,6 @@ fn process(sh: &Arc<Shared>, pool: &ThreadPool, arenas: &mut PassArenas, mut job
     }
 
     let mut flow = match SynthesisFlow::new()
-        .guards(sh.guards.clone())
         .check(sh.check)
         .cancel_token(sh.cancel.clone())
         .script_str(&job.input.key.script)
@@ -470,10 +465,10 @@ fn process(sh: &Arc<Shared>, pool: &ThreadPool, arenas: &mut PassArenas, mut job
     #[cfg(feature = "chaos")]
     if let Some(f) = job.fault {
         use xsfq_aig::chaos::{FaultKind, FaultPlan};
+        // Admission accepts only kinds 1 and 2.
         let kind = match f.kind {
             1 => FaultKind::Panic,
-            2 => FaultKind::Stall,
-            _ => FaultKind::GuardTrip,
+            _ => FaultKind::Stall,
         };
         flow = flow.chaos_plan(FaultPlan::new().fault(0, f.pass as usize, kind));
     }
@@ -772,9 +767,9 @@ impl Server {
             .clone()
             .unwrap_or_else(|| cfg.state_dir.join("results"));
         let (journal, recovered) = Journal::open(&cfg.state_dir)?;
-        let guard_fp = format!(
-            "guards={:?};deadline={:?};check={:?};timing={:?};script-defaults=v1",
-            cfg.guards, cfg.job_deadline, cfg.check, cfg.timing
+        let config_fp = format!(
+            "deadline={:?};check={:?};timing={:?};script-defaults=v1",
+            cfg.job_deadline, cfg.check, cfg.timing
         );
         let shared = Arc::new(Shared {
             queue: JobQueue::new(cfg.queue_capacity),
@@ -790,10 +785,9 @@ impl Server {
             retry_limit: cfg.retry_limit,
             retry_base: cfg.retry_base,
             job_deadline: cfg.job_deadline,
-            guards: cfg.guards.clone(),
             check: cfg.check,
             timing: cfg.timing.clone(),
-            guard_fp,
+            config_fp,
             default_script: cfg.default_script.clone(),
         });
 

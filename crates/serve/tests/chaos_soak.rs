@@ -1,7 +1,8 @@
-//! Chaos soak (chaos feature only): injected panics, stalls, and guard
-//! trips interleaved with healthy traffic — healthy results must be
-//! bit-identical to solo runs — plus a `kill -9` + restart of the real
-//! daemon binary, recovering exactly the incomplete jobs from the journal.
+//! Chaos soak (chaos feature only): injected panics and stalls, and an
+//! unknown fault kind, interleaved with healthy traffic — healthy results
+//! must be bit-identical to solo runs — plus a `kill -9` + restart of the
+//! real daemon binary, recovering exactly the incomplete jobs from the
+//! journal.
 #![cfg(feature = "chaos")]
 
 use std::fs;
@@ -86,15 +87,15 @@ fn fault_mix_leaves_healthy_jobs_bit_identical() {
         .collect();
 
     // Interleave: every healthy design races a panicker, a staller, and a
-    // guard-tripper, all on separate connections.
+    // submission with an unknown fault kind, all on separate connections.
     let faulty: Vec<(&str, FaultSpec, &str)> = vec![
         // A panic is transient: retried once (the plan re-fires), then a
         // `panicked` verdict.
         ("dec", FaultSpec { kind: 1, pass: 0 }, "panicked"),
         // A stall burns until the job deadline: a `deadline` verdict.
         ("priority", FaultSpec { kind: 2, pass: 0 }, "deadline"),
-        // An injected guard trip surfaces as a structured flow error.
-        ("cavlc", FaultSpec { kind: 3, pass: 1 }, "flow"),
+        // Fault kind 3 is unknown: admission rejects it.
+        ("cavlc", FaultSpec { kind: 3, pass: 1 }, "rejected"),
     ];
 
     let mut handles = Vec::new();
@@ -146,15 +147,15 @@ fn fault_mix_leaves_healthy_jobs_bit_identical() {
         h.join().unwrap();
     }
 
-    // The panic and guard-trip paths exercised the retry lane.
+    // The panic path exercised the retry lane; the rejection never ran.
     let mut client = Client::connect(addr).unwrap();
     let Response::Stats(json) = client.stats().unwrap() else {
         panic!("expected Stats");
     };
     let json = String::from_utf8(json).unwrap();
-    assert!(json.contains("\"retries\":2"), "{json}");
+    assert!(json.contains("\"retries\":1"), "{json}");
     assert!(json.contains("\"completed\":4"), "{json}");
-    assert!(json.contains("\"failed\":3"), "{json}");
+    assert!(json.contains("\"failed\":2"), "{json}");
     server.shutdown();
     let _ = fs::remove_dir_all(&state);
 }

@@ -178,7 +178,7 @@ pub struct TimingSummary {
 }
 
 /// The summary as a JSON object (stable key order, a schema-less fragment
-/// embedded in `xsfq-flow-report/1` and `xsfq-time-report/1`).
+/// embedded in `xsfq-flow-report/2` and `xsfq-time-report/1`).
 impl From<&TimingSummary> for Json {
     fn from(t: &TimingSummary) -> Json {
         Json::object([
