@@ -285,12 +285,6 @@ impl NodeKind {
     pub fn is_latch(&self) -> bool {
         matches!(self, NodeKind::Latch { .. })
     }
-
-    /// True for inputs and latches — the "combinational inputs" of the graph.
-    #[inline]
-    pub fn is_ci(&self) -> bool {
-        self.is_input() || self.is_latch()
-    }
 }
 
 /// A named primary output driving literal.
@@ -411,11 +405,6 @@ impl Aig {
         &self.name
     }
 
-    /// Rename the design.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
-
     /// Total number of nodes including the constant, inputs and latches.
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
@@ -481,14 +470,6 @@ impl Aig {
             .enumerate()
             .filter(|(_, n)| n.is_and())
             .map(|(i, _)| NodeId::from_index(i))
-    }
-
-    /// Ids of all combinational inputs (primary inputs then latch outputs).
-    pub fn ci_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.inputs
-            .iter()
-            .copied()
-            .chain(self.latches.iter().map(|l| l.output))
     }
 
     /// Add a primary input and return its (positive) literal.
@@ -557,11 +538,6 @@ impl Aig {
         for (i, &lit) in word.iter().enumerate() {
             self.output(format!("{prefix}[{i}]"), lit);
         }
-    }
-
-    /// Replace output `index` with a new driving literal.
-    pub fn set_output(&mut self, index: usize, lit: Lit) {
-        self.outputs[index].lit = lit;
     }
 
     /// The two fanin literals of an AND node.

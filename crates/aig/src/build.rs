@@ -315,27 +315,6 @@ pub fn constant(value: u64, width: usize) -> Vec<Lit> {
         .collect()
 }
 
-/// Multiply a word by an unsigned constant (shift-and-add).
-pub fn multiply_by_constant(aig: &mut Aig, word: &[Lit], k: u64, out_width: usize) -> Vec<Lit> {
-    let mut acc = constant(0, out_width);
-    for bit in 0..64usize {
-        if k >> bit & 1 == 1 {
-            let shifted: Vec<Lit> = (0..out_width)
-                .map(|i| {
-                    if i >= bit && i - bit < word.len() {
-                        word[i - bit]
-                    } else {
-                        Lit::FALSE
-                    }
-                })
-                .collect();
-            let (sum, _) = ripple_add(aig, &acc, &shifted, Lit::FALSE);
-            acc = sum;
-        }
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

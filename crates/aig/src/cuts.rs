@@ -752,14 +752,6 @@ pub fn reconvergence_cut_with(aig: &Aig, root: NodeId, k: usize, scratch: &mut C
     Cut::from_leaves(&scratch.nodes)
 }
 
-/// Interior nodes of the cone of `root` above the cut leaves, in topological
-/// order (root last). Leaves are excluded; the root is included.
-pub fn cone_nodes(aig: &Aig, root: NodeId, leaves: &[NodeId]) -> Vec<NodeId> {
-    let mut scratch = CutScratch::new();
-    collect_cone(aig, root, leaves, &mut scratch);
-    std::mem::take(&mut scratch.nodes)
-}
-
 /// Fill `scratch.nodes` with the cone interior in topological order
 /// (post-order DFS over stamped slots; payload 1 = visited).
 fn collect_cone(aig: &Aig, root: NodeId, leaves: &[NodeId], scratch: &mut CutScratch) {

@@ -57,7 +57,7 @@
 //!   variant (`invert`, `and_with`, `cofactor0_in_place`, …) used by the
 //!   rewriting loops.
 //! * **Parallel resynthesis** — the rewriting passes and cut enumeration
-//!   fan their evaluate phases across the vendored work-stealing executor
+//!   fan their evaluate phases across the vendored data-parallel executor
 //!   (`xsfq-exec`), with per-thread scratch arenas, and commit replacements
 //!   single-threaded in node-index order; the output is bit-identical for
 //!   every thread count (`tests/parallel_identity.rs`, gated in CI; thread

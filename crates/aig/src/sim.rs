@@ -348,12 +348,6 @@ impl<'a> SeqSim<'a> {
         &self.state
     }
 
-    /// Force the latch state (for exploring initialization scenarios).
-    pub fn set_state(&mut self, state: Vec<bool>) {
-        assert_eq!(state.len(), self.aig.num_latches());
-        self.state = state;
-    }
-
     /// Apply one input vector, return the outputs sampled *before* the clock
     /// edge, then advance the latches.
     pub fn step(&mut self, inputs: &[bool]) -> Vec<bool> {

@@ -1,4 +1,4 @@
-//! CI gate for the work-stealing executor: `optimize` must be
+//! CI gate for the data-parallel executor: `optimize` must be
 //! **bit-identical** across thread counts — same node table (ids, kinds and
 //! fanin literals, which fixes the structural-hash state), same interface.
 //!
@@ -88,7 +88,7 @@ proptest! {
 }
 
 /// Deterministic (non-proptest) smoke over a structured circuit big enough
-/// to exercise multiple evaluate batches and steal traffic.
+/// to exercise multiple evaluate batches, each split across participants.
 #[test]
 fn parallel_optimize_identical_on_multiplier() {
     let mut g = Aig::new("mul8");

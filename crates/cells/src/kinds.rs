@@ -79,11 +79,6 @@ impl CellKind {
         )
     }
 
-    /// True for any storage cell (DROC or RSFQ DFF).
-    pub fn is_storage(self) -> bool {
-        matches!(self, CellKind::Droc { .. } | CellKind::RsfqDff)
-    }
-
     /// Library cell name (matches the Liberty output).
     pub fn name(self) -> &'static str {
         match self {

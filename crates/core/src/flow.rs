@@ -724,8 +724,7 @@ impl SynthesisFlow {
     /// entry point. Unlike [`SynthesisFlow::run_many_isolated`] — which
     /// owns its scheduling and gives every job a 1-thread inner pool — this
     /// runs a single design with the optimization passes fanned out over
-    /// `pool` (cap it per job with
-    /// [`xsfq_exec::ThreadPool::scoped_budget`]), reusing the caller's warm
+    /// `pool` (a 1-thread pool runs them inline), reusing the caller's warm
     /// [`PassArenas`] across jobs. Every failure mode surfaces as a
     /// structured [`JobError`] with `design == 0`, which is also the index
     /// a chaos plan (test-only `chaos` feature) addresses it by.

@@ -1,11 +1,10 @@
-//! # xsfq-exec — vendored work-stealing executor
+//! # xsfq-exec — vendored data-parallel executor
 //!
-//! A zero-dependency (std-only) work-stealing runtime for the synthesis
-//! passes: [`Deque`] is a fixed-capacity Chase-Lev work-stealing deque and
-//! [`ThreadPool`] a persistent pool of parked worker threads driving a
-//! deterministic data-parallel map ([`ThreadPool::map_init`]). The container
-//! has no crates.io access, so this plays the role rayon-core would
-//! otherwise play — scoped down to the one primitive the optimization
+//! A zero-dependency (std-only) runtime for the synthesis passes:
+//! [`ThreadPool`] is a persistent pool of parked worker threads driving a
+//! deterministic data-parallel map ([`ThreadPool::map_init`]). The workspace
+//! builds without crates.io dependencies, so this plays the role rayon-core
+//! would otherwise play — scoped down to the one primitive the optimization
 //! passes need: *map an index range over immutable shared data, with
 //! per-thread mutable scratch, into a result slot per index*.
 //!
@@ -22,65 +21,26 @@
 //! them), the final graph is **bit-identical** for every thread count; the
 //! `parallel_identity` proptest in `xsfq-aig` pins this in CI.
 //!
-//! # Deque invariants (Chase-Lev)
+//! # Work distribution
 //!
-//! * Tasks are plain `usize` indices into the caller's item slice.
-//! * Exactly one owner thread calls [`Deque::push`] / [`Deque::pop`]
-//!   (bottom end, LIFO); any number of threads call [`Deque::steal`]
-//!   (top end, FIFO). Ownership is by convention — the pool gives each
-//!   participant its own deque.
-//! * Capacity is fixed at construction and must cover every task pushed;
-//!   [`ThreadPool::map_init`] pre-distributes all indices before the
-//!   parallel section starts, so the buffer never needs to grow and
-//!   `Empty` is a *stable* answer once all pushes have happened-before the
-//!   steal (a `Retry` only signals a lost CAS race, not emptiness).
+//! Every parallel section maps a slice built before the call, and no item
+//! adds items, so there is nothing to steal: participants claim the next
+//! index from one shared counter until it passes the end. A counter rather
+//! than fixed blocks because item costs vary widely — `run_many`'s designs
+//! differ ~70× — and a participant stuck on one expensive item must not
+//! hold back the items after it.
 //!
-//! # Memory-ordering contract (Lê et al., PPoPP'13)
-//!
-//! The orderings are exactly those of Lê, Pop, Cohen & Zappa Nardelli,
-//! *Correct and Efficient Work-Stealing for Weak Memory Models*, with the
-//! array accesses expressed as `Relaxed` atomic slot accesses (the paper's
-//! C11 formulation). Which barrier pairs with which access, and what each
-//! pair rules out:
-//!
-//! * **`push` release fence → `steal` acquire `bottom` load.** `push`
-//!   writes the slot (`Relaxed`), issues `fence(Release)`, then publishes
-//!   `bottom` (`Relaxed`). A stealer's `Acquire` load of `bottom` that
-//!   observes the new value therefore also observes the slot contents —
-//!   without the fence the bottom store may overtake the slot store
-//!   (store→store reordering) and a thief reads a stale task (the *lost /
-//!   garbage task* bug; model-gate mutation `DequePushFenceRemoved`).
-//! * **`pop` SeqCst fence ↔ `steal` SeqCst fence.** `pop` decrements
-//!   `bottom` (`Relaxed`), then `fence(SeqCst)`, then reads `top`; `steal`
-//!   reads `top` (`Acquire`), then `fence(SeqCst)`, then reads `bottom`.
-//!   The two fences order the owner's bottom-decrement against the thief's
-//!   bottom-read in a single total order: either the thief sees the
-//!   decrement (and backs off the contended slot) or the owner sees the
-//!   thief's `top` advance. Weakening the `pop` fence lets the decrement
-//!   sit in the owner's store buffer while a thief still sees the old
-//!   `bottom` — both sides take the same last task (the *double take* bug;
-//!   mutation `DequePopFenceWeakened`).
-//! * **`top` CAS (`SeqCst`) in `pop`/`steal`.** The single arbitration
-//!   point for the last-task race: at most one CAS on a given `t` value
-//!   succeeds, so every task is handed out exactly once. `pop` only needs
-//!   the CAS when `t == b` (one task left); skipping it is the logic
-//!   mutation `DequeLastItemCasRemoved`.
-//! * **`steal`'s `Acquire` load of `top`** pairs with the previous
-//!   winner's `SeqCst` CAS, so a stealer that observes `top = t` also
-//!   observes everything published before task `t-1` was taken (slot
-//!   recycling after wrap-around stays safe within the capacity bound).
-//!
-//! The contract is enforced three ways: the `model_gate` suite explores
-//! these races exhaustively under the [`mod@sync`] facade's `model`
-//! runtime (each bullet's mutation must make the suite fail), Miri runs
-//! the unit tests for UB, and `tools/check_ordering.sh` audits that every
-//! non-SeqCst atomic op carries an `// Ordering:` justification.
+//! The `model_gate` suite explores the cancel token (with a seeded mutation
+//! it must catch) and pool dispatch exhaustively under the [`mod@sync`]
+//! facade's `model` runtime, Miri runs the unit tests for UB, and
+//! `tools/check_ordering.sh` audits that every non-SeqCst atomic op carries
+//! an `// Ordering:` justification.
 
 #![warn(missing_docs)]
 
 pub mod sync;
 
-use crate::sync::atomic::{fence, AtomicBool, AtomicIsize, AtomicUsize, Ordering};
+use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use crate::sync::thread::{Builder as ThreadBuilder, JoinHandle};
 use crate::sync::time::Instant;
 use crate::sync::{Condvar, Mutex};
@@ -266,184 +226,13 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> &str {
     }
 }
 
-/// Result of a [`Deque::steal`] attempt.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum Steal {
-    /// The deque was observed empty.
-    Empty,
-    /// Lost a race against the owner or another stealer; try again.
-    Retry,
-    /// Stole the given task.
-    Success(usize),
-}
-
-/// A fixed-capacity Chase-Lev work-stealing deque over `usize` tasks.
-///
-/// See the module docs for the ownership and capacity invariants, and the
-/// *Memory-ordering contract* section for why each barrier is where it is.
-pub type Deque = DequeImpl<0>;
-
-/// The implementation behind [`Deque`], parameterized by a seeded mutation
-/// selector for the model-checker gates. `MUT == 0` — the only variant the
-/// [`Deque`] alias exposes — is the correct Lê et al. code; the non-zero
-/// branches reintroduce one classic bug each (see [`mutants`]) and are
-/// const-folded away in normal builds.
-///
-/// Task slots are `Relaxed` atomics (the paper's C11 array formulation):
-/// a slot written by `push` races benignly with stale reads in `steal`,
-/// whose CAS discards the value unless the slot was legitimately claimed.
-pub struct DequeImpl<const MUT: u8> {
-    top: AtomicIsize,
-    bottom: AtomicIsize,
-    buf: Box<[AtomicUsize]>,
-    mask: usize,
-}
-
-impl<const MUT: u8> DequeImpl<MUT> {
-    /// Deque able to hold `cap` outstanding tasks (rounded up to a power of
-    /// two, minimum 2).
-    pub fn with_capacity(cap: usize) -> DequeImpl<MUT> {
-        let cap = cap.max(2).next_power_of_two();
-        DequeImpl {
-            top: AtomicIsize::new(0),
-            bottom: AtomicIsize::new(0),
-            buf: (0..cap).map(|_| AtomicUsize::new(0)).collect(),
-            mask: cap - 1,
-        }
-    }
-
-    /// Push a task on the bottom end. Owner thread only.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the deque is full (the fixed capacity must be sized to the
-    /// total task count — see the module docs).
-    pub fn push(&self, task: usize) {
-        // Ordering: Relaxed — only the owner writes bottom, so it reads
-        // its own latest value; no other thread's writes are involved.
-        let b = self.bottom.load(Ordering::Relaxed);
-        // Ordering: Acquire pairs with the stealers' SeqCst CAS on top;
-        // observing top = t here means slot t-1's consumption is complete,
-        // so reusing its slot (wrap-around) cannot tear a stealer's read.
-        let t = self.top.load(Ordering::Acquire);
-        assert!(
-            (b - t) as usize <= self.mask,
-            "deque overflow: capacity must cover all outstanding tasks"
-        );
-        // Ordering: Relaxed slot store — publication is the release fence
-        // below, not the slot access itself (Lê et al.'s C11 array write).
-        self.buf[b as usize & self.mask].store(task, Ordering::Relaxed);
-        if MUT != 2 {
-            // Publish the slot before the new bottom becomes visible to
-            // stealers (pairs with steal's Acquire load of bottom).
-            // Mutation 2 removes the fence: bottom may overtake the slot
-            // write and a thief steals a stale task.
-            fence(Ordering::Release);
-        }
-        // Ordering: Relaxed — the release fence above already orders the
-        // slot contents before this store for any thread that reads it.
-        self.bottom.store(b + 1, Ordering::Relaxed);
-    }
-
-    /// Pop a task from the bottom end (most recently pushed). Owner only.
-    pub fn pop(&self) -> Option<usize> {
-        // Ordering: Relaxed load + Relaxed store — owner-only access to
-        // bottom; cross-thread visibility is the SeqCst fence's job.
-        let b = self.bottom.load(Ordering::Relaxed) - 1;
-        self.bottom.store(b, Ordering::Relaxed);
-        // Ordering: the store of `bottom` must be visible before `top` is
-        // read, or a concurrent stealer and this pop could both take the
-        // last task. Pairs with the SeqCst fence in steal. Mutation 1
-        // weakens it to a release fence, which does not stop the bottom
-        // store from sitting in the owner's store buffer past the top read.
-        if MUT == 1 {
-            fence(Ordering::Release);
-        } else {
-            fence(Ordering::SeqCst);
-        }
-        // Ordering: Relaxed — ordered against the stealers by the fence
-        // just above; an Acquire here would add nothing the fence pairing
-        // does not already give.
-        let t = self.top.load(Ordering::Relaxed);
-        if t <= b {
-            // Ordering: Relaxed slot load — the owner wrote this slot
-            // itself (t <= b proves it is below every stealable index
-            // consumed so far), so no synchronization is needed to read it.
-            let task = self.buf[b as usize & self.mask].load(Ordering::Relaxed);
-            if t == b && MUT != 3 {
-                // Single task left: race the stealers for it. The CAS is
-                // SeqCst like the stealers' so exactly one side wins.
-                // Ordering: Relaxed on failure — losing means a stealer
-                // took the task; nothing is read that needs its edge.
-                // Mutation 3 skips the arbitration and keeps the task
-                // unconditionally — the double-take logic bug.
-                let won = self
-                    .top
-                    .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-                    .is_ok();
-                // Ordering: Relaxed — owner-only bottom reset (the next
-                // push/pop re-reads it on this thread).
-                self.bottom.store(b + 1, Ordering::Relaxed);
-                won.then_some(task)
-            } else {
-                Some(task)
-            }
-        } else {
-            // Ordering: Relaxed — owner-only bottom reset, as above.
-            self.bottom.store(b + 1, Ordering::Relaxed);
-            None
-        }
-    }
-
-    /// Try to steal a task from the top end (least recently pushed).
-    pub fn steal(&self) -> Steal {
-        // Ordering: Acquire pairs with the previous winner's SeqCst CAS on
-        // top: observing top = t also observes that task t-1 was fully
-        // taken before this steal attempt starts.
-        let t = self.top.load(Ordering::Acquire);
-        // Pairs with the SeqCst fence in pop: either this thread sees the
-        // owner's bottom decrement, or the owner sees this thread's top
-        // CAS — never neither.
-        fence(Ordering::SeqCst);
-        // Ordering: Acquire pairs with push's release fence — a bottom
-        // value covering slot t guarantees the slot's task is visible.
-        let b = self.bottom.load(Ordering::Acquire);
-        if t < b {
-            // Ordering: Relaxed slot load — may race with a later push
-            // recycling the slot, but the CAS below discards the value
-            // unless this thread legitimately claimed index t.
-            let task = self.buf[t as usize & self.mask].load(Ordering::Relaxed);
-            if self
-                .top
-                .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-                .is_err()
-            {
-                return Steal::Retry;
-            }
-            Steal::Success(task)
-        } else {
-            Steal::Empty
-        }
-    }
-}
-
-/// Seeded-mutation variants of the lock-free types, compiled only for the
-/// model-checker gates. Each alias weakens exactly one ordering (or removes
-/// one arbitration step) from the shipped code path; the `model_gate` suite
-/// proves the checker catches every one of them, which is what licenses the
-/// green run on the unmutated types.
+/// Seeded-mutation variant of the cancel token, compiled only for the
+/// model-checker gate. It weakens exactly one ordering of the shipped code
+/// path; the `model_gate` suite proves the checker catches it, which is what
+/// licenses the green run on the unmutated token.
 #[cfg(feature = "model")]
 #[doc(hidden)]
 pub mod mutants {
-    /// `pop`'s SeqCst fence weakened to Release: double-take of the last
-    /// task (owner's bottom decrement hides in its store buffer).
-    pub type DequePopFenceWeakened = super::DequeImpl<1>;
-    /// `push`'s Release fence removed: a thief can observe the new bottom
-    /// before the slot write (steals a stale/garbage task).
-    pub type DequePushFenceRemoved = super::DequeImpl<2>;
-    /// `pop`'s last-item CAS removed: owner and thief both take the final
-    /// task even under sequential consistency.
-    pub type DequeLastItemCasRemoved = super::DequeImpl<3>;
     /// `CancelToken` flag accesses demoted to Relaxed: cancellation no
     /// longer publishes the canceller's prior writes.
     pub type CancelTokenRelaxed = super::CancelTokenImpl<1>;
@@ -480,7 +269,7 @@ struct Shared {
     done: Condvar,
 }
 
-/// Persistent work-stealing thread pool.
+/// Persistent thread pool.
 ///
 /// `ThreadPool::new(n)` spawns `n - 1` parked workers; the calling thread is
 /// always participant 0 of a parallel section, so `n == 1` means fully
@@ -492,25 +281,6 @@ pub struct ThreadPool {
     handles: Vec<JoinHandle<()>>,
     /// Serializes whole parallel sections (the pool runs one job at a time).
     run_lock: Mutex<()>,
-    /// Participant cap installed by [`ThreadPool::scoped_budget`];
-    /// `usize::MAX` means "no cap".
-    budget: AtomicUsize,
-}
-
-/// RAII guard of a [`ThreadPool::scoped_budget`] call: restores the pool's
-/// previous participant budget when dropped.
-pub struct BudgetScope<'p> {
-    pool: &'p ThreadPool,
-    prev: usize,
-}
-
-impl Drop for BudgetScope<'_> {
-    fn drop(&mut self) {
-        // Ordering: Relaxed — the budget is advisory configuration read by
-        // the same thread that dispatches sections (concurrent installs
-        // are documented as unsupported); no data is published through it.
-        self.pool.budget.store(self.prev, Ordering::Relaxed);
-    }
 }
 
 impl ThreadPool {
@@ -540,39 +310,7 @@ impl ThreadPool {
             shared,
             handles,
             run_lock: Mutex::new(()),
-            budget: AtomicUsize::new(usize::MAX),
         }
-    }
-
-    /// Cap the number of participants of the parallel sections dispatched
-    /// while the returned guard lives (the cap is `min(n, num_threads)`,
-    /// with `n` clamped to at least 1). Dropping the guard restores the
-    /// previous budget.
-    ///
-    /// A budget of **1** takes the zero-overhead sequential path: no
-    /// workers are woken, the section runs inline on the calling thread —
-    /// identical to a 1-thread pool. Budgets above 1 still wake the whole
-    /// pool, but only the first `n` participants receive work; results are
-    /// bit-identical for every budget (the determinism contract of
-    /// [`ThreadPool::map_init`] is scheduling-independent).
-    ///
-    /// The budget is a property of the pool handle, intended for pools
-    /// owned by a single job runner (the serving daemon caps each job's
-    /// worker count this way so one giant design cannot monopolize the
-    /// machine). Sharing one pool between threads that install different
-    /// budgets concurrently is unsupported — last writer wins.
-    pub fn scoped_budget(&self, n: usize) -> BudgetScope<'_> {
-        // Ordering: Relaxed — see BudgetScope::drop: advisory config, read
-        // by the dispatching thread itself, publishes no data.
-        let prev = self.budget.swap(n.max(1), Ordering::Relaxed);
-        BudgetScope { pool: self, prev }
-    }
-
-    /// Participants the next parallel section will actually use: the pool
-    /// size clamped by the current [`ThreadPool::scoped_budget`].
-    pub fn effective_threads(&self) -> usize {
-        // Ordering: Relaxed — see BudgetScope::drop: advisory config only.
-        self.num_threads().min(self.budget.load(Ordering::Relaxed))
     }
 
     /// The process-wide pool, sized by [`default_threads`].
@@ -595,10 +333,8 @@ impl ThreadPool {
     /// results), which makes the output independent of scheduling and
     /// thread count — the property the `optimize` determinism gate pins.
     ///
-    /// Work distribution: indices are pre-pushed in contiguous blocks onto
-    /// one Chase-Lev deque per participant; each participant drains its own
-    /// deque bottom-up (ascending index order) and steals from the top of
-    /// the others when empty.
+    /// Work distribution: participants claim indices one at a time, in
+    /// ascending order, from a shared counter.
     pub fn map_init<I, T, S>(
         &self,
         items: &[I],
@@ -625,7 +361,7 @@ impl ThreadPool {
     ///
     /// If `f` panics, the panic propagates after all workers stop, and
     /// results computed so far are **leaked** (not dropped): slots are
-    /// written in steal order, so which are initialized is unknowable
+    /// written in claim order, so which are initialized is unknowable
     /// without extra bookkeeping, and leaking is the safe failure mode.
     pub fn map_reuse<I, T, S>(
         &self,
@@ -649,6 +385,11 @@ impl ThreadPool {
     /// whole synthesis run — the flow's `run_many` scheduling entire
     /// designs — the dispatch cost is noise and a handful of items should
     /// still fan out.
+    ///
+    /// Items are claimed in index order, one at a time, so a caller that
+    /// sorts its items largest first gets longest-first scheduling: the
+    /// expensive items start together and the cheap tail fills in around
+    /// them.
     ///
     /// The nesting rule is unchanged: `f` must not run a parallel section
     /// on the *same* pool (use a private 1-thread pool for inner work).
@@ -682,9 +423,7 @@ impl ThreadPool {
         S: Send,
     {
         let n = items.len();
-        // The scoped budget caps how many participants receive deques; the
-        // surplus workers still wake but return immediately from `body`.
-        let threads = self.effective_threads();
+        let threads = self.num_threads();
         assert!(
             states.len() >= threads,
             "need one state per participant ({} < {threads})",
@@ -699,21 +438,6 @@ impl ThreadPool {
                 .collect();
         }
 
-        // One deque per participant, blocks of consecutive indices, pushed
-        // in reverse so the owner pops them in ascending order.
-        let chunk = n.div_ceil(threads);
-        let deques: Vec<Deque> = (0..threads)
-            .map(|p| {
-                let lo = (p * chunk).min(n);
-                let hi = ((p + 1) * chunk).min(n);
-                let d = Deque::with_capacity(chunk);
-                for i in (lo..hi).rev() {
-                    d.push(i);
-                }
-                d
-            })
-            .collect();
-
         let mut results: Vec<MaybeUninit<T>> = Vec::with_capacity(n);
         // SAFETY: MaybeUninit contents are allowed to be uninitialized; the
         // vector never drops T (only the transmuted result does, once every
@@ -721,46 +445,33 @@ impl ThreadPool {
         unsafe { results.set_len(n) };
         let out = SendPtr(results.as_mut_ptr() as *mut T);
         let states_ptr = SendPtr(states.as_mut_ptr());
+        let next = AtomicUsize::new(0);
 
         let body = move |wid: usize| {
-            if wid >= threads {
-                // Participant beyond the scoped budget: no deque, no work.
-                return;
-            }
             // SAFETY: participant indices are distinct, so each `&mut S`
             // aliases nothing (bounds asserted above).
             let state = unsafe { &mut *states_ptr.slot(wid) };
-            let mine = &deques[wid];
             loop {
-                let task = mine.pop().or_else(|| {
-                    // All pushes happened before dispatch, so Empty is
-                    // stable; only Retry (a lost CAS) warrants another lap.
-                    loop {
-                        let mut saw_retry = false;
-                        for off in 1..threads {
-                            match deques[(wid + off) % threads].steal() {
-                                Steal::Success(t) => return Some(t),
-                                Steal::Retry => saw_retry = true,
-                                Steal::Empty => {}
-                            }
-                        }
-                        if !saw_retry {
-                            return None;
-                        }
-                        std::hint::spin_loop();
-                    }
-                });
-                let Some(i) = task else { break };
+                // Ordering: Relaxed — the read-modify-write alone hands each
+                // index to exactly one participant (all RMWs on one atomic
+                // are totally ordered); no data is published through the
+                // counter, and the results reach the dispatcher through the
+                // job-slot mutex when the section ends.
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
                 let value = f(state, i, &items[i]);
-                // SAFETY: the deque protocol hands index `i` to exactly one
-                // thread, so this slot is written exactly once.
+                // SAFETY: the counter hands index `i` to exactly one
+                // participant, so this slot is written exactly once.
                 unsafe { out.slot(i).write(value) };
             }
         };
         self.run(&body);
 
-        // SAFETY: every index was executed (each deque was drained), so all
-        // `n` slots are initialized; MaybeUninit<T> and T share layout.
+        // SAFETY: every participant stopped only once the counter passed
+        // `n`, so every index was claimed and its slot written; all `n`
+        // slots are initialized, and MaybeUninit<T> and T share layout.
         let mut results = ManuallyDrop::new(results);
         unsafe { Vec::from_raw_parts(results.as_mut_ptr() as *mut T, n, results.capacity()) }
     }
@@ -918,58 +629,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn deque_lifo_pop_fifo_steal() {
-        let d = Deque::with_capacity(8);
-        for i in 0..4 {
-            d.push(i);
-        }
-        assert_eq!(d.steal(), Steal::Success(0));
-        assert_eq!(d.pop(), Some(3));
-        assert_eq!(d.steal(), Steal::Success(1));
-        assert_eq!(d.pop(), Some(2));
-        assert_eq!(d.pop(), None);
-        assert_eq!(d.steal(), Steal::Empty);
-    }
-
-    #[test]
-    fn deque_concurrent_steal_takes_each_task_once() {
-        let d = Arc::new(Deque::with_capacity(1 << 12));
-        let n = 4000usize;
-        for i in 0..n {
-            d.push(i);
-        }
-        let mut stolen: Vec<Vec<usize>> = Vec::new();
-        std::thread::scope(|s| {
-            let mut joins = Vec::new();
-            for _ in 0..3 {
-                let d = Arc::clone(&d);
-                joins.push(s.spawn(move || {
-                    let mut got = Vec::new();
-                    loop {
-                        match d.steal() {
-                            Steal::Success(t) => got.push(t),
-                            Steal::Retry => std::hint::spin_loop(),
-                            Steal::Empty => break,
-                        }
-                    }
-                    got
-                }));
-            }
-            let mut own = Vec::new();
-            while let Some(t) = d.pop() {
-                own.push(t);
-            }
-            stolen.push(own);
-            for j in joins {
-                stolen.push(j.join().unwrap());
-            }
-        });
-        let mut all: Vec<usize> = stolen.into_iter().flatten().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..n).collect::<Vec<_>>(), "each task exactly once");
-    }
-
-    #[test]
     fn map_init_matches_sequential_map() {
         let pool = ThreadPool::new(4);
         let items: Vec<u64> = (0..1000).collect();
@@ -1034,31 +693,13 @@ mod tests {
     }
 
     #[test]
-    fn scoped_budget_caps_participants_and_restores() {
-        let pool = ThreadPool::new(4);
-        assert_eq!(pool.effective_threads(), 4);
-        let items: Vec<usize> = (0..SEQUENTIAL_CUTOFF * 4).collect();
-        let expect: Vec<usize> = items.iter().map(|&x| x * 7).collect();
-        {
-            let _cap = pool.scoped_budget(2);
-            assert_eq!(pool.effective_threads(), 2);
-            assert_eq!(pool.map_init(&items, || (), |_, _, &x| x * 7), expect);
-        }
-        assert_eq!(pool.effective_threads(), 4, "drop must restore");
-        // Budgets only clamp downward; a huge budget is the pool size.
-        let _cap = pool.scoped_budget(64);
-        assert_eq!(pool.effective_threads(), 4);
-        assert_eq!(pool.map_init(&items, || (), |_, _, &x| x * 7), expect);
-    }
-
-    #[test]
-    fn one_thread_budget_takes_the_sequential_path() {
-        let pool = ThreadPool::new(4);
-        let _cap = pool.scoped_budget(1);
+    fn one_thread_pool_runs_inline_in_order() {
+        let pool = ThreadPool::new(1);
         let items: Vec<usize> = (0..SEQUENTIAL_CUTOFF * 4).collect();
         let caller = std::thread::current().id();
-        // The sequential path runs inline on the calling thread in
-        // ascending index order — observable, unlike "no overhead".
+        // A 1-thread pool spawns no worker: the section runs inline on the
+        // calling thread in ascending index order — observable, unlike "no
+        // overhead".
         let seen = std::sync::Mutex::new(Vec::new());
         let got = pool.map_init(
             &items,
@@ -1075,9 +716,43 @@ mod tests {
     }
 
     #[test]
+    fn a_blocked_item_does_not_hold_back_the_next_index() {
+        // Item 0 blocks until item 1 has started, so item 1 must start on
+        // the other participant while item 0 runs. Claimed in index order,
+        // no other item can start before it.
+        let pool = ThreadPool::new(2);
+        let items: Vec<usize> = (0..8).collect();
+        let started = std::sync::Mutex::new(Vec::new());
+        let item_1_started = std::sync::Condvar::new();
+        pool.map_init_coarse(
+            &items,
+            || (),
+            |_, i, _| {
+                let mut log = started.lock().unwrap();
+                log.push(i);
+                match i {
+                    0 => drop(
+                        item_1_started
+                            .wait_timeout_while(log, Duration::from_secs(5), |log| {
+                                !log.contains(&1)
+                            })
+                            .unwrap(),
+                    ),
+                    1 => item_1_started.notify_all(),
+                    _ => {}
+                }
+            },
+        );
+        let started = started.into_inner().unwrap();
+        let before_1: Vec<usize> = started.iter().take_while(|&&i| i != 1).copied().collect();
+        assert_eq!(before_1, [0], "items started before item 1: {started:?}");
+    }
+
+    #[test]
     fn worker_panic_payload_and_id_are_preserved() {
-        // Pin the panic to a stealable index and keep participant 0 busy so
-        // a *worker* (wid >= 1) hits it; the dispatcher must then re-raise
+        // Pin the panic to the last index and stall whichever participant
+        // claims index 0, so the others race through the rest; when a
+        // *worker* (wid >= 1) hits the panic, the dispatcher must re-raise
         // a WorkerPanic carrying the original message and the worker id.
         let pool = ThreadPool::new(4);
         let items: Vec<usize> = (0..SEQUENTIAL_CUTOFF * 8).collect();
@@ -1087,8 +762,8 @@ mod tests {
                 &items,
                 || (),
                 |_, wid_probe, &x| {
-                    // Index 0 belongs to participant 0's deque; stall it so
-                    // the tail indices (other deques) run on real workers.
+                    // Stall index 0's participant while the others claim
+                    // the tail indices.
                     if x == 0 {
                         std::thread::sleep(std::time::Duration::from_millis(50));
                     }
@@ -1111,8 +786,8 @@ mod tests {
                 assert!(wp.to_string().contains("intentional payload 42"));
             }
             Err(other) => {
-                // The dispatcher itself stole the poisoned index before any
-                // worker got there: the original payload propagates raw.
+                // The dispatcher itself claimed the poisoned index: the
+                // original payload propagates raw.
                 assert_eq!(panic_message(other.as_ref()), "intentional payload 42");
             }
         }

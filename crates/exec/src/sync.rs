@@ -12,18 +12,18 @@
 //! code that ships.
 //!
 //! The rule for code under the facade: `use xsfq_exec::sync::…` (`crate::`
-//! inside the executor) for atomics, fences, `Mutex`/`Condvar`, `thread`
+//! inside the executor) for atomics, `Mutex`/`Condvar`, `thread`
 //! and `Instant`. `Arc` and `Duration` stay on `std` (they carry no
 //! scheduling-visible behaviour).
 
 /// Std-backed primitives (normal builds).
 #[cfg(not(feature = "model"))]
 mod imp {
-    /// Atomic types and fences, as used by the deque and the pool.
+    /// Atomic types, as used by the pool and the cancel token.
     pub mod atomic {
-        pub use std::sync::atomic::{fence, AtomicBool, AtomicIsize, AtomicUsize, Ordering};
+        pub use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     }
-    pub use std::sync::{Condvar, Mutex, MutexGuard};
+    pub use std::sync::{Condvar, Mutex};
     /// Thread spawning for the pool workers.
     pub mod thread {
         pub use std::thread::{Builder, JoinHandle};
@@ -37,11 +37,11 @@ mod imp {
 /// Model-runtime primitives (`--features model` builds).
 #[cfg(feature = "model")]
 mod imp {
-    /// Atomic types and fences, as used by the deque and the pool.
+    /// Atomic types, as used by the pool and the cancel token.
     pub mod atomic {
-        pub use xsfq_model::sync::atomic::{fence, AtomicBool, AtomicIsize, AtomicUsize, Ordering};
+        pub use xsfq_model::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     }
-    pub use xsfq_model::sync::{Condvar, Mutex, MutexGuard};
+    pub use xsfq_model::sync::{Condvar, Mutex};
     /// Thread spawning for the pool workers.
     pub mod thread {
         pub use xsfq_model::thread::{Builder, JoinHandle};

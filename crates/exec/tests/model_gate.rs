@@ -1,4 +1,5 @@
-//! Model-checker gates for the executor's lock-free core.
+//! Model-checker gates for the executor's concurrency: the cancel token
+//! and pool dispatch.
 //!
 //! Only meaningful with `--features model`, which swaps the crate's `sync`
 //! facade to the `xsfq_model` instrumented runtime; run as
@@ -7,17 +8,19 @@
 //! cargo test -p xsfq-exec --features model --test model_gate
 //! ```
 //!
-//! Every scenario comes in a pair:
+//! The cancel-token scenario comes in a pair:
 //!
-//! - the **correct** type (`Deque`, `CancelToken`) must survive *every*
-//!   schedule within the preemption bound, including store-buffer
-//!   reorderings of its relaxed operations; and
-//! - a **seeded mutation** (`mutants::*`, one weakened fence or ordering
-//!   each) must be *caught* — the explorer must find a schedule where the
-//!   classic bug the barrier prevents actually fires.
+//! - the **correct** `CancelToken` must survive *every* schedule within the
+//!   preemption bound, including store-buffer reorderings of its relaxed
+//!   operations; and
+//! - a **seeded mutation** (`mutants::CancelTokenRelaxed`, its flag
+//!   accesses demoted to Relaxed) must be *caught* — the explorer must find
+//!   a schedule where the bug the ordering prevents actually fires.
 //!
 //! The second half is what makes the first half trustworthy: a gate that
-//! cannot detect the bug when it is planted proves nothing by passing.
+//! cannot detect the bug when it is planted proves nothing by passing. The
+//! pool scenarios check that every item is mapped exactly once and that a
+//! panic reaches the dispatcher, whichever participant claims which index.
 //! Bounds are fixed (deterministic schedule enumeration, no timing
 //! dependence), so these tests cannot flake.
 
@@ -27,15 +30,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use xsfq_exec::sync::thread;
-use xsfq_exec::{mutants, CancelToken, CancelTokenImpl, DequeImpl, Steal};
+use xsfq_exec::{mutants, CancelToken, CancelTokenImpl};
 use xsfq_model::Explorer;
 
-// The `mutants` aliases resolve to exactly the const parameters the
-// scenarios below instantiate; drift would silently gate the wrong
-// mutation, so pin the mapping at compile time.
-const _: fn(mutants::DequePopFenceWeakened) -> DequeImpl<1> = |m| m;
-const _: fn(mutants::DequePushFenceRemoved) -> DequeImpl<2> = |m| m;
-const _: fn(mutants::DequeLastItemCasRemoved) -> DequeImpl<3> = |m| m;
+// The `mutants` alias resolves to exactly the const parameter the scenario
+// below instantiates; drift would silently gate the wrong mutation, so pin
+// the mapping at compile time.
 const _: fn(mutants::CancelTokenRelaxed) -> CancelTokenImpl<1> = |m| m;
 
 /// Assert that the explorer finds a bug in `f` within `preemptions`.
@@ -48,150 +48,6 @@ fn expect_caught(name: &str, preemptions: usize, f: impl Fn() + Send + Sync + 's
         "seeded mutation `{name}` was NOT caught: the model gate cannot \
          detect the bug class it claims to guard against"
     );
-}
-
-// ---------------------------------------------------------------------------
-// Deque: pop vs. steal on the same tasks (double-take / ABA on top)
-// ---------------------------------------------------------------------------
-
-/// Owner pushes two tasks and pops once while a thief steals up to three
-/// times. Checks the exactly-once contract: no task is consumed twice and
-/// nothing that was never pushed (e.g. the slots' initial `0`) is consumed.
-///
-/// The dangerous interleaving: the owner's `pop` decrements `bottom`, and a
-/// concurrent thief must *see* that decrement before concluding `top <
-/// bottom`. The SeqCst fence in `pop` publishes it; `DequePopFenceWeakened`
-/// downgrades the fence to Release, the decrement lingers in the owner's
-/// store buffer, and the thief steals the task the owner already took.
-fn pop_vs_steal<const MUT: u8>() {
-    let deque = Arc::new(DequeImpl::<MUT>::with_capacity(4));
-    deque.push(10);
-    deque.push(20);
-    let stealer = Arc::clone(&deque);
-    let thief = thread::Builder::new()
-        .spawn(move || {
-            let mut got = Vec::new();
-            for _ in 0..3 {
-                if let Steal::Success(task) = stealer.steal() {
-                    got.push(task);
-                }
-            }
-            got
-        })
-        .unwrap();
-    let mut taken = Vec::new();
-    if let Some(task) = deque.pop() {
-        taken.push(task);
-    }
-    taken.extend(thief.join().unwrap());
-    taken.sort_unstable();
-    assert!(
-        taken == [10] || taken == [20] || taken == [10, 20],
-        "exactly-once violated: consumed {taken:?} from pushes [10, 20]"
-    );
-}
-
-#[test]
-fn deque_pop_vs_steal_is_exactly_once() {
-    let report = Explorer::new().preemptions(2).check(pop_vs_steal::<0>);
-    assert!(report.complete, "exploration did not exhaust the tree");
-    assert!(report.iterations > 1, "no interleavings were explored");
-}
-
-#[test]
-fn mutation_pop_fence_weakened_is_caught() {
-    // mutants::DequePopFenceWeakened == DequeImpl<1>
-    expect_caught("DequePopFenceWeakened", 2, pop_vs_steal::<1>);
-}
-
-// ---------------------------------------------------------------------------
-// Deque: push vs. steal (lost / garbage task)
-// ---------------------------------------------------------------------------
-
-/// Owner publishes one task while a thief races to steal it. Exactly one
-/// side must get task 7 — and nobody may observe a garbage task.
-///
-/// The dangerous interleaving: `push` writes the slot, then `bottom`. If
-/// the Release fence between them is removed (`DequePushFenceRemoved`),
-/// the `bottom` store can drain from the owner's store buffer first and
-/// the thief steals the slot's stale contents (`0` here).
-fn push_vs_steal<const MUT: u8>() {
-    let deque = Arc::new(DequeImpl::<MUT>::with_capacity(2));
-    let stealer = Arc::clone(&deque);
-    let thief = thread::Builder::new()
-        .spawn(move || {
-            for _ in 0..2 {
-                if let Steal::Success(task) = stealer.steal() {
-                    return Some(task);
-                }
-            }
-            None
-        })
-        .unwrap();
-    deque.push(7);
-    let popped = deque.pop();
-    let stolen = thief.join().unwrap();
-    match (popped, stolen) {
-        (Some(7), None) | (None, Some(7)) => {}
-        other => panic!("task 7 consumed wrongly: (popped, stolen) = {other:?}"),
-    }
-}
-
-#[test]
-fn deque_push_vs_steal_publishes_the_task() {
-    let report = Explorer::new().preemptions(2).check(push_vs_steal::<0>);
-    assert!(report.complete, "exploration did not exhaust the tree");
-}
-
-#[test]
-fn mutation_push_fence_removed_is_caught() {
-    // mutants::DequePushFenceRemoved == DequeImpl<2>
-    expect_caught("DequePushFenceRemoved", 2, push_vs_steal::<2>);
-}
-
-// ---------------------------------------------------------------------------
-// Deque: last-item arbitration (pop's CAS on top)
-// ---------------------------------------------------------------------------
-
-/// One task, owner pop racing a thief steal: the CAS on `top` in `pop`'s
-/// `t == b` branch is the arbitration that lets exactly one side win.
-/// `DequeLastItemCasRemoved` skips it, so both sides take the task.
-fn last_item_race<const MUT: u8>() {
-    let deque = Arc::new(DequeImpl::<MUT>::with_capacity(2));
-    deque.push(5);
-    let stealer = Arc::clone(&deque);
-    let thief = thread::Builder::new()
-        .spawn(move || {
-            for _ in 0..2 {
-                if let Steal::Success(task) = stealer.steal() {
-                    return Some(task);
-                }
-            }
-            None
-        })
-        .unwrap();
-    let popped = deque.pop();
-    let stolen = thief.join().unwrap();
-    assert!(
-        !(popped.is_some() && stolen.is_some()),
-        "last task taken twice: popped {popped:?}, stolen {stolen:?}"
-    );
-    assert!(
-        popped == Some(5) || stolen == Some(5),
-        "last task lost: popped {popped:?}, stolen {stolen:?}"
-    );
-}
-
-#[test]
-fn deque_last_item_goes_to_exactly_one_side() {
-    let report = Explorer::new().preemptions(2).check(last_item_race::<0>);
-    assert!(report.complete, "exploration did not exhaust the tree");
-}
-
-#[test]
-fn mutation_last_item_cas_removed_is_caught() {
-    // mutants::DequeLastItemCasRemoved == DequeImpl<3>
-    expect_caught("DequeLastItemCasRemoved", 2, last_item_race::<3>);
 }
 
 // ---------------------------------------------------------------------------
@@ -262,32 +118,8 @@ fn cancel_token_clones_share_the_flag() {
 }
 
 // ---------------------------------------------------------------------------
-// ThreadPool: budget scoping, panic propagation, dispatch correctness
+// ThreadPool: panic propagation, dispatch correctness
 // ---------------------------------------------------------------------------
-
-/// Nested `scoped_budget` guards restore the previous budget in every
-/// schedule, and a budget of 1 really forces inline execution.
-#[test]
-fn scoped_budget_saves_and_restores() {
-    let report = Explorer::new().preemptions(1).check(|| {
-        let pool = xsfq_exec::ThreadPool::new(2);
-        assert_eq!(pool.effective_threads(), 2);
-        {
-            let _outer = pool.scoped_budget(1);
-            assert_eq!(pool.effective_threads(), 1);
-            {
-                let _inner = pool.scoped_budget(2);
-                assert_eq!(pool.effective_threads(), 2);
-            }
-            assert_eq!(pool.effective_threads(), 1);
-            // Budget 1: runs inline on this thread, no dispatch.
-            let out = pool.map_init_coarse(&[1usize, 2, 3], || (), |_, _, &x| x * 10);
-            assert_eq!(out, vec![10, 20, 30]);
-        }
-        assert_eq!(pool.effective_threads(), 2);
-    });
-    assert!(report.complete, "exploration did not exhaust the tree");
-}
 
 /// Every item is mapped exactly once with the right value, whichever
 /// participant (dispatcher or worker) ends up running it.

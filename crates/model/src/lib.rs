@@ -30,9 +30,10 @@
 //! charged one credit. The **preemption bound** ([`Explorer::preemptions`])
 //! caps total credits per execution; with bound *p* the search is
 //! exhaustive over all schedules with at most *p* non-forced events, which
-//! in practice finds ordering bugs at tiny bounds (the classic Chase-Lev
-//! double-take needs one preemption; a store-buffer reordering needs a
-//! flush plus a preemption) while keeping the tree tractable.
+//! in practice finds ordering bugs at tiny bounds (a non-atomic
+//! load/store increment losing an update needs one preemption; a
+//! store-buffer reordering needs a flush plus a preemption) while keeping
+//! the tree tractable.
 //!
 //! ## Memory model (PSO store buffers)
 //!
@@ -50,8 +51,8 @@
 //!   thread's buffer and act on globally visible memory.
 //!
 //! This is processor-store-order (PSO): it exhibits store→store and
-//! store→load reordering — exactly the behaviours the Chase-Lev deque's
-//! `Release`/`SeqCst` fences exist to forbid — but *not* load→load or
+//! store→load reordering — exactly the behaviours `Release` publication
+//! and `SeqCst` fences exist to forbid — but *not* load→load or
 //! load→store reordering, and RMWs are stronger than C11 relaxed RMWs.
 //! Consequently a weakened *load* ordering whose only effect is load
 //! reordering may escape this checker; the seeded-mutation gates in

@@ -367,25 +367,6 @@ impl<'a> PulseSim<'a> {
         }
     }
 
-    /// The net attached to a named input port.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no such port exists.
-    pub fn input_net(&self, name: &str) -> NetId {
-        self.netlist
-            .inputs()
-            .iter()
-            .find(|p| p.name == name)
-            .unwrap_or_else(|| panic!("no input port '{name}'"))
-            .net
-    }
-
-    /// The net attached to output port `index`.
-    pub fn output_net(&self, index: usize) -> NetId {
-        self.netlist.outputs()[index].net
-    }
-
     /// Driver kind of a net (exposed for the waveform renderer).
     pub fn driver(&self, net: NetId) -> Driver {
         self.netlist.driver(net)

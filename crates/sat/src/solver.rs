@@ -156,11 +156,6 @@ impl Solver {
         self.assigns.len()
     }
 
-    /// Number of clauses (original + learnt).
-    pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
-    }
-
     /// Override the learnt-clause count that triggers a reduction (the
     /// default is MiniSat's `4000 + 4 × num_vars`). Primarily a test/tuning
     /// knob: a tiny limit forces reductions mid-solve, which the

@@ -143,11 +143,11 @@
 //!
 //! **Sizing.** `shards` worker shards each own a `threads_per_job`-thread
 //! executor pool and a warm arena set reused across jobs. Designs under a
-//! few hundred AND nodes run on the sequential path
-//! ([`xsfq_exec::ThreadPool::scoped_budget`]) where fan-out overhead would
-//! dominate. Throughput scales with `shards`; per-job latency with
-//! `threads_per_job`. Throughput under concurrent load is measured by
-//! perfbench's `serve-hot` workload (`designs_per_s`, p50/p99 latency).
+//! few hundred AND nodes run on a 1-thread pool instead, which spawns no
+//! worker: fan-out overhead would dominate them. Throughput scales with
+//! `shards`; per-job latency with `threads_per_job`. Throughput under
+//! concurrent load is measured by perfbench's `serve-hot` workload
+//! (`designs_per_s`, p50/p99 latency).
 //!
 //! ```no_run
 //! use xsfq_serve::{Server, ServeConfig};

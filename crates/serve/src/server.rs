@@ -30,9 +30,10 @@ use crate::protocol::{
 };
 use crate::queue::JobQueue;
 
-/// Jobs below this AND count run under `scoped_budget(1)`: the sequential
-/// path beats the fan-out/join overhead of a parallel section for graphs
-/// this small, and results are bit-identical either way.
+/// Jobs below this AND count run on a 1-thread pool, which spawns no
+/// worker and runs every section inline: the sequential path beats the
+/// fan-out/join overhead of a parallel section for graphs this small, and
+/// results are bit-identical either way.
 const SMALL_JOB_ANDS: usize = 512;
 
 /// Daemon configuration. Construct with [`ServeConfig::new`] and override
@@ -473,9 +474,14 @@ fn process(sh: &Arc<Shared>, pool: &ThreadPool, arenas: &mut PassArenas, mut job
         flow = flow.chaos_plan(FaultPlan::new().fault(0, f.pass as usize, kind));
     }
 
-    // Tiny designs take the sequential path: the budget guard drops at the
-    // end of the job, restoring the shard's full parallelism.
-    let _budget = (job.input.aig.num_ands() < SMALL_JOB_ANDS).then(|| pool.scoped_budget(1));
+    // Tiny designs run inline on a 1-thread pool (see `SMALL_JOB_ANDS`).
+    let inline;
+    let pool = if job.input.aig.num_ands() < SMALL_JOB_ANDS {
+        inline = ThreadPool::new(1);
+        &inline
+    } else {
+        pool
+    };
     match flow.run_job(&job.input.aig, pool, arenas) {
         Ok(result) => {
             let mut netlist = Vec::new();

@@ -33,7 +33,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`aig`] | AND-Inverter graphs and optimization passes (ABC substitute), incl. the `pass` script engine |
-//! | [`exec`] | vendored work-stealing executor (Chase-Lev deques + thread pool) |
+//! | [`exec`] | vendored data-parallel executor (thread pool + cancel token) |
 //! | [`sat`] | CDCL SAT solver + combinational equivalence checking |
 //! | [`cells`] | xSFQ / RSFQ standard-cell libraries (paper Table 2) |
 //! | [`netlist`] | technology netlists, splitter insertion, JJ accounting |
