@@ -274,12 +274,6 @@ impl NodeKind {
         matches!(self, NodeKind::And { .. })
     }
 
-    /// True for primary inputs.
-    #[inline]
-    pub fn is_input(&self) -> bool {
-        matches!(self, NodeKind::Input { .. })
-    }
-
     /// True for latch outputs.
     #[inline]
     pub fn is_latch(&self) -> bool {

@@ -15,7 +15,8 @@
 //!   length.
 //!
 //! The plan is deterministic — `(design index, pass index) → fault` — so
-//! chaos tests are exactly reproducible under every pool size.
+//! chaos tests are exactly reproducible however a batch's designs are
+//! scheduled.
 //!
 //! ```
 //! use xsfq_aig::chaos::{FaultKind, FaultPlan};

@@ -44,20 +44,17 @@
 //!
 //! [`enumerate_cuts`] returns a [`CutArena`]: **one** flat `Vec<Cut>` plus a
 //! per-node `(start, end)` offset range — the compressed-sparse-row layout —
-//! instead of the former `Vec<Vec<Cut>>` (one heap list per node). During
-//! enumeration each executor worker appends the lists of the nodes it
-//! evaluates to a private segment buffer; after every level the segments are
-//! stitched into the flat arena **in node order**, so the arena contents are
-//! bit-identical for every thread count (the per-node lists are pure
-//! functions of the fanins' finished lists). The arena, its ranges and the
-//! worker segments are all recycled across enumerations via
-//! [`enumerate_cuts_into`], which is how a whole pass script (and
-//! `run_many`'s per-worker flows) get away with a handful of allocations
-//! for all their cut storage.
+//! instead of a `Vec<Vec<Cut>>` (one heap list per node). Enumeration is
+//! one sweep in node-id order: fanins have smaller ids than the nodes they
+//! feed, so each node's list is built from finished fanin lists and
+//! appended straight to the flat buffer. The arena, its ranges and its
+//! antichain scratch are all recycled across enumerations via
+//! [`enumerate_cuts_into`], which is how a whole pass script (and each of
+//! `run_many`'s workers, across its designs) gets away with a handful of
+//! allocations for all its cut storage.
 
 use crate::tt::{TruthTable, VAR_MASKS};
 use crate::{Aig, Lit, NodeId, NodeKind};
-use xsfq_exec::ThreadPool;
 
 /// Maximum number of leaves a [`Cut`] can hold inline. Covers every user in
 /// the workspace (`rewrite` enumerates with k = 4, `refactor`'s
@@ -370,25 +367,14 @@ fn antichain_insert(list: &mut Vec<Cut>, merged: Cut) -> bool {
 /// with [`enumerate_cuts_into`].
 #[derive(Default, Debug)]
 pub struct CutArena {
-    /// All cut lists back to back, in node-id stitch order per level.
+    /// All cut lists back to back, in node-id order.
     cuts: Vec<Cut>,
     /// `ranges[node] = (start, end)` into `cuts`.
     ranges: Vec<(u32, u32)>,
-    /// Per-worker segment buffers (and per-worker antichain scratch),
-    /// recycled across enumerations.
-    segments: Vec<WorkerSegment>,
-}
-
-/// One executor participant's private append buffer plus its antichain
-/// scratch list and the cone-walk scratch for the rare cut whose function
-/// the merge cannot compose. The `wid` tag lets the stitch phase find the
-/// buffer a node's list landed in without assuming anything about
-/// scheduling.
-#[derive(Default, Debug)]
-struct WorkerSegment {
-    wid: u32,
-    buf: Vec<Cut>,
+    /// The antichain a node's list is built in before it is appended.
     list: Vec<Cut>,
+    /// Cone-walk scratch for the rare cut whose function the merge cannot
+    /// compose.
     scratch: CutScratch,
 }
 
@@ -466,8 +452,8 @@ impl CutArena {
 }
 
 /// Enumerate up to `max_cuts` k-feasible cuts per node (the trivial cut is
-/// always included and not counted against the budget), on the global
-/// executor pool. Every cut carries its root's function ([`Cut::function`]).
+/// always included and not counted against the budget). Every cut carries
+/// its root's function ([`Cut::function`]).
 ///
 /// Returns a [`CutArena`] with one cut list per node id.
 ///
@@ -475,151 +461,73 @@ impl CutArena {
 ///
 /// Panics if `k` exceeds 6: a cut's function must fit one word.
 pub fn enumerate_cuts(aig: &Aig, k: usize, max_cuts: usize) -> CutArena {
-    enumerate_cuts_with_pool(aig, k, max_cuts, ThreadPool::global())
-}
-
-/// [`enumerate_cuts`] on an explicit executor pool.
-pub fn enumerate_cuts_with_pool(
-    aig: &Aig,
-    k: usize,
-    max_cuts: usize,
-    pool: &ThreadPool,
-) -> CutArena {
     let mut arena = CutArena::new();
-    enumerate_cuts_into(aig, k, max_cuts, pool, &mut arena);
+    enumerate_cuts_into(aig, k, max_cuts, &mut arena);
     arena
 }
 
 /// [`enumerate_cuts`] into a caller-owned (reusable) [`CutArena`].
 ///
-/// A node's cut list depends only on its fanins' lists, and fanins sit at
-/// strictly lower logic levels — so the nodes of one level are enumerated
-/// in parallel, each worker appending to its private segment buffer, and
-/// the segments are stitched into the flat arena in node order before the
-/// next level starts. Each per-node list is computed by the same
-/// merge/antichain walk in the same order as a sequential id-order pass, so
-/// the arena is identical for every thread count (the
-/// `cut_enumeration_matches_reference` proptest pins the sequential
-/// reference).
-pub fn enumerate_cuts_into(
-    aig: &Aig,
-    k: usize,
-    max_cuts: usize,
-    pool: &ThreadPool,
-    arena: &mut CutArena,
-) {
+/// One sweep in node-id order: constants and combinational inputs get
+/// their trivial cut, and each AND node's list is merged from its fanins'
+/// finished lists and appended to the flat buffer (the
+/// `cut_enumeration_matches_reference` proptest pins the lists).
+pub fn enumerate_cuts_into(aig: &Aig, k: usize, max_cuts: usize, arena: &mut CutArena) {
     assert!(k <= 6, "cut functions fit one word: k must be at most 6");
-    let n = aig.num_nodes();
-    let threads = pool.num_threads();
     arena.cuts.clear();
     arena.ranges.clear();
-    arena.ranges.resize(n, (0, 0));
-    if arena.segments.len() < threads {
-        arena.segments.resize_with(threads, WorkerSegment::default);
-    }
-    for (wid, seg) in arena.segments.iter_mut().enumerate() {
-        seg.wid = wid as u32;
-    }
-    // Split the arena borrows: workers read `cuts`/`ranges` of finished
-    // levels while filling their own segment.
-    let mut cuts = std::mem::take(&mut arena.cuts);
-    let mut ranges = std::mem::take(&mut arena.ranges);
-    let mut segments = std::mem::take(&mut arena.segments);
-
-    // Constants and combinational inputs carry only their trivial cut.
     for (i, kind) in aig.nodes().iter().enumerate() {
-        if !kind.is_and() {
-            let start = cuts.len() as u32;
-            cuts.push(Cut::trivial(NodeId::from_index(i)));
-            ranges[i] = (start, start + 1);
+        let start = arena.cuts.len() as u32;
+        if kind.is_and() {
+            arena.push_and_cuts(aig, i, k, max_cuts);
+        } else {
+            arena.cuts.push(Cut::trivial(NodeId::from_index(i)));
         }
+        arena.ranges.push((start, arena.cuts.len() as u32));
     }
-    // AND nodes bucketed by level, ascending; ids stay ascending within a
-    // level (stable sort), which fixes the stitch order.
-    let levels = aig.levels();
-    let mut order: Vec<u32> = (0..n as u32)
-        .filter(|&i| aig.nodes()[i as usize].is_and())
-        .collect();
-    order.sort_by_key(|&i| levels[i as usize]);
-    let mut start = 0;
-    while start < order.len() {
-        let level = levels[order[start] as usize];
-        let mut end = start + 1;
-        while end < order.len() && levels[order[end] as usize] == level {
-            end += 1;
-        }
-        let group = &order[start..end];
-        for seg in &mut segments {
-            seg.buf.clear();
-        }
-        // Evaluate: each worker appends its nodes' lists to its segment and
-        // reports where the list landed. Which worker handled a node is
-        // scheduling-dependent; the list *content* is not.
-        let placements = {
-            let cuts_ref = &cuts;
-            let ranges_ref = &ranges;
-            pool.map_reuse(group, &mut segments, |seg, _, &i| {
-                let at = seg.buf.len() as u32;
-                node_cuts(aig, cuts_ref, ranges_ref, i, k, max_cuts, seg);
-                (seg.wid, at, seg.buf.len() as u32 - at)
-            })
-        };
-        // Commit: stitch the segments into the flat arena in node order.
-        for (&i, &(wid, at, len)) in group.iter().zip(&placements) {
-            let from = &segments[wid as usize].buf[at as usize..(at + len) as usize];
-            let start = cuts.len() as u32;
-            cuts.extend_from_slice(from);
-            ranges[i as usize] = (start, start + len);
-        }
-        start = end;
-    }
-    arena.cuts = cuts;
-    arena.ranges = ranges;
-    arena.segments = segments;
 }
 
-/// Cut list of a single AND node from its fanins' finished lists, appended
-/// to the worker's segment buffer (antichain built in `seg.list`).
-fn node_cuts(
-    aig: &Aig,
-    cuts: &[Cut],
-    ranges: &[(u32, u32)],
-    i: u32,
-    k: usize,
-    max_cuts: usize,
-    seg: &mut WorkerSegment,
-) {
-    let NodeKind::And { a, b } = aig.nodes()[i as usize] else {
-        unreachable!("only AND nodes are enumerated per level");
-    };
-    let slice = |node: NodeId| -> &[Cut] {
-        let (s, e) = ranges[node.index()];
-        &cuts[s as usize..e as usize]
-    };
-    let root = NodeId::from_index(i as usize);
-    let list = &mut seg.list;
-    list.clear();
-    for cut_a in slice(a.node()) {
-        for cut_b in slice(b.node()) {
-            let Some((merged, in_a, in_b)) = cut_a.merge_placed(cut_b, k) else {
-                continue;
-            };
-            // Only a cut the antichain takes gets its function.
-            if antichain_insert(list, merged) {
-                let cut = list.last_mut().expect("the cut was just inserted");
-                cut.compose(root, (a, cut_a, in_a), (b, cut_b, in_b));
+impl CutArena {
+    /// Append the cut list of AND node `i`, merged from its fanins'
+    /// finished lists (the trivial cut last).
+    fn push_and_cuts(&mut self, aig: &Aig, i: usize, k: usize, max_cuts: usize) {
+        let NodeKind::And { a, b } = aig.nodes()[i] else {
+            unreachable!("only AND nodes merge fanin cuts");
+        };
+        let CutArena {
+            cuts,
+            ranges,
+            list,
+            scratch,
+        } = self;
+        let slice = |node: NodeId| -> &[Cut] {
+            let (s, e) = ranges[node.index()];
+            &cuts[s as usize..e as usize]
+        };
+        let root = NodeId::from_index(i);
+        list.clear();
+        for cut_a in slice(a.node()) {
+            for cut_b in slice(b.node()) {
+                let Some((merged, in_a, in_b)) = cut_a.merge_placed(cut_b, k) else {
+                    continue;
+                };
+                // Only a cut the antichain takes gets its function.
+                if antichain_insert(list, merged) {
+                    let cut = list.last_mut().expect("the cut was just inserted");
+                    cut.compose(root, (a, cut_a, in_a), (b, cut_b, in_b));
+                }
             }
         }
+        list.sort_by_key(Cut::len);
+        list.truncate(max_cuts);
+        for cut in list.iter_mut().filter(|c| !c.has_func) {
+            let table = cut_function_with(aig, root, cut.leaves(), scratch);
+            cut.func = replicate(table.as_word(), cut.len());
+            cut.has_func = true;
+        }
+        list.push(Cut::trivial(root));
+        cuts.extend_from_slice(list);
     }
-    list.sort_by_key(Cut::len);
-    list.truncate(max_cuts);
-    for cut in list.iter_mut().filter(|c| !c.has_func) {
-        let table = cut_function_with(aig, root, cut.leaves(), &mut seg.scratch);
-        cut.func = replicate(table.as_word(), cut.len());
-        cut.has_func = true;
-    }
-    list.push(Cut::trivial(root));
-    seg.buf.extend_from_slice(list);
 }
 
 /// A table word over `vars` variables (tail bits zero) as a 6-variable
@@ -1037,9 +945,9 @@ mod tests {
     }
 
     #[test]
-    fn cut_arena_reuse_and_pool_size_are_invisible() {
-        // One warm arena across different graphs and pool sizes must hold
-        // exactly what a fresh sequential enumeration holds.
+    fn cut_arena_reuse_is_invisible() {
+        // One warm arena across different graphs must hold exactly what a
+        // fresh enumeration holds.
         let (fa, _, _) = full_adder_aig();
         let mut chain = Aig::new("chain");
         let xs = chain.input_word("x", 6);
@@ -1051,14 +959,11 @@ mod tests {
 
         let mut warm = CutArena::new();
         for g in [&fa, &chain, &fa] {
-            for threads in [1usize, 3] {
-                let pool = ThreadPool::new(threads);
-                enumerate_cuts_into(g, 4, 8, &pool, &mut warm);
-                let fresh = enumerate_cuts_with_pool(g, 4, 8, &ThreadPool::new(1));
-                assert_eq!(warm.num_nodes(), fresh.num_nodes());
-                for i in 0..fresh.num_nodes() {
-                    assert_eq!(warm.node(i), fresh.node(i), "node {i}, {threads} threads");
-                }
+            enumerate_cuts_into(g, 4, 8, &mut warm);
+            let fresh = enumerate_cuts(g, 4, 8);
+            assert_eq!(warm.num_nodes(), fresh.num_nodes());
+            for i in 0..fresh.num_nodes() {
+                assert_eq!(warm.node(i), fresh.node(i), "node {i}");
             }
         }
     }

@@ -56,13 +56,11 @@
 //!   variable count, never a heuristic), and every operator has an in-place
 //!   variant (`invert`, `and_with`, `cofactor0_in_place`, …) used by the
 //!   rewriting loops.
-//! * **Parallel resynthesis** — the rewriting passes and cut enumeration
-//!   fan their evaluate phases across the vendored data-parallel executor
-//!   (`xsfq-exec`), with per-thread scratch arenas, and commit replacements
-//!   single-threaded in node-index order; the output is bit-identical for
-//!   every thread count (`tests/parallel_identity.rs`, gated in CI; thread
-//!   count defaults to `available_parallelism`, overridable with the
-//!   `XSFQ_THREADS` environment variable or [`opt::optimize_with`]).
+//! * **Sequential resynthesis** — every pass evaluates and commits one node
+//!   at a time, in node-index order, on the calling thread, reusing one
+//!   set of scratch arenas ([`pass::PassArenas`]) across passes and
+//!   designs. Designs, not passes, are the unit of parallelism: the flow's
+//!   `run_many` fans whole designs out over the `xsfq-exec` pool.
 
 #![warn(missing_docs)]
 

@@ -7,10 +7,10 @@
 //! passes preserve the PI/PO/latch interface and are verified by CEC in the
 //! test suites.
 //!
-//! # Parallel evaluate, sequential commit
+//! # Evaluate, then commit
 //!
-//! The resynthesis passes (`rewrite`, `rewrite_zero`, `refactor*`) are split
-//! into two phases per batch of nodes:
+//! The resynthesis passes (`rewrite`, `rewrite_zero`, `refactor*`) visit
+//! the AND nodes in ascending index order and handle each in two steps:
 //!
 //! * **evaluate** — per candidate cut: the cut function, the MFFC size and
 //!   the isolation-cost prefilter, which drops a cut whose isolation cost
@@ -20,9 +20,7 @@
 //!   costs at least `s - 1` ANDs, so a cut with `s - 1 - mffc > 2` is
 //!   dropped before it is costed; the bound is exact (it drops only cuts
 //!   the cost would), so it changes no result. These read only the
-//!   *immutable input graph* (plus the finished cut lists), so the batch
-//!   fans out across the [`xsfq_exec::ThreadPool`] with one [`CutScratch`]
-//!   + [`Synthesizer`] arena per worker thread.
+//!   *immutable input graph* (plus the finished cut lists).
 //! * **commit** — the sharing-aware gain measurement and the winning
 //!   rebuild. Each candidate is costed by replaying its table's recorded
 //!   build on a [`DryRun`] over the growing output graph: the dry run looks
@@ -32,14 +30,11 @@
 //!   so it never exceeds the MFFC: a candidate whose MFFC cannot reach the
 //!   minimum gain, or beat the best gain so far, is skipped uncosted, which
 //!   changes no result. Commit order determines node ids and
-//!   structural-hash sharing, so this phase runs single-threaded in
-//!   ascending node-index order.
+//!   structural-hash sharing, so nodes commit in ascending index order.
 //!
-//! Because every evaluate result is a pure function of `(input graph,
-//! node)`, scheduling cannot change it, and the committed output is
-//! **bit-identical for every thread count** — pinned by the
-//! `parallel_identity` proptest and exercised both ways in CI
-//! (`XSFQ_THREADS=1` and default).
+//! Every pass runs on the calling thread; designs, not passes, are the
+//! unit of parallelism (see `xsfq_exec`). A pass polls the job's
+//! cancellation token every `EVAL_BATCH` nodes.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -51,11 +46,6 @@ use crate::tt::TruthTable;
 use crate::{Aig, DryRun, Lit, NodeId, NodeKind};
 use xsfq_exec::{CancelToken, ThreadPool};
 
-/// Remove dangling nodes (alias of [`Aig::compact`]).
-pub fn cleanup(aig: &Aig) -> Aig {
-    aig.compact()
-}
-
 /// Balance AND trees to reduce depth (ABC's `balance`).
 ///
 /// Single-fanout chains of non-complemented ANDs are collected into
@@ -63,30 +53,16 @@ pub fn cleanup(aig: &Aig) -> Aig {
 /// lowest-level operands first). Levels of the output graph are maintained
 /// incrementally as nodes are created — one O(1) update per fresh AND —
 /// instead of re-scanning the node table.
-///
-/// Like the resynthesis passes, `balance` follows the evaluate/commit mold:
-/// super-gate leaf collection is a pure function of the input graph and fans
-/// out across the executor, while the tree rebuild commits single-threaded
-/// in node-index order — the output is bit-identical for every thread count
-/// (gated by the `parallel_identity` suite).
 pub fn balance(aig: &Aig) -> Aig {
-    balance_with(aig, ThreadPool::global())
+    balance_counted(aig, &CancelToken::default()).0
 }
 
-/// [`balance`] on an explicit executor pool.
-pub fn balance_with(aig: &Aig, pool: &ThreadPool) -> Aig {
-    balance_counted(aig, pool, &CancelToken::default()).0
-}
-
-/// [`balance_with`] that also reports how many multi-input super-gates were
-/// rebuilt (the pass's commit counter). Checks `token` at every
-/// evaluate-batch boundary; on cancellation the input graph is returned
-/// unchanged (the caller discards cancelled results).
-pub(crate) fn balance_counted(aig: &Aig, pool: &ThreadPool, token: &CancelToken) -> (Aig, u64) {
+/// [`balance`] that also reports how many multi-input super-gates were
+/// rebuilt (the pass's commit counter). Checks `token` every `EVAL_BATCH`
+/// nodes; on cancellation the input graph is returned unchanged (the
+/// caller discards cancelled results).
+pub(crate) fn balance_counted(aig: &Aig, token: &CancelToken) -> (Aig, u64) {
     let fanouts = aig.fanout_counts(true);
-    let and_ids: Vec<u32> = (0..aig.num_nodes() as u32)
-        .filter(|&i| aig.nodes()[i as usize].is_and())
-        .collect();
 
     // An AND is *absorbed* when a parent super-gate expands through it
     // (the exact `collect_supergate` rule); its own rebuilt tree is dead,
@@ -103,9 +79,9 @@ pub(crate) fn balance_counted(aig: &Aig, pool: &ThreadPool, token: &CancelToken)
         }
     }
 
-    // Commit: rebuild level-minimal trees single-threaded in node-index
-    // order (tree shape depends on the mapped levels of the growing output
-    // graph, which fixes node ids and strash state).
+    // Rebuild level-minimal trees in node-index order (tree shape depends
+    // on the mapped levels of the growing output graph, which fixes node
+    // ids and strash state).
     let mut commits = 0u64;
     let mut out = Aig::new(aig.name().to_string());
     let mut map: Vec<Lit> = vec![Lit::FALSE; aig.num_nodes()];
@@ -123,57 +99,39 @@ pub(crate) fn balance_counted(aig: &Aig, pool: &ThreadPool, token: &CancelToken)
         r
     };
 
-    // Evaluate in EVAL_BATCH waves (like the resynthesis passes) so the
-    // pending leaf lists stay bounded — a chain of single-fanout ANDs
-    // would otherwise hold O(n²) leaves live at once. Super-gate leaf
-    // collection reads only the immutable input graph, so the batch fans
-    // out across the pool and the boundary cannot change the result.
-    for batch in and_ids.chunks(EVAL_BATCH) {
-        // Evaluate-batch boundary: cancelled jobs abandon the rebuild.
-        if token.is_cancelled() {
+    let mut leaves: Vec<Lit> = Vec::new();
+    let and_ids = (0..aig.num_nodes()).filter(|&i| aig.nodes()[i].is_and());
+    for (n, i) in and_ids.enumerate() {
+        // Every EVAL_BATCH nodes: a cancelled job abandons the rebuild.
+        if n % EVAL_BATCH == 0 && token.is_cancelled() {
             return (aig.clone(), commits);
         }
-        let leaves_per: Vec<Vec<Lit>> = pool.map_init(
-            batch,
-            || (),
-            |_, _, &i| {
-                let mut leaves = Vec::new();
-                collect_supergate(
-                    aig,
-                    NodeId::from_index(i as usize),
-                    &fanouts,
-                    true,
-                    &mut leaves,
-                );
-                leaves
-            },
-        );
-        for (&i, leaves) in batch.iter().zip(&leaves_per) {
-            if leaves.len() > 2 && !absorbed[i as usize] {
-                commits += 1;
-            }
-            // Map leaves into the new graph and combine lowest-level first.
-            let mut heap: BinaryHeap<Reverse<(u32, u32)>> = leaves
-                .iter()
-                .map(|l| {
-                    let mapped = map[l.node().index()].complement_if(l.is_complement());
-                    Reverse((levels[mapped.node().index()], mapped.raw()))
-                })
-                .collect();
-            let mut result = Lit::TRUE;
-            if let Some(Reverse((_, first))) = heap.pop() {
-                result = Lit::from_raw(first);
-                while let Some(Reverse((_, next))) = heap.pop() {
-                    result = and_leveled(&mut out, &mut levels, result, Lit::from_raw(next));
-                    heap.push(Reverse((levels[result.node().index()], result.raw())));
-                    let Some(Reverse((_, top))) = heap.pop() else {
-                        unreachable!()
-                    };
-                    result = Lit::from_raw(top);
-                }
-            }
-            map[i as usize] = result;
+        leaves.clear();
+        collect_supergate(aig, NodeId::from_index(i), &fanouts, true, &mut leaves);
+        if leaves.len() > 2 && !absorbed[i] {
+            commits += 1;
         }
+        // Map leaves into the new graph and combine lowest-level first.
+        let mut heap: BinaryHeap<Reverse<(u32, u32)>> = leaves
+            .iter()
+            .map(|l| {
+                let mapped = map[l.node().index()].complement_if(l.is_complement());
+                Reverse((levels[mapped.node().index()], mapped.raw()))
+            })
+            .collect();
+        let mut result = Lit::TRUE;
+        if let Some(Reverse((_, first))) = heap.pop() {
+            result = Lit::from_raw(first);
+            while let Some(Reverse((_, next))) = heap.pop() {
+                result = and_leveled(&mut out, &mut levels, result, Lit::from_raw(next));
+                heap.push(Reverse((levels[result.node().index()], result.raw())));
+                let Some(Reverse((_, top))) = heap.pop() else {
+                    unreachable!()
+                };
+                result = Lit::from_raw(top);
+            }
+        }
+        map[i] = result;
     }
     finish(aig, &mut out, &map);
     (out.compact(), commits)
@@ -201,29 +159,26 @@ fn collect_supergate(aig: &Aig, id: NodeId, fanouts: &[u32], is_root: bool, leav
 /// 4-feasible cuts, resynthesize the best one, and accept when the new
 /// implementation is smaller than the node's maximum fanout-free cone.
 pub fn rewrite(aig: &Aig) -> Aig {
-    rewrite_ctx(aig, false, &mut PassCtx::new(ThreadPool::global())).0
+    rewrite_ctx(aig, false, &mut PassCtx::new()).0
 }
 
 /// Like [`rewrite`] but also accepts size-neutral replacements (ABC's
 /// `rewrite -z`): restructuring toward canonical forms unlocks gains in the
 /// following passes.
 pub fn rewrite_zero(aig: &Aig) -> Aig {
-    rewrite_ctx(aig, true, &mut PassCtx::new(ThreadPool::global())).0
+    rewrite_ctx(aig, true, &mut PassCtx::new()).0
 }
 
 /// Reconvergence-driven refactoring (ABC's `refactor`): one larger cut per
-/// node (default 8 leaves), resynthesized through ISOP + factoring.
-pub fn refactor(aig: &Aig) -> Aig {
-    refactor_with_cut_size(aig, 8)
-}
-
-/// Like [`refactor`] with a custom cut size (up to 12).
+/// node, resynthesized through ISOP + factoring. The scripted `rf` uses
+/// `k = 8`; `k` is clamped to `2..=12`.
 pub fn refactor_with_cut_size(aig: &Aig, k: usize) -> Aig {
-    refactor_ctx(aig, k, &mut PassCtx::new(ThreadPool::global())).0
+    refactor_ctx(aig, k, &mut PassCtx::new()).0
 }
 
-/// [`refactor`] against a pass context (pool + shared arenas), with the
-/// number of accepted replacements — the form the script engine invokes.
+/// [`refactor_with_cut_size`] against a pass context (shared arenas), with
+/// the number of accepted replacements — the form the script engine
+/// invokes.
 pub(crate) fn refactor_ctx(aig: &Aig, k: usize, ctx: &mut PassCtx) -> (Aig, u64) {
     resynthesis_pass(aig, ResynthMode::Refactor { k: k.clamp(2, 12) }, ctx)
 }
@@ -253,26 +208,21 @@ enum ResynthMode {
     },
 }
 
-/// Nodes evaluated per parallel wave. Bounds the memory held by pending
-/// evaluation results while keeping the pool dispatch overhead amortized;
-/// the batch boundary has no effect on the result (evaluation is pure).
+/// Nodes a pass visits between two polls of the cancellation token, which
+/// bounds how long a cancelled job keeps running inside a pass.
 const EVAL_BATCH: usize = 256;
 
-/// One surviving candidate of the evaluate phase.
+/// One surviving candidate of the evaluate step.
 struct Candidate {
     cut: Cut,
     tt: TruthTable,
     mffc: isize,
 }
 
-/// Evaluate-phase output for one AND node: the candidate cuts that passed
-/// the isolation-cost prefilter, in enumeration order.
-struct NodeEval {
-    candidates: Vec<Candidate>,
-}
-
-/// Per-worker evaluate-phase arenas (one per executor thread, owned by the
-/// [`PassCtx`] so they persist across all passes of a script).
+/// The evaluate/commit arenas of a pass context (owned by the
+/// [`PassArenas`](crate::pass::PassArenas) so they persist across all
+/// passes of a script). The commit step replays builds recorded in the
+/// same synthesizer the evaluate step costs with.
 #[derive(Default)]
 pub(crate) struct EvalScratch {
     pub(crate) scratch: CutScratch,
@@ -280,7 +230,6 @@ pub(crate) struct EvalScratch {
 }
 
 fn resynthesis_pass(aig: &Aig, mode: ResynthMode, ctx: &mut PassCtx) -> (Aig, u64) {
-    let pool = ctx.pool();
     let fanouts = aig.fanout_counts(true);
     let zero_gain = matches!(
         mode,
@@ -290,59 +239,49 @@ fn resynthesis_pass(aig: &Aig, mode: ResynthMode, ctx: &mut PassCtx) -> (Aig, u6
         }
     );
     let min_gain = if zero_gain { 0 } else { 1 };
-    // The cut arena lives in the pass context, so one flat buffer serves
-    // every rewrite pass of a script (and every design of a batch).
+    let token = ctx.token().clone();
+    // The arenas live in the pass context, so one flat cut buffer and one
+    // set of synthesis memos serve every pass of a script (and every design
+    // of a batch). Memo entries are pure function values, so sharing them
+    // never changes the committed graph.
+    let arenas = &mut ctx.arenas;
     let enumerated: Option<&CutArena> = match &mode {
         ResynthMode::Rewrite { k, max_cuts, .. } => {
-            cuts::enumerate_cuts_into(aig, *k, *max_cuts, pool, &mut ctx.cut_arena);
-            Some(&ctx.cut_arena)
+            cuts::enumerate_cuts_into(aig, *k, *max_cuts, &mut arenas.cut_arena);
+            Some(&arenas.cut_arena)
         }
         ResynthMode::Refactor { .. } => None,
     };
+    let st = &mut arenas.eval;
     let mut out = Aig::new(aig.name().to_string());
     let mut map: Vec<Lit> = vec![Lit::FALSE; aig.num_nodes()];
     map_cis(aig, &mut out, &mut map);
-    // One evaluate arena per executor participant, owned by the pass
-    // context so the plan memos stay warm for the whole pass — and for
-    // every later pass of the same script. The commit phase reuses
-    // participant 0's synthesizer, so a plan its evaluate share made is
-    // built without re-planning: memo entries are pure function values,
-    // so sharing them between the phases (and across arbitrary evaluation
-    // schedules or earlier passes) never changes the committed graph —
-    // with one thread this collapses to the single-synthesizer walk the
-    // sequential pass always did.
-    let token = ctx.token().clone();
-    let states = &mut ctx.arenas;
     let mut commits = 0u64;
+    let mut candidates: Vec<Candidate> = Vec::new();
     let mut leaf_lits: Vec<Lit> = Vec::new();
     let mut pending: Vec<(Lit, Lit)> = Vec::new();
 
-    let and_ids: Vec<u32> = (0..aig.num_nodes() as u32)
-        .filter(|&i| aig.nodes()[i as usize].is_and())
-        .collect();
-    for batch in and_ids.chunks(EVAL_BATCH) {
-        // Evaluate-batch boundary: a cancelled job must stop in bounded
-        // time even mid-pass. The partial rebuild is abandoned and the
-        // input graph returned unchanged (the engine discards it anyway).
-        if token.is_cancelled() {
+    let and_ids = (0..aig.num_nodes()).filter(|&i| aig.nodes()[i].is_and());
+    for (n, i) in and_ids.enumerate() {
+        // Every EVAL_BATCH nodes: a cancelled job must stop in bounded time
+        // even mid-pass. The partial rebuild is abandoned and the input
+        // graph returned unchanged (the engine discards it anyway).
+        if n % EVAL_BATCH == 0 && token.is_cancelled() {
             return (aig.clone(), commits);
         }
-        let evals = pool.map_reuse(batch, states, |st, _, &i| {
-            evaluate_node(aig, &mode, enumerated, &fanouts, i, st)
-        });
-        for (&i, eval) in batch.iter().zip(&evals) {
-            commits += u64::from(commit_node(
-                aig,
-                &mut out,
-                &mut map,
-                &mut states[0].synth,
-                &mut leaf_lits,
-                &mut pending,
-                min_gain,
-                i as usize,
-                eval,
-            ));
-        }
+        candidates.clear();
+        evaluate_node(aig, &mode, enumerated, &fanouts, i, st, &mut candidates);
+        commits += u64::from(commit_node(
+            aig,
+            &mut out,
+            &mut map,
+            &mut st.synth,
+            &mut leaf_lits,
+            &mut pending,
+            min_gain,
+            i,
+            &candidates,
+        ));
     }
     finish(aig, &mut out, &map);
     let out = out.compact();
@@ -355,42 +294,41 @@ fn resynthesis_pass(aig: &Aig, mode: ResynthMode, ctx: &mut PassCtx) -> (Aig, u6
     }
 }
 
-/// Evaluate phase for one node: collect candidate cuts and precompute the
-/// data the commit phase needs. Reads only the immutable input graph, so
-/// results are independent of scheduling and thread count.
+/// Evaluate step for one node: collect the candidate cuts that pass the
+/// isolation-cost prefilter, in enumeration order, with the data the
+/// commit step needs. Reads only the immutable input graph.
 fn evaluate_node(
     aig: &Aig,
     mode: &ResynthMode,
     enumerated: Option<&CutArena>,
     fanouts: &[u32],
-    i: u32,
+    i: usize,
     st: &mut EvalScratch,
-) -> NodeEval {
-    let id = NodeId::from_index(i as usize);
-    let mut candidates = Vec::new();
+    candidates: &mut Vec<Candidate>,
+) {
+    let id = NodeId::from_index(i);
     match mode {
         ResynthMode::Rewrite { .. } => {
             for cut in enumerated
                 .expect("rewrite enumerates cuts")
-                .node(i as usize)
+                .node(i)
                 .iter()
                 .filter(|c| c.len() >= 2 && c.leaves() != [id])
             {
                 let tt = cut
                     .function()
                     .expect("enumerated cuts carry their function");
-                push_candidate(aig, id, *cut, tt, fanouts, st, &mut candidates);
+                push_candidate(aig, id, *cut, tt, fanouts, st, candidates);
             }
         }
         ResynthMode::Refactor { k } => {
             let cut = cuts::reconvergence_cut_with(aig, id, *k, &mut st.scratch);
             if cut.len() >= 2 {
                 let tt = cuts::cut_function_with(aig, id, cut.leaves(), &mut st.scratch);
-                push_candidate(aig, id, cut, tt, fanouts, st, &mut candidates);
+                push_candidate(aig, id, cut, tt, fanouts, st, candidates);
             }
         }
     }
-    NodeEval { candidates }
 }
 
 fn push_candidate(
@@ -404,11 +342,10 @@ fn push_candidate(
 ) {
     let mffc = cuts::mffc_size_with(aig, id, cut.leaves(), fanouts, &mut st.scratch) as isize;
     // Cheap pre-filter on the isolation estimate (the synthesis cost is a
-    // pure function of the table, so per-thread memos agree). The support
-    // bound is checked first and is exact: `cost >= support - 1` (see
-    // `Synthesizer::cost`), so it rejects only cuts the cost would, and
-    // spares refactor's wide cuts the costing. On a rewrite cut (≤ 4
-    // leaves, mffc ≥ 1) it never fires.
+    // pure function of the table). The support bound is checked first and
+    // is exact: `cost >= support - 1` (see `Synthesizer::cost`), so it
+    // rejects only cuts the cost would, and spares refactor's wide cuts
+    // the costing. On a rewrite cut (≤ 4 leaves, mffc ≥ 1) it never fires.
     let support = tt.support_mask().count_ones() as isize;
     if support - 1 - mffc > 2 || st.synth.cost(&tt) as isize - mffc > 2 {
         return;
@@ -416,7 +353,7 @@ fn push_candidate(
     candidates.push(Candidate { cut, tt, mffc });
 }
 
-/// Commit phase for one node: measure each surviving candidate's
+/// Commit step for one node: measure each surviving candidate's
 /// *sharing-aware* gain by costing its build on a [`DryRun`] over the
 /// output graph, then build the winner for real. Returns whether a
 /// replacement was accepted.
@@ -430,13 +367,13 @@ fn commit_node(
     pending: &mut Vec<(Lit, Lit)>,
     min_gain: isize,
     i: usize,
-    eval: &NodeEval,
+    candidates: &[Candidate],
 ) -> bool {
     let NodeKind::And { a, b } = aig.nodes()[i] else {
         unreachable!("commit only visits AND nodes");
     };
     let mut best: Option<(isize, usize)> = None; // (gain, candidate index)
-    for (ci, cand) in eval.candidates.iter().enumerate() {
+    for (ci, cand) in candidates.iter().enumerate() {
         // A build adds no negative number of nodes, so the gain never
         // exceeds the MFFC: a candidate whose MFFC cannot reach `min_gain`
         // or beat the best gain so far cannot win. Skip costing it.
@@ -453,7 +390,7 @@ fn commit_node(
         }
     }
     map[i] = if let Some((_, ci)) = best {
-        let cand = &eval.candidates[ci];
+        let cand = &candidates[ci];
         leaf_lits.clear();
         leaf_lits.extend(cand.cut.leaves().iter().map(|l| map[l.index()]));
         synth.build(out, &cand.tt, leaf_lits)
@@ -521,22 +458,21 @@ pub enum Effort {
 /// assert!(opt.num_ands() <= 7, "full adder optimizes to ≤ 7 nodes");
 /// ```
 pub fn optimize(aig: &Aig, effort: Effort) -> Aig {
-    optimize_with(aig, effort, ThreadPool::global())
-}
-
-/// [`optimize`] on an explicit executor pool.
-///
-/// Expands the effort level to its preset script and runs it through the
-/// pass manager — `script_golden` pins the expansion to the legacy
-/// hard-coded loop node-for-node. The result is bit-identical for every
-/// pool size (including 1): the parallel evaluate phases are pure functions
-/// of the input graph and every replacement is committed single-threaded in
-/// node-index order. The `parallel_identity` proptest gates this in CI.
-pub fn optimize_with(aig: &Aig, effort: Effort, pool: &ThreadPool) -> Aig {
     let compiled = Script::preset(effort)
         .compile(None)
         .expect("preset scripts compile without a sweep");
-    compiled.run(aig, &mut PassCtx::new(pool))
+    compiled.run(aig, &mut PassCtx::new())
+}
+
+/// [`optimize`]; `pool` is unused, because every pass runs on the calling
+/// thread. Kept with its signature for perfbench's `trace.rs`, which calls
+/// it.
+///
+/// Expands the effort level to its preset script and runs it through the
+/// pass manager — `script_golden` pins the expansion to the legacy
+/// hard-coded loop node-for-node.
+pub fn optimize_with(aig: &Aig, effort: Effort, _pool: &ThreadPool) -> Aig {
+    optimize(aig, effort)
 }
 
 #[cfg(test)]

@@ -11,8 +11,8 @@
 //!   by the `script_golden` test suite).
 //! * [`CompiledScript`] — a script whose every statement is resolved to one
 //!   of a closed set of passes, run against a [`PassCtx`] that carries the
-//!   executor pool, the shared per-worker synthesis arenas, the cancellation
-//!   token and the telemetry sink.
+//!   shared synthesis arenas, the cancellation token and the telemetry
+//!   sink.
 //! * [`PassStat`] — per-pass telemetry (wall time, node/depth deltas,
 //!   commit counts) recorded by the script engine and surfaced through the
 //!   flow report.
@@ -39,7 +39,6 @@
 //! ```
 //! use xsfq_aig::pass::{PassCtx, Script};
 //! use xsfq_aig::{build, Aig};
-//! use xsfq_exec::ThreadPool;
 //!
 //! let mut g = Aig::new("fa");
 //! let a = g.input("a");
@@ -51,7 +50,7 @@
 //!
 //! let script = Script::parse("b; rw; rf; b; rwz; rw").unwrap();
 //! let compiled = script.compile(None).unwrap();
-//! let mut ctx = PassCtx::new(ThreadPool::global());
+//! let mut ctx = PassCtx::new();
 //! let out = compiled.run(&g, &mut ctx);
 //! assert!(out.num_ands() <= g.num_ands());
 //! assert_eq!(ctx.telemetry().len(), 6, "one stat per executed pass");
@@ -64,7 +63,7 @@ use std::time::Instant;
 use crate::cuts::CutArena;
 use crate::opt::{self, EvalScratch};
 use crate::Aig;
-use xsfq_exec::{CancelToken, ThreadPool};
+use xsfq_exec::CancelToken;
 
 /// The SAT sweep a script runs as `f` / `fraig`: merges proven-equivalent
 /// nodes, polls the token at its own boundaries, and returns its output
@@ -131,11 +130,11 @@ pub trait PassObserver {
 // PassCtx
 // ---------------------------------------------------------------------------
 
-/// The reusable arena set of a [`PassCtx`]: one evaluate-phase arena (cut
-/// scratch + synthesizer) per pool participant plus the shared CSR
-/// [`CutArena`] the rewrite passes enumerate into, whose cuts carry their
-/// functions. Participant 0's synthesizer also serves the commit phase, so
-/// besides plans it holds the recorded builds that phase replays.
+/// The reusable arena set of a [`PassCtx`]: the cut scratch and the
+/// synthesizer the resynthesis passes evaluate and commit with, plus the
+/// CSR [`CutArena`] the rewrite passes enumerate into, whose cuts carry
+/// their functions. Besides plans, the synthesizer holds the recorded
+/// builds the commit step replays.
 ///
 /// Detach it with [`PassCtx::take_arenas`] and re-install it with
 /// [`PassCtx::reuse_arenas`] to keep the buffers (and the pure-function
@@ -145,14 +144,13 @@ pub trait PassObserver {
 /// cache is a pure function of its inputs.
 #[derive(Default)]
 pub struct PassArenas {
-    arenas: Vec<EvalScratch>,
-    cut_arena: CutArena,
+    pub(crate) eval: EvalScratch,
+    pub(crate) cut_arena: CutArena,
 }
 
 impl fmt::Debug for PassArenas {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PassArenas")
-            .field("workers", &self.arenas.len())
             .field("cut_capacity", &self.cut_arena.total_cuts())
             .finish()
     }
@@ -160,21 +158,19 @@ impl fmt::Debug for PassArenas {
 
 /// Execution context threaded through every pass of a script run.
 ///
-/// Carries the executor pool, one evaluate-phase arena (cut scratch +
-/// synthesizer) per pool participant — shared across passes so plan memos
-/// stay warm for the whole script — the shared CSR cut arena, and the
-/// telemetry sink. Arena sharing cannot change results: the memoized
-/// synthesis plans and costs are pure functions of the truth table (the
-/// invariant the `parallel_identity` and `script_golden` suites pin).
-pub struct PassCtx<'p, 'o> {
-    pool: &'p ThreadPool,
-    pub(crate) arenas: Vec<EvalScratch>,
-    pub(crate) cut_arena: CutArena,
+/// Carries the [`PassArenas`] — shared across passes so plan memos stay
+/// warm for the whole script — the cancellation token and the telemetry
+/// sink. Arena sharing cannot change results: the memoized synthesis plans
+/// and costs are pure functions of the truth table (the invariant the
+/// `script_golden` suite pins).
+#[derive(Default)]
+pub struct PassCtx<'o> {
+    pub(crate) arenas: PassArenas,
     telemetry: Vec<PassStat>,
     observer: Option<&'o mut dyn PassObserver>,
     /// Cooperative cancellation: checked at every pass boundary by the
-    /// engine and at every evaluate-batch boundary inside the parallel
-    /// passes. Defaults to a token that never cancels.
+    /// engine and every few hundred nodes inside the resynthesis and
+    /// balance passes. Defaults to a token that never cancels.
     token: CancelToken,
     /// Set once a boundary check observed the token cancelled; the engine
     /// stops the script and callers map it to a structured job error.
@@ -187,23 +183,10 @@ pub struct PassCtx<'p, 'o> {
     chaos: Option<crate::chaos::Injector>,
 }
 
-impl<'p, 'o> PassCtx<'p, 'o> {
-    /// Context running on `pool`, with one evaluate arena per participant.
-    pub fn new(pool: &'p ThreadPool) -> Self {
-        PassCtx {
-            pool,
-            arenas: (0..pool.num_threads())
-                .map(|_| EvalScratch::default())
-                .collect(),
-            cut_arena: CutArena::new(),
-            telemetry: Vec::new(),
-            observer: None,
-            token: CancelToken::default(),
-            cancelled: false,
-            passes_started: 0,
-            #[cfg(feature = "chaos")]
-            chaos: None,
-        }
+impl<'o> PassCtx<'o> {
+    /// Context with fresh arenas, a never-cancelled token and no observer.
+    pub fn new() -> Self {
+        PassCtx::default()
     }
 
     /// Install the cancellation token the engine (and every token-aware
@@ -212,8 +195,9 @@ impl<'p, 'o> PassCtx<'p, 'o> {
         self.token = token;
     }
 
-    /// The job's cancellation token. Parallel passes clone it and check at
-    /// evaluate-batch boundaries; anything long-running should do the same.
+    /// The job's cancellation token. The resynthesis and balance passes
+    /// poll it every few hundred nodes; anything long-running should do
+    /// the same.
     pub fn token(&self) -> &CancelToken {
         &self.token
     }
@@ -232,52 +216,31 @@ impl<'p, 'o> PassCtx<'p, 'o> {
     }
 
     /// [`PassCtx::new`] with an observer notified after every pass.
-    pub fn with_observer(pool: &'p ThreadPool, observer: &'o mut dyn PassObserver) -> Self {
-        let mut ctx = PassCtx::new(pool);
-        ctx.observer = Some(observer);
-        ctx
+    pub fn with_observer(observer: &'o mut dyn PassObserver) -> Self {
+        PassCtx {
+            observer: Some(observer),
+            ..PassCtx::default()
+        }
     }
 
-    /// Install a previously detached arena set (topped up to one evaluate
-    /// arena per pool participant). Reusing arenas across designs keeps the
-    /// cut storage and synthesis memos warm without changing any result.
+    /// Install a previously detached arena set. Reusing arenas across
+    /// designs keeps the cut storage and synthesis memos warm without
+    /// changing any result.
     pub fn reuse_arenas(&mut self, arenas: PassArenas) {
-        let PassArenas {
-            mut arenas,
-            cut_arena,
-        } = arenas;
-        while arenas.len() < self.pool.num_threads() {
-            arenas.push(EvalScratch::default());
-        }
         self.arenas = arenas;
-        self.cut_arena = cut_arena;
     }
 
     /// Detach the arena set for reuse by a later context (the context keeps
     /// working with fresh, empty arenas).
     pub fn take_arenas(&mut self) -> PassArenas {
-        let taken = PassArenas {
-            arenas: std::mem::take(&mut self.arenas),
-            cut_arena: std::mem::take(&mut self.cut_arena),
-        };
-        // Keep the context runnable: one (empty) evaluate arena per
-        // participant, as `new` would have built.
-        self.arenas = (0..self.pool.num_threads())
-            .map(|_| EvalScratch::default())
-            .collect();
-        taken
-    }
-
-    /// The executor pool passes should fan their evaluate phases across.
-    pub fn pool(&self) -> &'p ThreadPool {
-        self.pool
+        std::mem::take(&mut self.arenas)
     }
 
     /// The shared CSR cut arena the rewrite passes enumerate into. Exposed
     /// read-only so integrity audits (`CutArena::check_integrity`) can run
     /// between passes without detaching the arenas.
     pub fn cut_arena(&self) -> &CutArena {
-        &self.cut_arena
+        &self.arenas.cut_arena
     }
 
     /// Telemetry of every pass executed through this context so far.
@@ -357,10 +320,9 @@ impl<'p, 'o> PassCtx<'p, 'o> {
     fn apply_chaos(&mut self, _pass_name: &str, _pass_index: usize) {}
 }
 
-impl fmt::Debug for PassCtx<'_, '_> {
+impl fmt::Debug for PassCtx<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PassCtx")
-            .field("threads", &self.pool.num_threads())
             .field("passes_run", &self.telemetry.len())
             .finish()
     }
@@ -376,8 +338,8 @@ impl fmt::Debug for PassCtx<'_, '_> {
 ///
 /// Every pass preserves the PI/PO/latch interface and the function of every
 /// output (scripted flows are CEC-checked against their source in the test
-/// suites), and is deterministic for every pool size — evaluate in
-/// parallel, commit in a canonical order (see `xsfq_exec`'s module docs).
+/// suites), and is deterministic: it runs on the calling thread and commits
+/// nodes in ascending index order.
 #[derive(Clone, Copy, Debug)]
 enum Pass {
     Balance,
@@ -415,7 +377,7 @@ impl Pass {
     /// replacements, rebuilt super-gates or proven merges; zero for `c`).
     fn run(self, aig: &Aig, ctx: &mut PassCtx) -> (Aig, u64) {
         match self {
-            Pass::Balance => opt::balance_counted(aig, ctx.pool(), ctx.token()),
+            Pass::Balance => opt::balance_counted(aig, ctx.token()),
             Pass::Rewrite { zero_gain } => opt::rewrite_ctx(aig, zero_gain, ctx),
             Pass::Refactor { k } => opt::refactor_ctx(aig, k, ctx),
             Pass::Cleanup => (aig.compact(), 0),
@@ -821,7 +783,7 @@ pub struct CompiledScript {
 
 impl CompiledScript {
     /// Execute the script, recording one [`PassStat`] per executed pass
-    /// into `ctx`. The output is bit-identical for every pool size.
+    /// into `ctx`.
     ///
     /// Execution stops early when the context's [`CancelToken`] reports
     /// cancelled (check [`PassCtx::cancelled`]; the returned graph must be
@@ -958,7 +920,7 @@ mod tests {
     fn script_runs_and_records_telemetry() {
         let g = adder();
         let compiled = Script::parse("c; b; rw").unwrap().compile(None).unwrap();
-        let mut ctx = PassCtx::new(ThreadPool::global());
+        let mut ctx = PassCtx::new();
         let out = compiled.run(&g, &mut ctx);
         assert!(out.num_ands() <= g.num_ands());
         let stats = ctx.telemetry();
@@ -983,8 +945,7 @@ mod tests {
         let g = adder();
         let compiled = Script::parse("b; rw; b").unwrap().compile(None).unwrap();
         let mut count = Count(0);
-        let pool = ThreadPool::new(1);
-        let mut ctx = PassCtx::with_observer(&pool, &mut count);
+        let mut ctx = PassCtx::with_observer(&mut count);
         compiled.run(&g, &mut ctx);
         assert_eq!(ctx.telemetry().len(), 3);
         drop(ctx);
@@ -1000,7 +961,7 @@ mod tests {
             .unwrap()
             .compile(None)
             .unwrap();
-        let mut ctx = PassCtx::new(ThreadPool::global());
+        let mut ctx = PassCtx::new();
         let out = compiled.run(&g.compact(), &mut ctx);
         assert_eq!(out.nodes(), g.compact().nodes());
         assert_eq!(ctx.telemetry().len(), 1, "early exit after round 1");
@@ -1010,15 +971,14 @@ mod tests {
     fn context_stays_runnable_after_take_arenas_and_reuse_is_invisible() {
         let g = adder();
         let compiled = Script::parse("b; rw").unwrap().compile(None).unwrap();
-        let pool = ThreadPool::new(2);
-        let mut ctx = PassCtx::new(&pool);
+        let mut ctx = PassCtx::new();
         let a = compiled.run(&g, &mut ctx);
         let arenas = ctx.take_arenas();
         // The drained context must keep working with fresh arenas.
         let b = compiled.run(&g, &mut ctx);
         assert_eq!(a.nodes(), b.nodes());
         // Warm arenas on a new context cannot change the result.
-        let mut warm = PassCtx::new(&pool);
+        let mut warm = PassCtx::new();
         warm.reuse_arenas(arenas);
         let c = compiled.run(&g, &mut warm);
         assert_eq!(a.nodes(), c.nodes());
@@ -1060,7 +1020,7 @@ mod tests {
         let g = adder();
         let run = |text: &str| {
             let compiled = Script::parse(text).unwrap().compile(None).unwrap();
-            let mut ctx = PassCtx::new(ThreadPool::global());
+            let mut ctx = PassCtx::new();
             let out = compiled.run(&g, &mut ctx);
             let names: Vec<String> = ctx.take_telemetry().into_iter().map(|s| s.name).collect();
             (out, names)
@@ -1096,7 +1056,7 @@ mod tests {
             .unwrap();
         let token = CancelToken::new();
         token.cancel();
-        let mut ctx = PassCtx::new(ThreadPool::global());
+        let mut ctx = PassCtx::new();
         ctx.set_token(token);
         let out = compiled.run(&g, &mut ctx);
         assert!(ctx.cancelled());

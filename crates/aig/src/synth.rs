@@ -37,9 +37,8 @@
 //! Both memo values are pure functions of the table: a plan depends only
 //! on the table and on the costs of its cofactors, which are themselves
 //! memo values, and a recording only on the plans. So what a synthesizer
-//! has seen before — earlier cuts, passes or designs, or another thread's
-//! share of an evaluate batch — can change how fast it answers, never what
-//! it answers.
+//! has seen before — earlier cuts, passes or designs — can change how fast
+//! it answers, never what it answers.
 
 use crate::hash::FxHashMap;
 use crate::isop::{isop, Cube};
@@ -75,7 +74,7 @@ pub fn synthesis_cost(tt: &TruthTable, num_leaves: usize) -> usize {
 /// `Synthesizer` so repeated cut functions (buffers, carry chains…) are
 /// planned and recorded once. The memos never change a result (see the
 /// [module docs](self)), so one engine may serve any sequence of passes
-/// and designs, and each thread of a parallel pass may keep its own.
+/// and designs.
 #[derive(Default, Debug)]
 pub struct Synthesizer {
     /// Per-table memo: every table planned so far, with its plan and that

@@ -8,8 +8,8 @@
 //! Tables over **up to 6 variables fit in one inline `u64`** — no heap
 //! allocation at all. Only tables over 7+ variables (`2^(vars-6)` words)
 //! spill to a heap vector. The representation is an invariant, not a
-//! heuristic: `vars <= 6` always uses [`Repr::Small`] and `vars > 6` always
-//! uses [`Repr::Big`], so equality/hashing never have to normalize.
+//! heuristic: `vars <= 6` always uses `Repr::Small` and `vars > 6` always
+//! uses `Repr::Big`, so equality/hashing never have to normalize.
 //!
 //! Because the rewriting loops (`opt`, `synth`, `isop`) run almost entirely
 //! on ≤6-variable cut functions, every operator also has an **in-place

@@ -1,6 +1,5 @@
-//! Shared helpers for the determinism gates (`parallel_identity`,
-//! `script_golden`): a random-DAG generator and the bit-identity check.
-#![allow(dead_code)] // each test binary uses its own subset
+//! Helpers for the `script_golden` gate: a random-DAG generator and the
+//! bit-identity check.
 
 use proptest::prelude::*;
 use xsfq_aig::{Aig, Lit};

@@ -1,25 +1,22 @@
 //! Golden gate for the pass-manager redesign: the `fast`/`standard`/`high`
 //! preset scripts must produce **bit-identical** AIGs to the legacy
-//! hard-coded `Effort` loop, for every thread count.
+//! hard-coded `Effort` loop.
 //!
 //! The legacy loop is copied verbatim below (against the public pass
-//! functions) so the pin survives refactors of `optimize_with` itself. Run
-//! in CI as a named step under both `XSFQ_THREADS=1` and the default pool,
-//! like `parallel_identity`.
+//! functions) so the pin survives refactors of `optimize` itself. Run in
+//! CI as a named step.
 
 use proptest::prelude::*;
 
 use xsfq_aig::opt::{self, Effort};
 use xsfq_aig::pass::{PassCtx, Script};
 use xsfq_aig::{build, Aig, Lit};
-use xsfq_exec::ThreadPool;
 
 mod common;
 use common::circuit_from_recipe;
 
 /// The pre-redesign `optimize_with` body, verbatim (modulo going through
-/// the public per-pass entry points, which are pool-independent by the
-/// `parallel_identity` gate).
+/// the public per-pass entry points).
 fn legacy_optimize(aig: &Aig, effort: Effort) -> Aig {
     let (rounds, refactor_k) = match effort {
         Effort::Fast => (1, 8),
@@ -47,11 +44,11 @@ fn legacy_optimize(aig: &Aig, effort: Effort) -> Aig {
     best
 }
 
-fn run_preset(aig: &Aig, effort: Effort, pool: &ThreadPool) -> Aig {
+fn run_preset(aig: &Aig, effort: Effort) -> Aig {
     Script::preset(effort)
         .compile(None)
         .expect("presets compile")
-        .run(aig, &mut PassCtx::new(pool))
+        .run(aig, &mut PassCtx::new())
 }
 
 fn assert_identical(a: &Aig, b: &Aig, label: &str) {
@@ -76,16 +73,12 @@ fn presets_match_legacy_effort_on_structured_circuits() {
     alu.output_word("o", &out);
     alu.output("c", carry);
 
-    let single = ThreadPool::new(1);
-    let quad = ThreadPool::new(4);
     for g in [&mul, &alu] {
         for effort in [Effort::Fast, Effort::Standard, Effort::High] {
             let golden = legacy_optimize(g, effort);
             let label = format!("{} {effort:?}", g.name());
-            assert_identical(&golden, &run_preset(g, effort, &single), &label);
-            assert_identical(&golden, &run_preset(g, effort, &quad), &label);
-            // The facade entry point (global pool, whatever XSFQ_THREADS
-            // says) must agree too.
+            assert_identical(&golden, &run_preset(g, effort), &label);
+            // The facade entry point must agree too.
             assert_identical(&golden, &opt::optimize(g, effort), &label);
         }
     }
@@ -110,8 +103,7 @@ fn preset_scripts_parse_to_the_documented_text() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Preset scripts == legacy Effort loop, node-for-node, on random DAGs
-    /// and for sequential and parallel pools.
+    /// Preset scripts == legacy Effort loop, node-for-node, on random DAGs.
     #[test]
     fn presets_match_legacy_effort_on_random_circuits(
         recipe in prop::collection::vec((any::<u8>(), 0usize..64, 0usize..64), 8..100),
@@ -125,11 +117,9 @@ proptest! {
             _ => Effort::High,
         };
         let golden = legacy_optimize(&g, effort);
-        for pool in [ThreadPool::new(1), ThreadPool::new(4)] {
-            let scripted = run_preset(&g, effort, &pool);
-            prop_assert_eq!(golden.nodes(), scripted.nodes(), "node tables differ");
-            prop_assert_eq!(golden.outputs(), scripted.outputs());
-            prop_assert_eq!(golden.inputs(), scripted.inputs());
-        }
+        let scripted = run_preset(&g, effort);
+        prop_assert_eq!(golden.nodes(), scripted.nodes(), "node tables differ");
+        prop_assert_eq!(golden.outputs(), scripted.outputs());
+        prop_assert_eq!(golden.inputs(), scripted.inputs());
     }
 }

@@ -191,7 +191,7 @@ fn run(cli: &Cli) -> Result<ExitCode, String> {
         },
         tolerance_ps: cli.tolerance_ps,
     };
-    let outcome = balance_netlist(&result.mapped.physical, &opts, None);
+    let outcome = balance_netlist(&result.mapped.physical, &opts);
     let netlist = outcome.netlist.as_ref().unwrap_or(&result.mapped.physical);
     let analysis = &outcome.analysis;
     let summary = &outcome.summary;

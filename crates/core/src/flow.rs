@@ -27,7 +27,7 @@ use xsfq_netlist::Netlist;
 
 use crate::map::{map_with_assignment, MapOptions, MappedDesign};
 use crate::pipeline::choose_rank_levels;
-use crate::polarity::{assign_polarities_with_pool, PolarityMode};
+use crate::polarity::{assign_polarities, PolarityMode};
 use crate::verify::verify_mapping;
 use xsfq_timing::{BalanceMode, TimingOptions, TimingSummary};
 
@@ -50,14 +50,15 @@ pub struct FlowOptions {
     /// Prove the mapped netlist equivalent to the source (combinational
     /// designs; sequential designs are validated by the pulse simulator).
     pub verify: bool,
-    /// Worker threads for the parallel optimization passes. `None` uses the
+    /// Width of the batch entry points' design fan-out. `None` uses the
     /// process-wide executor pool (sized by `XSFQ_THREADS`, defaulting to
-    /// `available_parallelism`); `Some(n)` runs this flow on a private
-    /// `n`-thread pool. The optimized AIG is bit-identical either way.
+    /// `available_parallelism`); `Some(n)` fans designs out over a private
+    /// `n`-thread pool. Each design runs on one thread, so results are
+    /// identical either way; single-design entry points ignore it.
     pub threads: Option<usize>,
     /// Cooperative cancellation token. Cancelling it aborts every job of a
-    /// running batch at the next pass or evaluate-batch boundary; `None`
-    /// means "never cancelled externally".
+    /// running batch at the next pass boundary, or within a few hundred
+    /// nodes of a running pass; `None` means "never cancelled externally".
     pub cancel: Option<CancelToken>,
     /// Wall-clock deadline per job, measured from that job's start. A job
     /// exceeding it is cancelled (its [`JobError`] reports
@@ -187,9 +188,7 @@ pub struct JobError {
 /// The failure taxonomy of a [`JobError`].
 #[derive(Debug)]
 pub enum JobErrorKind {
-    /// The job panicked; the panic payload's message, with the worker
-    /// attribution preserved when the panic crossed a parallel section
-    /// ([`xsfq_exec::WorkerPanic`]).
+    /// The job panicked; the panic payload's message.
     Panicked {
         /// The panic payload rendered as a string.
         message: String,
@@ -570,9 +569,11 @@ impl SynthesisFlow {
         self
     }
 
-    /// Run the optimization passes on a private pool of `threads` worker
-    /// threads (clamped to ≥ 1) instead of the process-wide executor. The
-    /// result is bit-identical for every thread count.
+    /// Fan [`SynthesisFlow::run_many`]'s designs out over a private pool of
+    /// `threads` worker threads (clamped to ≥ 1) instead of the
+    /// process-wide executor. Results are identical for every thread
+    /// count; [`SynthesisFlow::run`] and [`SynthesisFlow::run_job`] run one
+    /// design on the calling thread and ignore it.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.options.threads = Some(threads.max(1));
@@ -580,10 +581,10 @@ impl SynthesisFlow {
     }
 
     /// Install a cancellation token. Cancelling it aborts the flow (every
-    /// job of a batch) at the next pass or evaluate-batch boundary; the
-    /// abort surfaces as [`FlowError::Cancelled`] /
-    /// [`JobErrorKind::Cancelled`]. Completed jobs are unaffected and
-    /// bit-identical to uncancelled runs.
+    /// job of a batch) at the next pass boundary, or within a few hundred
+    /// nodes of a running pass; the abort surfaces as
+    /// [`FlowError::Cancelled`] / [`JobErrorKind::Cancelled`]. Completed
+    /// jobs are unaffected and bit-identical to uncancelled runs.
     #[must_use]
     pub fn cancel_token(mut self, token: CancelToken) -> Self {
         self.options.cancel = Some(token);
@@ -638,14 +639,8 @@ impl SynthesisFlow {
         self.options.script.compile(Some(xsfq_sat::fraig_pass))
     }
 
-    /// The private pool `threads(n)` asks for; `None` means the
-    /// process-wide executor.
-    fn private_pool(&self) -> Option<ThreadPool> {
-        self.options.threads.map(ThreadPool::new)
-    }
-
-    /// Run the flow on a design: [`SynthesisFlow::run_job`] on the flow's
-    /// pool with fresh arenas.
+    /// Run the flow on a design: [`SynthesisFlow::run_job`] on the calling
+    /// thread with fresh arenas.
     ///
     /// # Errors
     ///
@@ -657,21 +652,17 @@ impl SynthesisFlow {
     /// expired. A panicking job re-raises its panic with the [`JobError`]
     /// message.
     pub fn run(&self, aig: &Aig) -> Result<FlowResult, FlowError> {
-        let pool = self.private_pool();
-        let pool = pool.as_ref().unwrap_or_else(|| ThreadPool::global());
-        self.run_job(aig, pool, &mut PassArenas::default())
+        self.run_job(aig, &mut PassArenas::default())
             .map_err(JobError::into_flow_error)
     }
 
     /// Run the flow over a batch of designs, scheduling **whole designs**
-    /// across the executor pool (flow-level parallelism for benchmark
-    /// sweeps and serving workloads).
+    /// across the executor pool: designs are the unit of parallelism, and
+    /// each one runs start to finish on the worker that claimed it.
     ///
     /// Results come back in input order and are identical to running
-    /// [`SynthesisFlow::run`] per design: each design's passes execute on a
-    /// sequential inner pool (the executor forbids nested parallel
-    /// sections), and the optimization output is bit-identical for every
-    /// thread count by construction. Each worker keeps one warm
+    /// [`SynthesisFlow::run`] per design, for every pool size
+    /// ([`SynthesisFlow::threads`]). Each worker keeps one warm
     /// [`PassArenas`] set (cut arena, scratch, synthesis memos) across all
     /// the designs it handles — reuse cannot change results, everything the
     /// arenas cache is a pure function of its inputs.
@@ -708,37 +699,27 @@ impl SynthesisFlow {
     #[allow(clippy::result_large_err)]
     pub fn run_many_isolated(&self, designs: &[Aig]) -> Vec<Result<FlowResult, JobError>> {
         let compiled = self.compiled_script();
-        let pool = self.private_pool();
-        pool.as_ref()
+        // The private fan-out pool `threads(n)` asks for, or the
+        // process-wide executor.
+        let private = self.options.threads.map(ThreadPool::new);
+        private
+            .as_ref()
             .unwrap_or_else(|| ThreadPool::global())
-            .map_init_coarse(
-                designs,
-                || (ThreadPool::new(1), PassArenas::default()),
-                |(inner, arenas), design, aig| {
-                    self.job(aig, design, compiled.as_ref(), inner, arenas)
-                },
-            )
+            .map_init(designs, PassArenas::default, |arenas, design, aig| {
+                self.job(aig, design, compiled.as_ref(), arenas)
+            })
     }
 
-    /// One fault-isolated job on a caller-owned pool: the serving daemon's
-    /// entry point. Unlike [`SynthesisFlow::run_many_isolated`] — which
-    /// owns its scheduling and gives every job a 1-thread inner pool — this
-    /// runs a single design with the optimization passes fanned out over
-    /// `pool` (a 1-thread pool runs them inline), reusing the caller's warm
-    /// [`PassArenas`] across jobs. Every failure mode surfaces as a
-    /// structured [`JobError`] with `design == 0`, which is also the index
-    /// a chaos plan (test-only `chaos` feature) addresses it by.
-    ///
-    /// Must not be called from inside a parallel section of `pool` (the
-    /// executor forbids nested sections).
+    /// One fault-isolated job on the calling thread: the serving daemon's
+    /// entry point. Unlike [`SynthesisFlow::run_many_isolated`], which owns
+    /// its scheduling, this runs a single design and reuses the caller's
+    /// warm [`PassArenas`] across jobs; the daemon's parallelism is its
+    /// worker shards. Every failure mode surfaces as a structured
+    /// [`JobError`] with `design == 0`, which is also the index a chaos
+    /// plan (test-only `chaos` feature) addresses it by.
     #[allow(clippy::result_large_err)]
-    pub fn run_job(
-        &self,
-        aig: &Aig,
-        pool: &ThreadPool,
-        arenas: &mut PassArenas,
-    ) -> Result<FlowResult, JobError> {
-        self.job(aig, 0, self.compiled_script().as_ref(), pool, arenas)
+    pub fn run_job(&self, aig: &Aig, arenas: &mut PassArenas) -> Result<FlowResult, JobError> {
+        self.job(aig, 0, self.compiled_script().as_ref(), arenas)
     }
 
     /// The job core every entry point runs through. It sets the job up —
@@ -751,7 +732,6 @@ impl SynthesisFlow {
         aig: &Aig,
         design: usize,
         compiled: Result<&CompiledScript, &ScriptError>,
-        pool: &ThreadPool,
         arenas: &mut PassArenas,
     ) -> Result<FlowResult, JobError> {
         // The configured token (or a never-cancelled default), tightened by
@@ -783,7 +763,6 @@ impl SynthesisFlow {
                 self.run_stages(
                     aig,
                     compiled,
-                    pool,
                     arenas,
                     &token,
                     &mut observer,
@@ -829,7 +808,6 @@ impl SynthesisFlow {
         &self,
         aig: &Aig,
         compiled: &CompiledScript,
-        pool: &ThreadPool,
         arenas: &mut PassArenas,
         token: &CancelToken,
         observer: &mut PassObserver,
@@ -853,7 +831,7 @@ impl SynthesisFlow {
         // the next design reuses it.
         let start = Instant::now();
         let (optimized, passes, arena_lint) = {
-            let mut ctx = PassCtx::with_observer(pool, observer);
+            let mut ctx = PassCtx::with_observer(observer);
             ctx.set_token(token.clone());
             #[cfg(feature = "chaos")]
             if let Some(injector) = chaos {
@@ -893,7 +871,7 @@ impl SynthesisFlow {
 
         // -- Polarity: output phase assignment.
         let start = Instant::now();
-        let (assignment, _requirements) = assign_polarities_with_pool(&optimized, o.polarity, pool);
+        let (assignment, _requirements) = assign_polarities(&optimized, o.polarity);
         note(FlowStage::Polarity, start);
         if token.is_cancelled() {
             return Err(cancelled());
@@ -933,7 +911,7 @@ impl SynthesisFlow {
         let mut timing_summary = None;
         if let Some(topts) = &o.timing {
             let start = Instant::now();
-            let outcome = xsfq_timing::balance_netlist(&mapped.physical, topts, Some(pool));
+            let outcome = xsfq_timing::balance_netlist(&mapped.physical, topts);
             if let Some(balanced) = outcome.netlist {
                 mapped.physical = balanced;
             }
@@ -1069,19 +1047,31 @@ mod tests {
         assert_eq!(swept.report.passes.last().unwrap().name, "f");
     }
 
+    /// The mul3–mul6 array multipliers.
+    fn multipliers() -> Vec<Aig> {
+        let mut designs = Vec::new();
+        for bits in [3usize, 4, 5, 6] {
+            let mut g = Aig::new(format!("mul{bits}"));
+            let a = g.input_word("a", bits);
+            let b = g.input_word("b", bits);
+            let p = build::array_multiplier(&mut g, &a, &b);
+            g.output_word("p", &p);
+            designs.push(g);
+        }
+        designs
+    }
+
     #[test]
     fn threads_knob_gives_bit_identical_flows() {
-        let mut g = Aig::new("mul6");
-        let a = g.input_word("a", 6);
-        let b = g.input_word("b", 6);
-        let p = build::array_multiplier(&mut g, &a, &b);
-        g.output_word("p", &p);
-        let one = SynthesisFlow::new().threads(1).run(&g).unwrap();
-        let four = SynthesisFlow::new().threads(4).run(&g).unwrap();
-        assert_eq!(one.optimized.nodes(), four.optimized.nodes());
-        assert_eq!(one.optimized.outputs(), four.optimized.outputs());
-        assert_eq!(one.report.jj_total, four.report.jj_total);
-        assert_eq!(one.report.la_fa, four.report.la_fa);
+        let designs = multipliers();
+        let one = SynthesisFlow::new().threads(1).run_many(&designs).unwrap();
+        let four = SynthesisFlow::new().threads(4).run_many(&designs).unwrap();
+        assert_eq!(one.len(), designs.len());
+        for (one, four) in one.iter().zip(&four) {
+            assert_eq!(one.optimized.nodes(), four.optimized.nodes());
+            assert_eq!(one.optimized.outputs(), four.optimized.outputs());
+            assert_eq!(one.report.jj_total, four.report.jj_total);
+        }
     }
 
     /// A cancellation token and a job deadline, installed but never firing,
@@ -1207,15 +1197,7 @@ mod tests {
 
     #[test]
     fn run_many_matches_sequential_runs() {
-        let mut designs = Vec::new();
-        for bits in [3usize, 4, 5, 6] {
-            let mut g = Aig::new(format!("mul{bits}"));
-            let a = g.input_word("a", bits);
-            let b = g.input_word("b", bits);
-            let p = build::array_multiplier(&mut g, &a, &b);
-            g.output_word("p", &p);
-            designs.push(g);
-        }
+        let designs = multipliers();
         let flow = SynthesisFlow::new().script(Script::preset(Effort::Fast));
         let batch = flow.run_many(&designs).unwrap();
         assert_eq!(batch.len(), designs.len());

@@ -45,10 +45,7 @@ pub use flow::{
     FlowError, FlowOptions, FlowReport, FlowResult, FlowStage, JobError, JobErrorKind, StageStat,
     SynthesisFlow,
 };
-pub use map::{
-    map_with_assignment, map_with_assignment_pool, map_xsfq, map_xsfq_with_pool, MapOptions,
-    MappedDesign,
-};
+pub use map::{map_with_assignment, map_with_assignment_pool, map_xsfq, MapOptions, MappedDesign};
 pub use polarity::{
     assign_polarities, assign_polarities_with_pool, OutputPolarity, PolarityAssignment,
     PolarityMode, RailRequirements,

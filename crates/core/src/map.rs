@@ -18,12 +18,10 @@
 //!   chains created on first demand). Cell instantiation order fixes
 //!   `NetId`/`CellId` numbering.
 //!
-//! Neither sweep uses the executor: a levelized parallel requirements
-//! sweep measured slower than the sequential one on two cores, and the
-//! emission order is inherently serial. Only the exhaustive polarity
-//! search fans out, and it reduces in a fixed order, so the mapped netlist
-//! is bit-identical for every pool size. The `map_identity` proptest gates
-//! this in CI.
+//! Both sweeps run on the calling thread, like every stage of a design's
+//! flow: a levelized parallel requirements sweep measured slower than the
+//! sequential one on two cores, and the emission order is inherently
+//! serial.
 
 use xsfq_aig::{Aig, Lit, NodeId, NodeKind};
 use xsfq_cells::{CellKind, CellLibrary, InterconnectStyle};
@@ -113,28 +111,18 @@ impl RankRails {
     }
 }
 
-/// Map an optimized AIG to an xSFQ netlist, on the global executor pool.
+/// Map an optimized AIG to an xSFQ netlist.
 ///
 /// # Panics
 ///
 /// Panics if `rank_levels` is non-empty on a sequential design (pipelining
 /// and feedback latches are composed at the flow level, not here).
 pub fn map_xsfq(aig: &Aig, options: &MapOptions) -> MappedDesign {
-    map_xsfq_with_pool(aig, options, ThreadPool::global())
-}
-
-/// [`map_xsfq`] with the polarity search on an explicit executor pool. The
-/// mapped netlist is bit-identical for every pool size.
-///
-/// # Panics
-///
-/// Panics if `rank_levels` is non-empty on a sequential design.
-pub fn map_xsfq_with_pool(aig: &Aig, options: &MapOptions, pool: &ThreadPool) -> MappedDesign {
     assert!(
         options.rank_levels.is_empty() || aig.num_latches() == 0,
         "pipeline ranks apply to combinational designs only"
     );
-    let (assignment, _) = crate::polarity::assign_polarities_with_pool(aig, options.polarity, pool);
+    let (assignment, _) = crate::polarity::assign_polarities(aig, options.polarity);
     map_with_assignment(aig, options, assignment)
 }
 

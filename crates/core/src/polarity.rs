@@ -209,23 +209,8 @@ fn mark(req: &mut RailRequirements, lit: Lit, positive_sense: bool) {
 }
 
 /// Choose output polarities according to `mode` and return the assignment
-/// with its rail requirements, on the global executor pool.
+/// with its rail requirements.
 pub fn assign_polarities(aig: &Aig, mode: PolarityMode) -> (PolarityAssignment, RailRequirements) {
-    assign_polarities_with_pool(aig, mode, ThreadPool::global())
-}
-
-/// [`assign_polarities`] on an explicit executor pool.
-///
-/// Only the exhaustive search uses the pool: it fans its per-candidate
-/// [`rail_requirements`] costing across it and reduces in candidate order,
-/// so the chosen assignment is **identical** for every pool size. The
-/// heuristic search runs sequentially; a speculative parallel version
-/// measured slower on two cores.
-pub fn assign_polarities_with_pool(
-    aig: &Aig,
-    mode: PolarityMode,
-    pool: &ThreadPool,
-) -> (PolarityAssignment, RailRequirements) {
     match mode {
         PolarityMode::DualRail => {
             let a = PolarityAssignment::all_positive(aig);
@@ -238,8 +223,19 @@ pub fn assign_polarities_with_pool(
             (a, r)
         }
         PolarityMode::Heuristic => heuristic_assignment(aig),
-        PolarityMode::Exhaustive => exhaustive_assignment(aig, pool),
+        PolarityMode::Exhaustive => exhaustive_assignment(aig),
     }
+}
+
+/// [`assign_polarities`]; `pool` is unused, because both searches run on
+/// the calling thread. Kept with its signature for perfbench's `trace.rs`,
+/// which calls it.
+pub fn assign_polarities_with_pool(
+    aig: &Aig,
+    mode: PolarityMode,
+    _pool: &ThreadPool,
+) -> (PolarityAssignment, RailRequirements) {
+    assign_polarities(aig, mode)
 }
 
 /// Greedy improvement (the Puri–Bjorksten–Rosser heuristic adapted to
@@ -272,16 +268,14 @@ fn heuristic_assignment(aig: &Aig) -> (PolarityAssignment, RailRequirements) {
     (assignment, best_req)
 }
 
-/// Exhaustive search over all output polarity assignments (≤ 20 outputs).
-///
-/// Candidate codes are costed in parallel; the reduction keeps the
-/// lowest-cost code with the **lowest code value** on ties (the order the
-/// sequential scan accepted), so the winner is pool-size independent.
+/// Exhaustive search over all output polarity assignments (≤ 20 outputs):
+/// costs every code in ascending order and keeps the lowest code of
+/// minimal cost.
 ///
 /// # Panics
 ///
 /// Panics if the design has more than 20 outputs.
-fn exhaustive_assignment(aig: &Aig, pool: &ThreadPool) -> (PolarityAssignment, RailRequirements) {
+fn exhaustive_assignment(aig: &Aig) -> (PolarityAssignment, RailRequirements) {
     let bits = aig.num_outputs();
     assert!(
         bits <= 20,
@@ -298,22 +292,17 @@ fn exhaustive_assignment(aig: &Aig, pool: &ThreadPool) -> (PolarityAssignment, R
             })
             .collect(),
     };
-    let codes: Vec<u32> = (0..(1u32 << bits)).collect();
-    let mut states: Vec<RailRequirements> = (0..pool.num_threads())
-        .map(|_| RailRequirements::default())
-        .collect();
-    let costs = pool.map_reuse(&codes, &mut states, |req, _, &code| {
-        rail_requirements_into(aig, &assignment_for(code), false, None, req);
-        req.cell_count(aig)
-    });
-    // Order-fixed reduction: strict `<` keeps the earliest minimal code.
-    let mut best = 0usize;
-    for (i, &cost) in costs.iter().enumerate() {
-        if cost < costs[best] {
-            best = i;
+    let mut req = RailRequirements::default();
+    let (mut best_code, mut best_cost) = (0, usize::MAX);
+    for code in 0..(1u32 << bits) {
+        rail_requirements_into(aig, &assignment_for(code), false, None, &mut req);
+        let cost = req.cell_count(aig);
+        // Strict `<` keeps the lowest minimal code.
+        if cost < best_cost {
+            (best_code, best_cost) = (code, cost);
         }
     }
-    let assignment = assignment_for(codes[best]);
+    let assignment = assignment_for(best_code);
     let req = rail_requirements(aig, &assignment, false);
     (assignment, req)
 }

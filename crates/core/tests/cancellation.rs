@@ -1,17 +1,17 @@
 //! Cancellation-latency contract (CI-gated under the default pool and
 //! `XSFQ_THREADS=1`): a cancelled flow aborts at the **next pass
 //! boundary** — no further pass starts, the partial telemetry is exactly
-//! the passes that completed, and the verdict names the cause. The matrix
-//! covers a private 1-thread pool, a private 4-thread pool and the
-//! process-wide executor, because the token is polled inside the parallel
-//! evaluate loops too and the pool must come back healthy.
+//! the passes that completed, and the verdict names the cause. The flow
+//! scenarios run on a private 1-thread and 4-thread fan-out pool and on
+//! the process-wide executor, which must come back healthy after a
+//! cancelled batch.
 
 use std::time::{Duration, Instant};
 
 use xsfq_aig::pass::{PassCtx, PassObserver, PassStat, Script};
 use xsfq_aig::{build, Aig, Lit};
 use xsfq_core::{FlowError, JobErrorKind, SynthesisFlow};
-use xsfq_exec::{CancelCause, CancelToken, ThreadPool};
+use xsfq_exec::{CancelCause, CancelToken};
 
 fn adder() -> Aig {
     let mut g = Aig::new("adder4");
@@ -23,8 +23,8 @@ fn adder() -> Aig {
     g
 }
 
-/// The pool matrix every scenario runs under. `XSFQ_THREADS=1` in CI
-/// additionally pins the *global* row to a sequential pool.
+/// The fan-out pool matrix the flow scenarios run under. `XSFQ_THREADS=1`
+/// in CI additionally pins the *global* row to a sequential pool.
 fn flows() -> Vec<(&'static str, SynthesisFlow)> {
     vec![
         ("threads(1)", SynthesisFlow::new().threads(1)),
@@ -83,33 +83,25 @@ fn cancel_after_first_pass_stops_at_the_boundary() {
         .unwrap()
         .compile(Some(xsfq_sat::fraig_pass))
         .unwrap();
-    let (one, four) = (ThreadPool::new(1), ThreadPool::new(4));
-    let pools = [
-        ("threads(1)", &one),
-        ("threads(4)", &four),
-        ("global", ThreadPool::global()),
-    ];
-    for (label, pool) in pools {
-        let token = CancelToken::default();
-        let mut observer = CancelAfterFirstPass {
-            token: token.clone(),
-        };
-        let mut ctx = PassCtx::with_observer(pool, &mut observer);
-        ctx.set_token(token);
-        let cancelled_at = Instant::now();
-        compiled.run(&g, &mut ctx);
-        let latency = cancelled_at.elapsed();
-        assert!(ctx.cancelled(), "{label}: the run must report the cancel");
-        assert_eq!(
-            ctx.telemetry().len(),
-            1,
-            "{label}: the pass after the cancel must not run"
-        );
-        assert!(
-            latency < Duration::from_secs(30),
-            "{label}: the run took {latency:?} to honor the cancellation"
-        );
-    }
+    let token = CancelToken::default();
+    let mut observer = CancelAfterFirstPass {
+        token: token.clone(),
+    };
+    let mut ctx = PassCtx::with_observer(&mut observer);
+    ctx.set_token(token);
+    let cancelled_at = Instant::now();
+    compiled.run(&g, &mut ctx);
+    let latency = cancelled_at.elapsed();
+    assert!(ctx.cancelled(), "the run must report the cancel");
+    assert_eq!(
+        ctx.telemetry().len(),
+        1,
+        "the pass after the cancel must not run"
+    );
+    assert!(
+        latency < Duration::from_secs(30),
+        "the run took {latency:?} to honor the cancellation"
+    );
 }
 
 /// A zero deadline expires before pass 0 and is reported as a deadline —

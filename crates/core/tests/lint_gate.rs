@@ -10,8 +10,7 @@
 //!   interconnect styles and pipelining, asserting every combination maps
 //!   lint-clean under `Stage`.
 //!
-//! Run in CI under both the default pool and `XSFQ_THREADS=1`, like
-//! `map_identity`.
+//! Run in CI under both the default pool and `XSFQ_THREADS=1`.
 
 use proptest::prelude::*;
 
@@ -104,8 +103,7 @@ fn off_is_the_default_check_level() {
     assert_eq!(verilog(&a), verilog(&b));
 }
 
-/// Random DAG from a recipe of (op, operand, operand) triples — the same
-/// generator shape as `map_identity`, so coverage composes.
+/// Random DAG from a recipe of (op, operand, operand) triples.
 fn circuit_from_recipe(recipe: &[(u8, usize, usize)], inputs: usize) -> Aig {
     let mut g = Aig::new("rand");
     let mut pool: Vec<Lit> = (0..inputs).map(|i| g.input(format!("x{i}"))).collect();

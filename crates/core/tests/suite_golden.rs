@@ -4,11 +4,10 @@
 //! report's JJ total.
 //!
 //! `script_golden` compares two paths through the same pass functions, so
-//! it cannot see a pass whose output drifts; `parallel_identity` and
-//! `map_identity` compare thread counts against each other. This table is
-//! the absolute reference: any change to what a pass, the polarity search
-//! or the mapper computes on a real design fails here. Run in CI as a named
-//! step under the default pool and `XSFQ_THREADS=1`.
+//! it cannot see a pass whose output drifts. This table is the absolute
+//! reference: any change to what a pass, the polarity search or the mapper
+//! computes on a real design fails here. Run in CI as a named step under
+//! the default pool and `XSFQ_THREADS=1`.
 //!
 //! **Blessing.** A change that is meant to alter results must say so: on a
 //! mismatch the test prints the complete replacement table, which is pasted

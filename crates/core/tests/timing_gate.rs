@@ -8,15 +8,13 @@
 //!   `X011` audit;
 //! * a flow with timing unset is byte-identical — Verilog and report JSON —
 //!   to the pre-timing flow (no `timing` key, no stage entry);
-//! * the timing stage is bit-identical across thread counts (sequential,
-//!   1-thread, 4-thread and the global pool);
 //! * a proptest sweeps random DAGs across polarity modes and balance modes,
 //!   asserting function, ports and non-JTL structure survive balancing;
 //! * golden `analyse` numbers for three EPFL designs pin the engine's
 //!   arithmetic (the values the CSV/SDC artifacts print).
 //!
 //! Run in CI under both the default pool and `XSFQ_THREADS=1`, like
-//! `map_identity` and `lint_gate`.
+//! `lint_gate`.
 
 use proptest::prelude::*;
 
@@ -26,7 +24,6 @@ use xsfq_aig::{Aig, Lit};
 use xsfq_cells::CellKind;
 use xsfq_core::verify::{netlist_to_comb_aig, prove_equivalent};
 use xsfq_core::{BalanceMode, CheckLevel, PolarityMode, SynthesisFlow, TimingOptions};
-use xsfq_exec::ThreadPool;
 use xsfq_netlist::writers::write_verilog;
 use xsfq_netlist::Netlist;
 use xsfq_timing::{balance_netlist, TimingAnalysis};
@@ -92,7 +89,7 @@ fn epfl_suite_balances_clean_under_full() {
             .run(&aig)
             .unwrap_or_else(|e| panic!("{}: flow failed: {e}", b.name));
         let before = &result.mapped.physical;
-        let outcome = balance_netlist(before, &opts, None);
+        let outcome = balance_netlist(before, &opts);
         assert!(
             outcome.summary.worst_slack_ps >= 0.0,
             "{}: negative worst slack {} after full balancing",
@@ -171,40 +168,6 @@ fn untimed_flow_is_byte_identical_and_stage_free() {
     );
 }
 
-/// The timing stage is deterministic across executors: sequential, a
-/// 1-thread pool, a 4-thread pool and the global pool all produce the same
-/// balanced netlist and the same summary floats, bit for bit.
-#[test]
-fn balancing_is_identical_across_pools() {
-    let opts = TimingOptions::default();
-    for name in ["ctrl", "int2float", "dec", "router"] {
-        let aig = xsfq_benchmarks::by_name(name).unwrap();
-        let result = SynthesisFlow::new()
-            .script(Script::preset(Effort::Fast))
-            .run(&aig)
-            .unwrap();
-        let physical = &result.mapped.physical;
-        let seq = balance_netlist(physical, &opts, None);
-        let one = ThreadPool::new(1);
-        let four = ThreadPool::new(4);
-        for (label, pool) in [
-            ("1-thread", &one),
-            ("4-thread", &four),
-            ("global", ThreadPool::global()),
-        ] {
-            let got = balance_netlist(physical, &opts, Some(pool));
-            assert_eq!(
-                got.summary, seq.summary,
-                "{name}: {label} summary diverged from sequential"
-            );
-            assert_eq!(
-                got.netlist, seq.netlist,
-                "{name}: {label} netlist diverged from sequential"
-            );
-        }
-    }
-}
-
 /// Golden `analyse` numbers for three EPFL designs: the critical path and
 /// skew the engine reports (balance off — pure analysis) and the padding
 /// full balancing then spends. Pinned so a library or engine change that
@@ -245,7 +208,7 @@ fn golden_epfl_analyse_reports() {
             "{name}: endpoint count drifted"
         );
         assert_eq!(analysis.joins.len(), joins, "{name}: join count drifted");
-        let outcome = balance_netlist(&result.mapped.physical, &TimingOptions::default(), None);
+        let outcome = balance_netlist(&result.mapped.physical, &TimingOptions::default());
         assert_eq!(
             outcome.summary.buffers_inserted, buffers,
             "{name}: full-balance buffer count drifted"
@@ -310,7 +273,7 @@ proptest! {
             .unwrap();
         let before = &result.mapped.physical;
         let opts = TimingOptions { balance, tolerance_ps: None };
-        let outcome = balance_netlist(before, &opts, None);
+        let outcome = balance_netlist(before, &opts);
         if balance == BalanceMode::Off {
             prop_assert!(outcome.netlist.is_none(), "Off mode must not insert");
         }

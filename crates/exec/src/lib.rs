@@ -1,25 +1,25 @@
 //! # xsfq-exec — vendored data-parallel executor
 //!
-//! A zero-dependency (std-only) runtime for the synthesis passes:
-//! [`ThreadPool`] is a persistent pool of parked worker threads driving a
-//! deterministic data-parallel map ([`ThreadPool::map_init`]). The workspace
-//! builds without crates.io dependencies, so this plays the role rayon-core
-//! would otherwise play — scoped down to the one primitive the optimization
-//! passes need: *map an index range over immutable shared data, with
-//! per-thread mutable scratch, into a result slot per index*.
+//! A zero-dependency (std-only) runtime for batch synthesis: [`ThreadPool`]
+//! is a persistent pool of parked worker threads driving a deterministic
+//! data-parallel map ([`ThreadPool::map_init`]). The workspace builds
+//! without crates.io dependencies, so this plays the role rayon-core would
+//! otherwise play — scoped down to the one primitive the flow needs: *map
+//! an index range over immutable shared data, with per-thread mutable
+//! state, into a result slot per index*.
 //!
-//! # Why the commit phase stays single-threaded
+//! # Designs are the unit of parallelism
 //!
-//! The resynthesis passes ([`rewrite`](../xsfq_aig/opt/fn.rewrite.html) and
-//! friends) split every pass into an **evaluate** phase — per-node cut
-//! functions, MFFC sizes and synthesis costs, all pure functions of the
-//! *input* graph — and a **commit** phase that builds replacements into the
-//! *output* graph. Only the evaluate phase runs on this executor: commit
-//! order determines node ids, structural-hash sharing and therefore the
-//! result graph, so commits are merged single-threaded in ascending node
-//! index. Because evaluation results are pure (scheduling cannot change
-//! them), the final graph is **bit-identical** for every thread count; the
-//! `parallel_identity` proptest in `xsfq-aig` pins this in CI.
+//! The one parallel section in the workspace is the flow's design fan-out
+//! (`xsfq_core::SynthesisFlow::run_many_isolated`): each item is a whole
+//! synthesis job. Everything inside one design — every optimization pass,
+//! cut enumeration, the polarity search, mapping and the timing sweeps —
+//! runs sequentially on the thread that claimed the design; on two cores,
+//! splitting one design's passes across a pool measured slower than one
+//! thread. The serving daemon gets its parallelism from its worker shards
+//! instead, each running one job at a time. A job's result is a pure
+//! function of its design, so a batch's results are identical for every
+//! pool size.
 //!
 //! # Work distribution
 //!
@@ -73,8 +73,8 @@ pub enum CancelCause {
 /// job runner derives one per job from the batch-wide token). Checking is
 /// cheap (one atomic load, plus one monotonic-clock read when a deadline is
 /// set), so long-running work can poll at every natural boundary: the pass
-/// engine checks between passes and between evaluate batches, which bounds
-/// cancellation latency to one batch of work.
+/// engine checks between passes and every few hundred nodes inside a pass,
+/// which bounds cancellation latency to that much work.
 ///
 /// A token that is never cancelled and has no deadline never reports
 /// cancelled; [`CancelToken::default`] is exactly that, so APIs can thread a
@@ -84,7 +84,8 @@ pub type CancelToken = CancelTokenImpl<0>;
 /// The implementation behind [`CancelToken`], parameterized by a seeded
 /// mutation selector for the model-checker gates (`MUT == 0`, the only
 /// variant the alias exposes, is the correct code; the branches on other
-/// values are const-folded away in normal builds). See [`mutants`].
+/// values are const-folded away in normal builds). See `mutants`, which
+/// exists only under the `model` feature.
 #[derive(Clone, Debug, Default)]
 pub struct CancelTokenImpl<const MUT: u8> {
     flag: Arc<AtomicBool>,
@@ -238,11 +239,6 @@ pub mod mutants {
     pub type CancelTokenRelaxed = super::CancelTokenImpl<1>;
 }
 
-/// Below this many items [`ThreadPool::map_init`] runs inline on the calling
-/// thread: waking the pool costs more than the work. Results are identical
-/// either way (evaluation is scheduling-independent by construction).
-pub const SEQUENTIAL_CUTOFF: usize = 64;
-
 type Job = *const (dyn Fn(usize) + Sync);
 
 /// Raw job pointer made sendable; validity is guaranteed by the dispatch
@@ -329,12 +325,23 @@ impl ThreadPool {
     /// Computes `f(&mut state, i, &items[i])` for every index and returns
     /// the results in item order. Each participating thread builds its own
     /// `state` with `init` once per call; `f` must derive its result from
-    /// `(i, items[i])` alone (state may cache/memoize but not change
-    /// results), which makes the output independent of scheduling and
-    /// thread count — the property the `optimize` determinism gate pins.
+    /// `(i, items[i])` alone (state may cache but not change results),
+    /// which makes the output independent of scheduling and thread count.
     ///
-    /// Work distribution: participants claim indices one at a time, in
-    /// ascending order, from a shared counter.
+    /// From two items up, participants claim indices one at a time, in
+    /// ascending order, from a shared counter, so a caller that sorts its
+    /// items largest first gets longest-first scheduling: the expensive
+    /// items start together and the cheap tail fills in around them. Each
+    /// item should be coarse — the flow maps whole designs — because a
+    /// section costs a wake-up and a join.
+    ///
+    /// `f` must not run a parallel section on the *same* pool: sections
+    /// are serialized, so the nested one would deadlock.
+    ///
+    /// If `f` panics, the panic propagates after all workers stop, and
+    /// results computed so far are **leaked** (not dropped): slots are
+    /// written in claim order, so which are initialized is unknowable
+    /// without extra bookkeeping, and leaking is the safe failure mode.
     pub fn map_init<I, T, S>(
         &self,
         items: &[I],
@@ -344,97 +351,14 @@ impl ThreadPool {
     where
         I: Sync,
         T: Send,
-        S: Send,
-    {
-        let mut states: Vec<S> = (0..self.num_threads()).map(|_| init()).collect();
-        self.map_reuse(items, &mut states, f)
-    }
-
-    /// [`ThreadPool::map_init`] with caller-owned per-thread states.
-    ///
-    /// Participant `wid` works on `states[wid]` exclusively; the slice must
-    /// hold at least [`ThreadPool::num_threads`] entries. Callers that map
-    /// many batches reuse one state vector so per-thread arenas and memo
-    /// tables stay warm across batches — the resynthesis passes' evaluate
-    /// phase does exactly this. As with `map_init`, `f` must derive its
-    /// result from `(i, items[i])` alone; state may only cache.
-    ///
-    /// If `f` panics, the panic propagates after all workers stop, and
-    /// results computed so far are **leaked** (not dropped): slots are
-    /// written in claim order, so which are initialized is unknowable
-    /// without extra bookkeeping, and leaking is the safe failure mode.
-    pub fn map_reuse<I, T, S>(
-        &self,
-        items: &[I],
-        states: &mut [S],
-        f: impl Fn(&mut S, usize, &I) -> T + Sync,
-    ) -> Vec<T>
-    where
-        I: Sync,
-        T: Send,
-        S: Send,
-    {
-        self.map_reuse_cutoff(items, states, SEQUENTIAL_CUTOFF, f)
-    }
-
-    /// [`ThreadPool::map_init`] for **coarse-grained** items: parallelizes
-    /// from two items up instead of applying [`SEQUENTIAL_CUTOFF`].
-    ///
-    /// The cutoff exists because dispatching the pool costs more than a
-    /// fine-grained item (a node evaluation); when each item is itself a
-    /// whole synthesis run — the flow's `run_many` scheduling entire
-    /// designs — the dispatch cost is noise and a handful of items should
-    /// still fan out.
-    ///
-    /// Items are claimed in index order, one at a time, so a caller that
-    /// sorts its items largest first gets longest-first scheduling: the
-    /// expensive items start together and the cheap tail fills in around
-    /// them.
-    ///
-    /// The nesting rule is unchanged: `f` must not run a parallel section
-    /// on the *same* pool (use a private 1-thread pool for inner work).
-    pub fn map_init_coarse<I, T, S>(
-        &self,
-        items: &[I],
-        init: impl Fn() -> S + Sync,
-        f: impl Fn(&mut S, usize, &I) -> T + Sync,
-    ) -> Vec<T>
-    where
-        I: Sync,
-        T: Send,
-        S: Send,
-    {
-        let mut states: Vec<S> = (0..self.num_threads()).map(|_| init()).collect();
-        self.map_reuse_cutoff(items, &mut states, 2, f)
-    }
-
-    /// Shared body of [`ThreadPool::map_reuse`] / [`ThreadPool::map_init_coarse`]:
-    /// inputs shorter than `cutoff` run inline on the calling thread.
-    fn map_reuse_cutoff<I, T, S>(
-        &self,
-        items: &[I],
-        states: &mut [S],
-        cutoff: usize,
-        f: impl Fn(&mut S, usize, &I) -> T + Sync,
-    ) -> Vec<T>
-    where
-        I: Sync,
-        T: Send,
-        S: Send,
     {
         let n = items.len();
-        let threads = self.num_threads();
-        assert!(
-            states.len() >= threads,
-            "need one state per participant ({} < {threads})",
-            states.len()
-        );
-        if threads == 1 || n < cutoff {
-            let state = &mut states[0];
+        if self.num_threads() == 1 || n < 2 {
+            let mut state = init();
             return items
                 .iter()
                 .enumerate()
-                .map(|(i, item)| f(state, i, item))
+                .map(|(i, item)| f(&mut state, i, item))
                 .collect();
         }
 
@@ -444,13 +368,10 @@ impl ThreadPool {
         // slot has been written exactly once).
         unsafe { results.set_len(n) };
         let out = SendPtr(results.as_mut_ptr() as *mut T);
-        let states_ptr = SendPtr(states.as_mut_ptr());
         let next = AtomicUsize::new(0);
 
-        let body = move |wid: usize| {
-            // SAFETY: participant indices are distinct, so each `&mut S`
-            // aliases nothing (bounds asserted above).
-            let state = unsafe { &mut *states_ptr.slot(wid) };
+        let body = move |_wid: usize| {
+            let mut state = init();
             loop {
                 // Ordering: Relaxed — the read-modify-write alone hands each
                 // index to exactly one participant (all RMWs on one atomic
@@ -461,7 +382,7 @@ impl ThreadPool {
                 if i >= n {
                     break;
                 }
-                let value = f(state, i, &items[i]);
+                let value = f(&mut state, i, &items[i]);
                 // SAFETY: the counter hands index `i` to exactly one
                 // participant, so this slot is written exactly once.
                 unsafe { out.slot(i).write(value) };
@@ -604,9 +525,10 @@ fn worker_loop(shared: &Shared, wid: usize) {
     }
 }
 
-/// The worker count of [`ThreadPool::global`] and of the daemon's shard
-/// pools: the `XSFQ_THREADS` environment variable when it holds a positive
-/// integer (surrounding whitespace allowed), otherwise
+/// The worker count of [`ThreadPool::global`] — the width of the flow's
+/// design fan-out — and the daemon's default shard count: the
+/// `XSFQ_THREADS` environment variable when it holds a positive integer
+/// (surrounding whitespace allowed), otherwise
 /// [`std::thread::available_parallelism`], or 1 when that is unknown.
 pub fn default_threads() -> usize {
     let hardware = || std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -670,32 +592,21 @@ mod tests {
     }
 
     #[test]
-    fn map_init_coarse_parallelizes_small_inputs() {
+    fn map_init_parallelizes_small_inputs() {
         let pool = ThreadPool::new(4);
-        // Below SEQUENTIAL_CUTOFF, yet items must still be distributed:
-        // record which participant handled each item via the state.
+        // A handful of coarse items still runs as a parallel section.
         let items: Vec<usize> = (0..8).collect();
-        let got = pool.map_init_coarse(&items, || (), |_, _, &x| x * 3);
+        let got = pool.map_init(&items, || (), |_, _, &x| x * 3);
         assert_eq!(got, items.iter().map(|&x| x * 3).collect::<Vec<_>>());
         // Identical results for every pool size (the determinism contract).
-        let seq = ThreadPool::new(1).map_init_coarse(&items, || (), |_, _, &x| x * 3);
+        let seq = ThreadPool::new(1).map_init(&items, || (), |_, _, &x| x * 3);
         assert_eq!(got, seq);
-    }
-
-    #[test]
-    fn small_inputs_run_inline() {
-        let pool = ThreadPool::new(4);
-        let items = [1usize, 2, 3];
-        assert_eq!(
-            pool.map_init(&items, || (), |_, _, &x| x * 2),
-            vec![2, 4, 6]
-        );
     }
 
     #[test]
     fn one_thread_pool_runs_inline_in_order() {
         let pool = ThreadPool::new(1);
-        let items: Vec<usize> = (0..SEQUENTIAL_CUTOFF * 4).collect();
+        let items: Vec<usize> = (0..256).collect();
         let caller = std::thread::current().id();
         // A 1-thread pool spawns no worker: the section runs inline on the
         // calling thread in ascending index order — observable, unlike "no
@@ -724,7 +635,7 @@ mod tests {
         let items: Vec<usize> = (0..8).collect();
         let started = std::sync::Mutex::new(Vec::new());
         let item_1_started = std::sync::Condvar::new();
-        pool.map_init_coarse(
+        pool.map_init(
             &items,
             || (),
             |_, i, _| {
@@ -755,7 +666,7 @@ mod tests {
         // *worker* (wid >= 1) hits the panic, the dispatcher must re-raise
         // a WorkerPanic carrying the original message and the worker id.
         let pool = ThreadPool::new(4);
-        let items: Vec<usize> = (0..SEQUENTIAL_CUTOFF * 8).collect();
+        let items: Vec<usize> = (0..512).collect();
         let n = items.len();
         let boom = panic::catch_unwind(AssertUnwindSafe(|| {
             pool.map_init(
@@ -827,7 +738,7 @@ mod tests {
     #[test]
     fn worker_panic_propagates_and_pool_survives() {
         let pool = ThreadPool::new(2);
-        let items: Vec<usize> = (0..SEQUENTIAL_CUTOFF * 4).collect();
+        let items: Vec<usize> = (0..256).collect();
         let boom = panic::catch_unwind(AssertUnwindSafe(|| {
             pool.map_init(
                 &items,

@@ -5,7 +5,7 @@
 //! In normal builds (the default) these are pure re-exports of the `std`
 //! types — zero cost, zero behavioural difference; the bit-identical tier-1
 //! gates pin that. With `--features model` (`xsfq-serve`'s `model` feature
-//! turns it on too) the same paths resolve to the [`xsfq_model`]
+//! turns it on too) the same paths resolve to the `xsfq_model`
 //! instrumented runtime instead, which lets the `model_gate` test suites
 //! deterministically enumerate thread interleavings (including
 //! store-buffer reorderings of the non-SeqCst operations) around the very

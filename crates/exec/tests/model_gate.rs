@@ -130,7 +130,7 @@ fn pool_map_each_item_exactly_once() {
         .max_iterations(2_000_000)
         .check(|| {
             let pool = xsfq_exec::ThreadPool::new(2);
-            let out = pool.map_init_coarse(&[3usize, 1, 4], || (), |_, _, &x| x + 100);
+            let out = pool.map_init(&[3usize, 1, 4], || (), |_, _, &x| x + 100);
             assert_eq!(out, vec![103, 101, 104]);
         });
     assert!(report.complete, "exploration did not exhaust the tree");
@@ -147,7 +147,7 @@ fn pool_panic_propagates_in_every_schedule() {
         .check(|| {
             let pool = xsfq_exec::ThreadPool::new(2);
             let result = catch_unwind(AssertUnwindSafe(|| {
-                pool.map_init_coarse(
+                pool.map_init(
                     &[0usize, 1],
                     || (),
                     |_, _, &x| {

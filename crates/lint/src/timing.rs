@@ -1,12 +1,11 @@
 //! The X011 timing check: residual dual-rail arrival skew.
 //!
-//! Runs the `xsfq_timing` engine sequentially (no thread pool — safe from
-//! inside the flow's parallel sections, like every other check in this
-//! crate) and reports every xSFQ join cell and dual-rail output pair whose
-//! latest-arrival skew exceeds the given allowance. Intended for netlists
-//! the balancer already processed: on those, a finding means the balancing
-//! promise is broken, which is why the flow runs this at `Stage` level
-//! only after `BalanceMode::Full`.
+//! Runs the `xsfq_timing` engine on the calling thread, like every other
+//! check in this crate, and reports every xSFQ join cell and dual-rail
+//! output pair whose latest-arrival skew exceeds the given allowance.
+//! Intended for netlists the balancer already processed: on those, a
+//! finding means the balancing promise is broken, which is why the flow
+//! runs this at `Stage` level only after `BalanceMode::Full`.
 
 use xsfq_netlist::Netlist;
 use xsfq_timing::{BalanceMode, TimingAnalysis, TimingOptions};
@@ -82,7 +81,7 @@ mod tests {
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, Code::X011);
         assert_eq!(diags[0].site, Site::Cell(1));
-        let balanced = balance_netlist(&n, &TimingOptions::default(), None)
+        let balanced = balance_netlist(&n, &TimingOptions::default())
             .netlist
             .expect("the 7.2 ps skew gets a pad");
         assert!(lint_timing(&balanced, tol).is_empty());

@@ -316,7 +316,7 @@ fn x011_residual_arrival_skew() {
     let la1 = n.add_cell(CellKind::La, &[a, b]);
     let la2 = n.add_cell(CellKind::La, &[la1[0], c]);
     n.add_output("y", la2[0]);
-    let balanced = balance_netlist(&n, &TimingOptions::default(), None)
+    let balanced = balance_netlist(&n, &TimingOptions::default())
         .netlist
         .expect("skewed join gets a pad");
     assert!(lint_timing(&balanced, tol).is_empty());

@@ -604,7 +604,7 @@ impl Netlist {
 /// Structural equality: same name, library, cells (kinds + pin wiring),
 /// drivers, ports and trigger marks. The memoized stats report is ignored —
 /// it is a pure function of the compared state. This is the relation the
-/// `map_identity` thread-count bit-identity gate compares under.
+/// bit-identity tests compare mapped netlists under.
 impl PartialEq for Netlist {
     fn eq(&self, other: &Self) -> bool {
         self.name == other.name

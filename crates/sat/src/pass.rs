@@ -34,7 +34,6 @@ pub fn fraig_pass(aig: &Aig, cancel: &CancelToken) -> (Aig, u64) {
 mod tests {
     use super::*;
     use xsfq_aig::pass::{PassCtx, Script, ScriptError};
-    use xsfq_exec::ThreadPool;
 
     /// Duplicated xor/mux cones the structural passes cannot share.
     fn duplicated() -> Aig {
@@ -56,7 +55,7 @@ mod tests {
                 .unwrap()
                 .compile(Some(fraig_pass))
                 .unwrap();
-            let mut ctx = PassCtx::new(ThreadPool::global());
+            let mut ctx = PassCtx::new();
             let out = compiled.run(&g, &mut ctx);
             (out, ctx.take_telemetry())
         };

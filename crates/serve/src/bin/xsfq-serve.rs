@@ -18,8 +18,7 @@ OPTIONS:
     --addr HOST:PORT       listen address (default 127.0.0.1:0; port 0 = ephemeral)
     --watch-dir DIR        poll DIR for dropped-in .blif/.aag/.aig jobs
     --out-dir DIR          result directory for watched jobs (default STATE/results)
-    --shards N             worker shards (default 2)
-    --threads-per-job N    executor threads per shard (default XSFQ_THREADS or hardware)
+    --shards N             worker shards, one job each (default XSFQ_THREADS or hardware)
     --queue-capacity N     admission queue depth before shedding (default 64)
     --max-connections N    concurrent TCP connections (default 64)
     --deadline-ms MS       per-job wall-clock deadline (default 60000; 0 = none)
@@ -61,7 +60,6 @@ fn parse_args() -> Result<ServeConfig, String> {
             "--watch-dir" => cfg.watch_dir = Some(PathBuf::from(v)),
             "--out-dir" => cfg.out_dir = Some(PathBuf::from(v)),
             "--shards" => cfg.shards = num(&v, &flag)? as usize,
-            "--threads-per-job" => cfg.threads_per_job = num(&v, &flag)? as usize,
             "--queue-capacity" => cfg.queue_capacity = num(&v, &flag)? as usize,
             "--max-connections" => cfg.max_connections = num(&v, &flag)? as usize,
             "--deadline-ms" => {

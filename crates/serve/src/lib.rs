@@ -76,8 +76,8 @@
 //!
 //! **Deadlines and retries.** Each job runs under `job_deadline`
 //! (wall-clock, counted from job start), the one resource bound: the flow
-//! polls it at every pass boundary and every evaluate batch, so it also
-//! stops a runaway pass. A worker panic, the only transient failure, is
+//! polls it at every pass boundary and every few hundred nodes inside a
+//! pass, so it also stops a runaway pass. A worker panic, the only transient failure, is
 //! retried with exponential backoff (`retry_base × 2^attempt`) up to
 //! `retry_limit` times before the client sees the final verdict;
 //! deterministic failures (parse errors, verification failures,
@@ -141,13 +141,13 @@
 //! journal is flushed at every step, so even a drain cut short by
 //! `kill -9` recovers cleanly.
 //!
-//! **Sizing.** `shards` worker shards each own a `threads_per_job`-thread
-//! executor pool and a warm arena set reused across jobs. Designs under a
-//! few hundred AND nodes run on a 1-thread pool instead, which spawns no
-//! worker: fan-out overhead would dominate them. Throughput scales with
-//! `shards`; per-job latency with `threads_per_job`. Throughput under
-//! concurrent load is measured by perfbench's `serve-hot` workload
-//! (`designs_per_s`, p50/p99 latency).
+//! **Sizing.** `shards` worker shards (default: one per core, as
+//! `xsfq_exec::default_threads` counts them) each run one job at a time
+//! on their own thread and keep a warm arena set across jobs. A design is
+//! the unit of parallelism: its passes run on its shard's thread, so
+//! throughput scales with `shards` and per-job latency is one core's.
+//! Throughput under concurrent load is measured by perfbench's `serve-hot`
+//! workload (`designs_per_s`, p50/p99 latency).
 //!
 //! ```no_run
 //! use xsfq_serve::{Server, ServeConfig};

@@ -16,7 +16,7 @@ use xsfq_aig::digest::canonical_digest;
 use xsfq_aig::io::read_netlist_auto;
 use xsfq_aig::pass::{PassArenas, Script};
 use xsfq_core::SynthesisFlow;
-use xsfq_exec::{panic_message, CancelToken, ThreadPool};
+use xsfq_exec::{panic_message, CancelToken};
 use xsfq_lint::{has_errors, lint_aig, CheckLevel, Diag};
 use xsfq_netlist::writers::{write_verilog, Json};
 use xsfq_timing::TimingOptions;
@@ -29,12 +29,6 @@ use crate::protocol::{
     KIND_PONG, KIND_STATS, KIND_STATS_OK, KIND_SUBMIT,
 };
 use crate::queue::JobQueue;
-
-/// Jobs below this AND count run on a 1-thread pool, which spawns no
-/// worker and runs every section inline: the sequential path beats the
-/// fan-out/join overhead of a parallel section for graphs this small, and
-/// results are bit-identical either way.
-const SMALL_JOB_ANDS: usize = 512;
 
 /// Daemon configuration. Construct with [`ServeConfig::new`] and override
 /// fields as needed; every field has a production-sane default.
@@ -51,10 +45,9 @@ pub struct ServeConfig {
     /// Where directory jobs' results land (`<design>.v` + `<design>.json`,
     /// or `<design>.err.json`). Defaults to `state_dir/results`.
     pub out_dir: Option<PathBuf>,
-    /// Worker shards; each owns one executor pool and a warm arena set.
+    /// Worker shards; each runs one job at a time on its own thread and
+    /// keeps a warm arena set across jobs.
     pub shards: usize,
-    /// Executor threads per shard pool.
-    pub threads_per_job: usize,
     /// Admission-queue capacity. Beyond it, submissions that miss the
     /// result cache shed with BUSY; hits need no slot.
     pub queue_capacity: usize,
@@ -89,17 +82,17 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Defaults: ephemeral localhost port, 2 shards, `XSFQ_THREADS` (or
-    /// hardware) threads per shard, 64-deep queue, 60 s deadline, 2
-    /// retries, 64 MiB cache, `standard` script, 5 s drain grace.
+    /// Defaults: ephemeral localhost port, one shard per core
+    /// ([`xsfq_exec::default_threads`]: `XSFQ_THREADS`, or the hardware's
+    /// parallelism), 64-deep queue, 60 s deadline, 2 retries, 64 MiB cache,
+    /// `standard` script, 5 s drain grace.
     pub fn new(state_dir: impl Into<PathBuf>) -> ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".into(),
             state_dir: state_dir.into(),
             watch_dir: None,
             out_dir: None,
-            shards: 2,
-            threads_per_job: xsfq_exec::default_threads(),
+            shards: xsfq_exec::default_threads(),
             queue_capacity: 64,
             max_connections: 64,
             job_deadline: Some(Duration::from_secs(60)),
@@ -137,7 +130,6 @@ struct Shared {
     /// Live TCP connections, each holding a [`ConnectionSlot`].
     connections: Arc<AtomicUsize>,
     max_connections: usize,
-    threads_per_job: usize,
     retry_limit: u32,
     retry_base: Duration,
     job_deadline: Option<Duration>,
@@ -430,7 +422,7 @@ fn finish_err(sh: &Shared, job: &Job, kind: &str, verdict: &str) {
 }
 
 /// Run one job to a terminal state (or requeue it for retry).
-fn process(sh: &Arc<Shared>, pool: &ThreadPool, arenas: &mut PassArenas, mut job: Job) {
+fn process(sh: &Arc<Shared>, arenas: &mut PassArenas, mut job: Job) {
     // Faulted jobs bypass the cache (see admit). Any other job missed at
     // admission, but a twin queued ahead of it may have filled the cache
     // since: replay that instead of synthesizing the design twice.
@@ -474,15 +466,7 @@ fn process(sh: &Arc<Shared>, pool: &ThreadPool, arenas: &mut PassArenas, mut job
         flow = flow.chaos_plan(FaultPlan::new().fault(0, f.pass as usize, kind));
     }
 
-    // Tiny designs run inline on a 1-thread pool (see `SMALL_JOB_ANDS`).
-    let inline;
-    let pool = if job.input.aig.num_ands() < SMALL_JOB_ANDS {
-        inline = ThreadPool::new(1);
-        &inline
-    } else {
-        pool
-    };
-    match flow.run_job(&job.input.aig, pool, arenas) {
+    match flow.run_job(&job.input.aig, arenas) {
         Ok(result) => {
             let mut netlist = Vec::new();
             write_verilog(result.netlist(), &mut netlist).expect("write netlist to memory");
@@ -524,7 +508,6 @@ fn process(sh: &Arc<Shared>, pool: &ThreadPool, arenas: &mut PassArenas, mut job
 }
 
 fn worker_loop(sh: Arc<Shared>) {
-    let pool = ThreadPool::new(sh.threads_per_job);
     // Warm arenas live for the shard's lifetime: every job after the first
     // reuses the cut arena and synthesis plan memos.
     let mut arenas = PassArenas::default();
@@ -536,7 +519,7 @@ fn worker_loop(sh: Arc<Shared>) {
         // restart. Catch it, settle the job as failed, and move on.
         let (id, name, attempt, sink) = (job.id, job.name.clone(), job.attempt, job.sink.clone());
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-            process(&sh, &pool, &mut arenas, job);
+            process(&sh, &mut arenas, job);
         }));
         if let Err(payload) = outcome {
             // The arenas were abandoned mid-pass; start fresh rather than
@@ -787,7 +770,6 @@ impl Server {
             draining: AtomicBool::new(false),
             connections: Arc::new(AtomicUsize::new(0)),
             max_connections: cfg.max_connections,
-            threads_per_job: cfg.threads_per_job.max(1),
             retry_limit: cfg.retry_limit,
             retry_base: cfg.retry_base,
             job_deadline: cfg.job_deadline,

@@ -1,13 +1,10 @@
 //! Levelized arrival/required/slack sweeps over a netlist.
 //!
-//! See the crate docs for the timing model. The forward sweep follows the
-//! flow's evaluate/commit mold: each level's cells are evaluated in
-//! parallel from already-committed predecessor arrivals, then committed in
-//! ascending cell order — every arithmetic operation happens in a fixed
-//! order per cell, so the result is bit-identical across thread counts.
+//! See the crate docs for the timing model. The forward sweep visits the
+//! levels in order and each level's cells in ascending cell order; a cell
+//! reads only the arrivals of earlier levels.
 
 use xsfq_cells::CellKind;
-use xsfq_exec::ThreadPool;
 use xsfq_netlist::{Driver, NetId, Netlist};
 
 use crate::TimingOptions;
@@ -99,8 +96,8 @@ fn clock_to_q(netlist: &Netlist, kind: CellKind, pin: usize) -> f64 {
     }
 }
 
-/// Evaluate one combinational cell's output window from committed input
-/// arrivals. Returns `(min, max, ok)`; `ok` is false when any input is
+/// Evaluate one combinational cell's output window from the arrivals of
+/// its inputs. Returns `(min, max, ok)`; `ok` is false when any input is
 /// missing or unresolved (the cell's outputs then stay unresolved).
 fn eval_cell(
     netlist: &Netlist,
@@ -130,25 +127,8 @@ fn eval_cell(
 }
 
 impl TimingAnalysis {
-    /// Run the sweep sequentially (no thread pool touched — safe from
-    /// inside a parallel section, which is how the flow's Timing stage and
-    /// the X011 lint call it).
+    /// Run the arrival, required-time and slack sweeps over `netlist`.
     pub fn analyze(netlist: &Netlist, opts: &TimingOptions) -> TimingAnalysis {
-        Self::sweep(netlist, opts, None)
-    }
-
-    /// Run the sweep with the forward pass parallelized per level on
-    /// `pool`. Bit-identical to [`TimingAnalysis::analyze`] for every
-    /// thread count.
-    pub fn analyze_with_pool(
-        netlist: &Netlist,
-        opts: &TimingOptions,
-        pool: &ThreadPool,
-    ) -> TimingAnalysis {
-        Self::sweep(netlist, opts, Some(pool))
-    }
-
-    fn sweep(netlist: &Netlist, opts: &TimingOptions, pool: Option<&ThreadPool>) -> TimingAnalysis {
         let ncells = netlist.cells().len();
         let nnets = netlist.num_nets();
 
@@ -199,8 +179,8 @@ impl TimingAnalysis {
             levels.push(std::mem::replace(&mut wave, next));
         }
 
-        // --- Forward sweep: seed launch points, then evaluate/commit per
-        // level.
+        // --- Forward sweep: seed launch points, then evaluate the levels in
+        // order.
         let mut amin = vec![0.0f64; nnets];
         let mut amax = vec![0.0f64; nnets];
         let mut resolved = vec![false; nnets];
@@ -218,30 +198,15 @@ impl TimingAnalysis {
                 resolved[out.index()] = true;
             }
         }
-        for level in &levels {
-            let results: Vec<(f64, f64, bool)> = {
-                let (amin, amax, resolved) = (&amin, &amax, &resolved);
-                match pool {
-                    Some(p) => p.map_init(
-                        level,
-                        || (),
-                        |(), _, &ci| eval_cell(netlist, amin, amax, resolved, ci as usize),
-                    ),
-                    None => level
-                        .iter()
-                        .map(|&ci| eval_cell(netlist, amin, amax, resolved, ci as usize))
-                        .collect(),
-                }
-            };
-            for (&ci, &(lo, hi, ok)) in level.iter().zip(&results) {
-                if !ok {
-                    continue;
-                }
-                for &out in netlist.cells()[ci as usize].outputs.iter() {
-                    amin[out.index()] = lo;
-                    amax[out.index()] = hi;
-                    resolved[out.index()] = true;
-                }
+        for &ci in levels.iter().flatten() {
+            let (lo, hi, ok) = eval_cell(netlist, &amin, &amax, &resolved, ci as usize);
+            if !ok {
+                continue;
+            }
+            for &out in netlist.cells()[ci as usize].outputs.iter() {
+                amin[out.index()] = lo;
+                amax[out.index()] = hi;
+                resolved[out.index()] = true;
             }
         }
 
@@ -273,9 +238,8 @@ impl TimingAnalysis {
             .map(|&(_, _, net)| amax[net])
             .fold(0.0f64, f64::max);
 
-        // --- Backward required-time sweep (sequential: `min` commits are
-        // exact and order-independent, so there is nothing to gain from a
-        // parallel evaluate here).
+        // --- Backward required-time sweep (`min` updates are exact and
+        // order-independent).
         let mut required = vec![f64::INFINITY; nnets];
         for &(_, _, net) in &raw_endpoints {
             required[net] = required[net].min(critical);
@@ -493,20 +457,5 @@ mod tests {
         assert!(t.arrival(o1[0]).is_none());
         assert!(t.endpoints.is_empty());
         assert_eq!(t.critical_path_ps, 0.0);
-    }
-
-    #[test]
-    fn pool_sweep_is_bit_identical() {
-        let n = skewed_netlist();
-        let opts = TimingOptions::default();
-        let seq = TimingAnalysis::analyze(&n, &opts);
-        for threads in [1, 4] {
-            let pool = ThreadPool::new(threads);
-            let par = TimingAnalysis::analyze_with_pool(&n, &opts, &pool);
-            assert_eq!(seq.arrival_min, par.arrival_min);
-            assert_eq!(seq.arrival_max, par.arrival_max);
-            assert_eq!(seq.critical_path_ps, par.critical_path_ps);
-            assert_eq!(seq.worst_slack_ps, par.worst_slack_ps);
-        }
     }
 }

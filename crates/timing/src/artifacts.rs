@@ -210,7 +210,7 @@ mod tests {
         let la1 = n.add_cell(CellKind::La, &[a, b])[0];
         let la2 = n.add_cell(CellKind::La, &[la1, c])[0];
         n.add_output("y", la2);
-        let out = balance_netlist(&n, &TimingOptions::default(), None);
+        let out = balance_netlist(&n, &TimingOptions::default());
         (n, out.analysis, out.summary)
     }
 
@@ -253,7 +253,7 @@ mod tests {
         let b = n.add_input("b");
         let la = n.add_cell(CellKind::La, &[a, b])[0];
         n.add_output("y\tz\u{1}\"q", la);
-        let out = balance_netlist(&n, &TimingOptions::default(), None);
+        let out = balance_netlist(&n, &TimingOptions::default());
         let js = render_json_report(&n, &out.analysis, &out.summary);
         assert!(js.contains(r#""name":"y\tz\u0001\"q""#), "{js}");
         assert!(

@@ -12,7 +12,6 @@
 //! everywhere.
 
 use xsfq_cells::CellKind;
-use xsfq_exec::ThreadPool;
 use xsfq_netlist::Netlist;
 
 use crate::analysis::TimingAnalysis;
@@ -196,19 +195,8 @@ pub fn apply_plan(netlist: &Netlist, plan: &BalancePlan) -> Netlist {
 }
 
 /// Analyse, size, and (when needed) insert path-balancing JTLs.
-///
-/// Pass a pool to parallelize the forward sweeps; `None` runs fully
-/// sequentially (safe from inside another pool's parallel section).
-pub fn balance_netlist(
-    netlist: &Netlist,
-    opts: &TimingOptions,
-    pool: Option<&ThreadPool>,
-) -> BalanceOutcome {
-    let analyze = |n: &Netlist| match pool {
-        Some(p) => TimingAnalysis::analyze_with_pool(n, opts, p),
-        None => TimingAnalysis::analyze(n, opts),
-    };
-    let pre = analyze(netlist);
+pub fn balance_netlist(netlist: &Netlist, opts: &TimingOptions) -> BalanceOutcome {
+    let pre = TimingAnalysis::analyze(netlist, opts);
     let plan = plan_buffers(netlist, &pre, opts);
     if plan.is_empty() {
         let summary = summarize(&pre, 0, 0, opts);
@@ -219,7 +207,7 @@ pub fn balance_netlist(
         };
     }
     let balanced = apply_plan(netlist, &plan);
-    let post = analyze(&balanced);
+    let post = TimingAnalysis::analyze(&balanced, opts);
     let buffers = plan.total();
     let jj_delta = buffers as u64 * u64::from(netlist.library().jj(CellKind::Jtl));
     let summary = summarize(&post, buffers, jj_delta, opts);
@@ -269,7 +257,7 @@ mod tests {
     fn full_balance_pads_and_clears_slack() {
         let n = deep_skew();
         let opts = TimingOptions::default();
-        let out = balance_netlist(&n, &opts, None);
+        let out = balance_netlist(&n, &opts);
         // 7.2 ps skew → one 4.6 ps JTL, residual 2.6 ps < tolerance.
         assert_eq!(out.summary.buffers_inserted, 1);
         assert_eq!(out.summary.jj_delta, 2);
@@ -293,8 +281,8 @@ mod tests {
     fn balancing_is_idempotent() {
         let n = deep_skew();
         let opts = TimingOptions::default();
-        let first = balance_netlist(&n, &opts, None);
-        let again = balance_netlist(first.netlist.as_ref().unwrap(), &opts, None);
+        let first = balance_netlist(&n, &opts);
+        let again = balance_netlist(first.netlist.as_ref().unwrap(), &opts);
         assert_eq!(again.summary.buffers_inserted, 0);
         assert!(again.netlist.is_none());
     }
@@ -311,7 +299,7 @@ mod tests {
         }
         let la = n.add_cell(CellKind::La, &[long, b])[0];
         n.add_output("y", la);
-        let full = balance_netlist(&n, &TimingOptions::default(), None);
+        let full = balance_netlist(&n, &TimingOptions::default());
         assert_eq!(full.summary.buffers_inserted, 4);
         let budget = balance_netlist(
             &n,
@@ -319,7 +307,6 @@ mod tests {
                 balance: BalanceMode::Budget(10.0),
                 tolerance_ps: None,
             },
-            None,
         );
         // Only the skew beyond 10 ps is padded away: ceil(8.4/4.6) = 2.
         assert_eq!(budget.summary.buffers_inserted, 2);
@@ -331,7 +318,6 @@ mod tests {
                 balance: BalanceMode::Off,
                 tolerance_ps: None,
             },
-            None,
         );
         assert_eq!(off.summary.buffers_inserted, 0);
         assert!(off.netlist.is_none());
@@ -349,7 +335,7 @@ mod tests {
         }
         n.add_output("y_p", s[0]);
         n.add_output("y_n", slow);
-        let out = balance_netlist(&n, &TimingOptions::default(), None);
+        let out = balance_netlist(&n, &TimingOptions::default());
         assert_eq!(out.summary.buffers_inserted, 2);
         assert!(out.summary.worst_slack_ps >= 0.0);
         let balanced = out.netlist.unwrap();
@@ -366,7 +352,7 @@ mod tests {
         let la1 = n.add_cell(CellKind::La, &[d[0], b])[0];
         let la2 = n.add_cell(CellKind::La, &[la1, d[1]])[0];
         n.add_output("y", la2);
-        let out = balance_netlist(&n, &TimingOptions::default(), None);
+        let out = balance_netlist(&n, &TimingOptions::default());
         let balanced = out.netlist.expect("skewed joins get padded");
         assert_eq!(balanced.trigger_clocked(), n.trigger_clocked());
         assert!(out.summary.worst_slack_ps >= 0.0);

@@ -12,9 +12,8 @@
 //!   Table 2 values — the same numbers `cells::liberty` exports). It
 //!   computes longest/shortest arrival windows per net, a backward
 //!   required-time sweep, per-net and per-endpoint slack, join-input skew,
-//!   and dual-rail output skew. The forward sweep parallelizes across each
-//!   level with [`xsfq_exec::ThreadPool`] in the flow's evaluate/commit
-//!   mold, so results are bit-identical across thread counts.
+//!   and dual-rail output skew. Like every stage of a design's flow, the
+//!   sweeps run on the calling thread.
 //! * [`balance_netlist`] — an LP-shaped slack-matching pass. Because every
 //!   physical net has a single sink, the LP's difference constraints
 //!   decouple per arc and the optimum is the longest-path solution: each
@@ -31,9 +30,10 @@
 //! # Timing model
 //!
 //! Launch points are primary inputs (arrive at t = 0) and clocked-cell
-//! outputs (arrive at clock-to-Q: [`CellLibrary::droc_delay`] per rail for
-//! DROC — the Qp/Qn asymmetry is a real skew source the balancer must
-//! absorb — and `delay_ps` for clocked RSFQ cells). Capture points are
+//! outputs (arrive at clock-to-Q:
+//! [`CellLibrary::droc_delay`](xsfq_cells::CellLibrary::droc_delay) per
+//! rail for DROC — the Qp/Qn asymmetry is a real skew source the balancer
+//! must absorb — and `delay_ps` for clocked RSFQ cells). Capture points are
 //! primary outputs and clocked-cell data inputs. Combinational cells
 //! propagate conservative windows: earliest-in + delay for the window
 //! minimum, latest-in + delay for the maximum (for first-arrival cells

@@ -6,7 +6,6 @@
 
 use xsfq::aig::pass::{PassArenas, Script};
 use xsfq::core::{FlowResult, SynthesisFlow};
-use xsfq::exec::ThreadPool;
 
 const DESIGNS: [&str; 5] = ["int2float", "dec", "priority", "cavlc", "s27"];
 
@@ -40,13 +39,11 @@ fn run_many_over_epfl_matches_sequential_runs() {
         .into_iter()
         .map(|verdict| verdict.unwrap())
         .collect();
-    // The daemon's shape: one caller-owned pool and one warm arena set
-    // reused across every design.
-    let pool = ThreadPool::new(1);
+    // The daemon's shape: one warm arena set reused across every design.
     let mut arenas = PassArenas::default();
     let jobs: Vec<FlowResult> = designs
         .iter()
-        .map(|g| flow.run_job(g, &pool, &mut arenas).unwrap())
+        .map(|g| flow.run_job(g, &mut arenas).unwrap())
         .collect();
     for (i, g) in designs.iter().enumerate() {
         let single = flow.run(g).unwrap();

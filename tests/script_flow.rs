@@ -8,7 +8,6 @@ use proptest::prelude::*;
 use xsfq::aig::pass::{PassCtx, Script};
 use xsfq::aig::{Aig, Lit};
 use xsfq::core::SynthesisFlow;
-use xsfq::exec::ThreadPool;
 use xsfq::sat::cec;
 
 /// Every pass name a script can draw from (the set the flow compiles).
@@ -70,8 +69,7 @@ proptest! {
             .unwrap_or_else(|e| panic!("script `{text}` must parse: {e}"))
             .compile(Some(xsfq::sat::fraig_pass))
             .unwrap_or_else(|e| panic!("script `{text}` must compile: {e}"));
-        let pool = ThreadPool::new(2);
-        let out = compiled.run(&g, &mut PassCtx::new(&pool));
+        let out = compiled.run(&g, &mut PassCtx::new());
         prop_assert!(
             cec::check_equivalence(&g, &out).is_equivalent(),
             "script `{}` broke the function",
