@@ -100,6 +100,49 @@ impl StrashTable {
     }
 }
 
+/// A graph's structure without its names and ports: the node table, the
+/// structural hash and the combinational-input ids. It outlives the graph
+/// it was copied from, so a later graph's nodes can be matched against it
+/// (the cut arena keeps one; see [`crate::cuts`]).
+#[derive(Debug, Default)]
+pub(crate) struct Structure {
+    nodes: Vec<NodeKind>,
+    strash: StrashTable,
+    inputs: Vec<NodeId>,
+    latches: Vec<NodeId>,
+}
+
+impl Structure {
+    /// Overwrite with `aig`'s structure, reusing the buffers.
+    pub(crate) fn copy_from(&mut self, aig: &Aig) {
+        self.nodes.clone_from(&aig.nodes);
+        self.strash.slots.clone_from(&aig.strash.slots);
+        self.strash.len = aig.strash.len;
+        self.inputs.clone_from(&aig.inputs);
+        self.latches.clear();
+        self.latches.extend(aig.latches.iter().map(|l| l.output));
+    }
+
+    pub(crate) fn num_nodes(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// The AND node whose stored fanins are exactly `(a, b)`, in that order.
+    #[inline]
+    pub(crate) fn and_of(&self, a: Lit, b: Lit) -> Option<NodeId> {
+        self.strash.lookup(a, b, &self.nodes).map(NodeId)
+    }
+
+    /// The combinational input of the same kind and ordinal as `kind`'s.
+    pub(crate) fn ci_like(&self, kind: NodeKind) -> Option<NodeId> {
+        match kind {
+            NodeKind::Input { index } => self.inputs.get(index as usize).copied(),
+            NodeKind::Latch { index } => self.latches.get(index as usize).copied(),
+            NodeKind::Const0 | NodeKind::And { .. } => None,
+        }
+    }
+}
+
 /// A graph builder. Implementors supply [`Build::and`]; every other gate
 /// is a provided method built from it, so each gate's structure is defined
 /// here and nowhere else, and a [`DryRun`] builds exactly what an [`Aig`]

@@ -17,9 +17,10 @@
 //! id, making the exact subset/merge scans linear.
 //!
 //! [`CutScratch`] holds the per-cone working state (generation-stamped node
-//! slots, a truth-table arena, DFS stacks) so the resynthesis loops reuse
-//! one flat buffer instead of building a `HashMap<NodeId, TruthTable>` per
-//! cone.
+//! slots, one flat buffer of truth-table words, DFS stacks) so the
+//! resynthesis loops reuse it instead of building a
+//! `HashMap<NodeId, TruthTable>` per cone; the cone walk allocates only the
+//! table it returns, and that only over more than 6 leaves.
 //!
 //! # Cut functions
 //!
@@ -52,7 +53,48 @@
 //! [`enumerate_cuts_into`], which is how a whole pass script (and each of
 //! `run_many`'s workers, across its designs) gets away with a handful of
 //! allocations for all its cut storage.
+//!
+//! # Reuse across enumerations
+//!
+//! Between two rewrite passes most cones are unchanged up to renumbering,
+//! so [`enumerate_cuts_into`] takes a node's list from the arena's previous
+//! enumeration whenever it can prove that list is the one a fresh
+//! enumeration would produce, and enumerates the node afresh otherwise.
+//! The rule:
+//!
+//! * **Which nodes match.** The previous enumeration must have used the
+//!   same `k` and `max_cuts`. A node is *reused* when each fanin is reused
+//!   or is a combinational input (CIs match the previous graph's CIs of the
+//!   same kind by ordinal; the constant matches the constant), and the
+//!   previous graph holds an AND whose fanins are exactly the fanins'
+//!   counterparts, with the same complement bits, in the same stored order.
+//!   Order matters because merge order decides antichain order and
+//!   truncation, so a match whose fanin order flipped is not reused.
+//! * **The leaf check.** Each cut of the matched list has its leaves mapped
+//!   to new ids. If any mapped cut is not strictly increasing, the node is
+//!   not reused. Otherwise each function word keeps its variable order.
+//! * **Derived fields.** The leaf signature is recomputed from the new ids.
+//!   The cone signature is set to all ones, which is conservative: `may_hide`
+//!   then only sends more fresh parents to the exact cone walk. The trivial
+//!   cut is the new root's.
+//!
+//! Why this is exact, by induction over node ids: a reused node's fanin
+//! lists are the mapped previous lists, in the same order. Merging,
+//! dominance and the signature prefilters depend only on which leaves two
+//! cuts share, so the fresh antichain holds the mapped cuts as sets, in the
+//! previous order, and the stable length sort and truncation keep the same
+//! ones. Every word is the cone walk's table of its leaves in ascending
+//! order, the matched cone has the same structure, and the leaf check
+//! leaves that order unchanged, so the words agree too. Results therefore
+//! never depend on which design or pass filled the arena: `run_many` and
+//! the daemon's shards stay bit-identical to solo runs.
+//!
+//! The previous lists are carried compactly (flat leaves, lengths and
+//! words, not a second `Vec<Cut>`), with a copy of the previous graph's
+//! node table and structural hash to find matches.
+//! [`CutArena::reused_nodes`] counts the nodes the last enumeration took.
 
+use crate::aig::Structure;
 use crate::tt::{TruthTable, VAR_MASKS};
 use crate::{Aig, Lit, NodeId, NodeKind};
 
@@ -364,7 +406,8 @@ fn antichain_insert(list: &mut Vec<Cut>, merged: Cut) -> bool {
 /// CSR cut storage: every node's cut list is a contiguous slice of one flat
 /// `Vec<Cut>`, addressed through a per-node offset range (see the module
 /// docs). Produced by [`enumerate_cuts`]; recycle it across enumerations
-/// with [`enumerate_cuts_into`].
+/// with [`enumerate_cuts_into`], which also carries lists over from one
+/// enumeration to the next.
 #[derive(Default, Debug)]
 pub struct CutArena {
     /// All cut lists back to back, in node-id order.
@@ -376,6 +419,38 @@ pub struct CutArena {
     /// Cone-walk scratch for the rare cut whose function the merge cannot
     /// compose.
     scratch: CutScratch,
+    /// The previous enumeration's lists and graph.
+    carried: Carried,
+    /// AND nodes whose list the last enumeration took from `carried`.
+    reused: usize,
+}
+
+/// Marks a node with no counterpart in the other graph.
+const UNMATCHED: u32 = u32::MAX;
+
+/// The previous enumeration, kept compact for the next one to take lists
+/// from (see the module docs): each AND node's non-trivial cuts as flat
+/// leaves, lengths and function words, and the graph they were enumerated
+/// on.
+#[derive(Default, Debug)]
+struct Carried {
+    /// `(k, max_cuts)` of the enumeration the arena's lists come from;
+    /// `None` before the first.
+    params: Option<(usize, usize)>,
+    /// The graph the arena's lists were enumerated on.
+    graph: Structure,
+    /// Per node of `graph`, its first cut and first leaf; one entry more
+    /// closes the last node.
+    starts: Vec<(u32, u32)>,
+    lens: Vec<u8>,
+    funcs: Vec<u64>,
+    leaves: Vec<NodeId>,
+    /// Per node of `graph`: the node of the graph being enumerated that
+    /// matched it, or [`UNMATCHED`].
+    to_new: Vec<u32>,
+    /// Per node of the graph being enumerated: the node of `graph` whose
+    /// list it took (a CI: the CI it matched), or [`UNMATCHED`].
+    to_old: Vec<u32>,
 }
 
 impl CutArena {
@@ -399,6 +474,12 @@ impl CutArena {
     /// Total cuts stored across all nodes.
     pub fn total_cuts(&self) -> usize {
         self.cuts.len()
+    }
+
+    /// AND nodes whose cut list the last enumeration took from the one
+    /// before it instead of merging fanin lists (see the module docs).
+    pub fn reused_nodes(&self) -> usize {
+        self.reused
     }
 
     /// Per-node cut lists, in node-id order.
@@ -469,25 +550,137 @@ pub fn enumerate_cuts(aig: &Aig, k: usize, max_cuts: usize) -> CutArena {
 /// [`enumerate_cuts`] into a caller-owned (reusable) [`CutArena`].
 ///
 /// One sweep in node-id order: constants and combinational inputs get
-/// their trivial cut, and each AND node's list is merged from its fanins'
-/// finished lists and appended to the flat buffer (the
-/// `cut_enumeration_matches_reference` proptest pins the lists).
+/// their trivial cut, and each AND node takes its list from the arena's
+/// previous enumeration when it provably equals the fresh one (see the
+/// module docs), or else merges it from its fanins' finished lists; either
+/// way the list is appended to the flat buffer (the
+/// `cut_enumeration_matches_reference` proptest pins the lists, and
+/// `carried_cut_lists_equal_fresh_ones` the carried ones).
 pub fn enumerate_cuts_into(aig: &Aig, k: usize, max_cuts: usize, arena: &mut CutArena) {
     assert!(k <= 6, "cut functions fit one word: k must be at most 6");
+    let carry = arena.carry((k, max_cuts));
     arena.cuts.clear();
     arena.ranges.clear();
-    for (i, kind) in aig.nodes().iter().enumerate() {
+    arena.reused = 0;
+    for (i, &kind) in aig.nodes().iter().enumerate() {
         let start = arena.cuts.len() as u32;
-        if kind.is_and() {
-            arena.push_and_cuts(aig, i, k, max_cuts);
-        } else {
-            arena.cuts.push(Cut::trivial(NodeId::from_index(i)));
+        let old = match kind {
+            NodeKind::And { a, b } => {
+                let old = carry.then(|| arena.push_carried(i, a, b)).flatten();
+                if old.is_none() {
+                    arena.push_and_cuts(aig, i, k, max_cuts);
+                }
+                old
+            }
+            NodeKind::Const0 => {
+                arena.cuts.push(Cut::trivial(NodeId::CONST0));
+                Some(NodeId::CONST0)
+            }
+            NodeKind::Input { .. } | NodeKind::Latch { .. } => {
+                arena.cuts.push(Cut::trivial(NodeId::from_index(i)));
+                arena.carried.graph.ci_like(kind)
+            }
+        };
+        let carried = &mut arena.carried;
+        match old {
+            Some(old) if carry && carried.to_new[old.index()] == UNMATCHED => {
+                carried.to_new[old.index()] = i as u32;
+                carried.to_old.push(old.0);
+            }
+            _ => carried.to_old.push(UNMATCHED),
         }
         arena.ranges.push((start, arena.cuts.len() as u32));
     }
+    arena.carried.graph.copy_from(aig);
+    arena.carried.params = Some((k, max_cuts));
 }
 
 impl CutArena {
+    /// Move the lists of the last enumeration into the compact carried
+    /// form and reset the node matching. Returns whether the enumeration
+    /// about to run with `params` may take lists from them: only one with
+    /// the same `k` and `max_cuts`.
+    fn carry(&mut self, params: (usize, usize)) -> bool {
+        let Carried {
+            params: last,
+            graph,
+            starts,
+            lens,
+            funcs,
+            leaves,
+            to_new,
+            to_old,
+        } = &mut self.carried;
+        starts.clear();
+        lens.clear();
+        funcs.clear();
+        leaves.clear();
+        to_new.clear();
+        to_old.clear();
+        // Taken, so an enumeration that unwinds half-way carries nothing.
+        if last.take() != Some(params) {
+            return false;
+        }
+        debug_assert_eq!(self.ranges.len(), graph.num_nodes());
+        // Every list ends with its trivial cut, which is not carried.
+        for &(start, end) in &self.ranges {
+            starts.push((lens.len() as u32, leaves.len() as u32));
+            for cut in &self.cuts[start as usize..end as usize - 1] {
+                lens.push(cut.len);
+                funcs.push(cut.func);
+                leaves.extend_from_slice(cut.leaves());
+            }
+        }
+        starts.push((lens.len() as u32, leaves.len() as u32));
+        to_new.resize(graph.num_nodes(), UNMATCHED);
+        true
+    }
+
+    /// Append the list of AND node `i = a & b` taken from the carried
+    /// enumeration, if the module docs' matching rule allows it, and
+    /// return the node it was taken from; `None` (and nothing appended)
+    /// otherwise.
+    fn push_carried(&mut self, i: usize, a: Lit, b: Lit) -> Option<NodeId> {
+        let carried = &self.carried;
+        let counterpart = |f: Lit| {
+            let old = carried.to_old[f.node().index()];
+            (old != UNMATCHED).then(|| Lit::new(NodeId(old), f.is_complement()))
+        };
+        let old = carried.graph.and_of(counterpart(a)?, counterpart(b)?)?;
+        if carried.to_new[old.index()] != UNMATCHED {
+            return None;
+        }
+        let start = self.cuts.len();
+        let (first_cut, first_leaf) = carried.starts[old.index()];
+        let end_cut = carried.starts[old.index() + 1].0 as usize;
+        let mut leaf_at = first_leaf as usize;
+        for c in first_cut as usize..end_cut {
+            let len = carried.lens[c] as usize;
+            let mut cut = Cut {
+                leaves: [NodeId::CONST0; MAX_CUT_SIZE],
+                len: len as u8,
+                sig: 0,
+                has_func: true,
+                func: carried.funcs[c],
+                cone: !0,
+            };
+            for (slot, &leaf) in carried.leaves[leaf_at..leaf_at + len].iter().enumerate() {
+                let new = carried.to_new[leaf.index()];
+                if new == UNMATCHED || (slot > 0 && new <= cut.leaves[slot - 1].0) {
+                    self.cuts.truncate(start);
+                    return None;
+                }
+                cut.leaves[slot] = NodeId(new);
+                cut.sig |= leaf_sig(NodeId(new));
+            }
+            leaf_at += len;
+            self.cuts.push(cut);
+        }
+        self.cuts.push(Cut::trivial(NodeId::from_index(i)));
+        self.reused += 1;
+        Some(old)
+    }
+
     /// Append the cut list of AND node `i`, merged from its fanins'
     /// finished lists (the trivial cut last).
     fn push_and_cuts(&mut self, aig: &Aig, i: usize, k: usize, max_cuts: usize) {
@@ -499,6 +692,7 @@ impl CutArena {
             ranges,
             list,
             scratch,
+            ..
         } = self;
         let slice = |node: NodeId| -> &[Cut] {
             let (s, e) = ranges[node.index()];
@@ -552,7 +746,9 @@ pub struct CutScratch {
     /// truth-table index for `cut_function_with`, remaining fanout count for
     /// `mffc_size_with`, visited/leaf marker for `reconvergence_cut_with`.
     slots: Vec<(u32, u32)>,
-    tables: Vec<TruthTable>,
+    /// `cut_function_with`'s tables, back to back, one word (≤ 6 leaves)
+    /// or `2^(leaves-6)` words each.
+    words: Vec<u64>,
     stack: Vec<(NodeId, bool)>,
     nodes: Vec<NodeId>,
 }
@@ -574,7 +770,7 @@ impl CutScratch {
             self.slots.fill((0, 0));
             self.stamp = 1;
         }
-        self.tables.clear();
+        self.words.clear();
         self.stack.clear();
         self.nodes.clear();
     }
@@ -695,9 +891,10 @@ pub fn cut_function(aig: &Aig, root: NodeId, leaves: &[NodeId]) -> TruthTable {
     cut_function_with(aig, root, leaves, &mut CutScratch::new())
 }
 
-/// [`cut_function`] with caller-provided scratch: tables live in a flat
-/// reusable arena indexed through the stamped slots, so evaluating a ≤6-input
-/// cone performs no per-node allocation at all (inline `u64` tables).
+/// [`cut_function`] with caller-provided scratch: every cone node's table
+/// lives in one flat reusable word buffer indexed through the stamped
+/// slots, so the walk allocates nothing but the returned table (and that
+/// only over more than 6 leaves).
 pub fn cut_function_with(
     aig: &Aig,
     root: NodeId,
@@ -723,41 +920,38 @@ pub fn cut_function_with(
         scratch.slots.fill((0, 0));
         scratch.stamp = 1;
     }
+    // Table `t` is `words[t * width..(t + 1) * width]`.
+    let width = if vars > 6 { 1usize << (vars - 6) } else { 1 };
     for (i, &leaf) in leaves.iter().enumerate() {
-        scratch.tables.push(TruthTable::variable(vars, i));
+        scratch
+            .words
+            .extend((0..width).map(|w| TruthTable::variable_word(i, w)));
         scratch.set(leaf, i as u32);
     }
     if scratch.get(NodeId::CONST0).is_none() {
-        scratch.tables.push(TruthTable::zeros(vars));
+        scratch.words.resize((vars + 1) * width, 0);
         scratch.set(NodeId::CONST0, vars as u32);
     }
-    let mut result = None;
+    let flip = |l: Lit| if l.is_complement() { !0 } else { 0 };
     for idx in 0..scratch.nodes.len() {
         let id = scratch.nodes[idx];
         let NodeKind::And { a, b } = aig.node(id) else {
             panic!("cone reached non-AND node {id:?} that is not a cut leaf");
         };
-        let ta = scratch.get(a.node()).expect("fanin table computed") as usize;
-        let tb = scratch.get(b.node()).expect("fanin table computed") as usize;
-        let mut t = scratch.tables[ta].clone();
-        if a.is_complement() {
-            t.invert();
-        }
-        if b.is_complement() {
-            let mut o = scratch.tables[tb].clone();
-            o.invert();
-            t.and_with(&o);
-        } else {
-            t.and_with(&scratch.tables[tb]);
+        let ta = scratch.get(a.node()).expect("fanin table computed") as usize * width;
+        let tb = scratch.get(b.node()).expect("fanin table computed") as usize * width;
+        let (fa, fb) = (flip(a), flip(b));
+        let table = scratch.words.len() / width;
+        for w in 0..width {
+            let word = (scratch.words[ta + w] ^ fa) & (scratch.words[tb + w] ^ fb);
+            scratch.words.push(word);
         }
         if id == root {
-            result = Some(t);
-            break;
+            return TruthTable::from_words(vars, &scratch.words[table * width..]);
         }
-        scratch.set(id, scratch.tables.len() as u32);
-        scratch.tables.push(t);
+        scratch.set(id, table as u32);
     }
-    result.expect("root evaluated")
+    unreachable!("the root is the last node of its cone")
 }
 
 /// Size of the maximum fanout-free cone of `root` with respect to the cut:
@@ -966,6 +1160,31 @@ mod tests {
                 assert_eq!(warm.node(i), fresh.node(i), "node {i}");
             }
         }
+    }
+
+    #[test]
+    fn enumerating_a_graph_again_reuses_every_and() {
+        let mut g = Aig::new("add8");
+        let a = g.input_word("a", 8);
+        let b = g.input_word("b", 8);
+        let (sum, carry) = build::ripple_add(&mut g, &a, &b, Lit::FALSE);
+        g.output_word("s", &sum);
+        g.output("c", carry);
+        let fresh = enumerate_cuts(&g, 4, 8);
+        let mut arena = CutArena::new();
+        enumerate_cuts_into(&g, 4, 8, &mut arena);
+        assert_eq!(arena.reused_nodes(), 0, "nothing to carry yet");
+        enumerate_cuts_into(&g, 4, 8, &mut arena);
+        assert_eq!(arena.reused_nodes(), g.num_ands());
+        for i in 0..g.num_nodes() {
+            let (carried, cold) = (arena.node(i), fresh.node(i));
+            assert_eq!(carried, cold, "node {i}");
+            let words = |list: &[Cut]| list.iter().map(|c| c.func).collect::<Vec<_>>();
+            assert_eq!(words(carried), words(cold), "node {i}");
+        }
+        // Lists carry only between enumerations with the same k and budget.
+        enumerate_cuts_into(&g, 4, 6, &mut arena);
+        assert_eq!(arena.reused_nodes(), 0);
     }
 
     #[test]

@@ -20,7 +20,10 @@
 //!   costs at least `s - 1` ANDs, so a cut with `s - 1 - mffc > 2` is
 //!   dropped before it is costed; the bound is exact (it drops only cuts
 //!   the cost would), so it changes no result. These read only the
-//!   *immutable input graph* (plus the finished cut lists).
+//!   *immutable input graph* (plus the finished cut lists). The rewrite
+//!   passes' enumeration takes each cone left unchanged since the previous
+//!   rewrite pass's enumeration from that one, up to renumbering (see
+//!   [`cuts`], "Reuse across enumerations").
 //! * **commit** — the sharing-aware gain measurement and the winning
 //!   rebuild. Each candidate is costed by replaying its table's recorded
 //!   build on a [`DryRun`] over the growing output graph: the dry run looks
@@ -99,15 +102,20 @@ pub(crate) fn balance_counted(aig: &Aig, token: &CancelToken) -> (Aig, u64) {
         r
     };
 
-    let mut leaves: Vec<Lit> = Vec::new();
+    let (mut leaves, mut stack): (Vec<Lit>, Vec<Lit>) = (Vec::new(), Vec::new());
     let and_ids = (0..aig.num_nodes()).filter(|&i| aig.nodes()[i].is_and());
     for (n, i) in and_ids.enumerate() {
         // Every EVAL_BATCH nodes: a cancelled job abandons the rebuild.
         if n % EVAL_BATCH == 0 && token.is_cancelled() {
             return (aig.clone(), commits);
         }
-        leaves.clear();
-        collect_supergate(aig, NodeId::from_index(i), &fanouts, true, &mut leaves);
+        collect_supergate(
+            aig,
+            NodeId::from_index(i),
+            &fanouts,
+            &mut leaves,
+            &mut stack,
+        );
         if leaves.len() > 2 && !absorbed[i] {
             commits += 1;
         }
@@ -137,18 +145,27 @@ pub(crate) fn balance_counted(aig: &Aig, token: &CancelToken) -> (Aig, u64) {
     (out.compact(), commits)
 }
 
-/// Collect the operand literals of the AND tree rooted at `id`, expanding
-/// through non-complemented, single-fanout AND fanins.
-fn collect_supergate(aig: &Aig, id: NodeId, fanouts: &[u32], is_root: bool, leaves: &mut Vec<Lit>) {
-    let NodeKind::And { a, b } = aig.node(id) else {
-        unreachable!("supergate collection starts at AND nodes");
-    };
-    if !is_root && fanouts[id.index()] != 1 {
-        unreachable!("only single-fanout interior nodes are expanded");
-    }
-    for f in [a, b] {
+/// Collect into `leaves` the operand literals of the AND tree rooted at
+/// `id`, expanding through non-complemented, single-fanout AND fanins.
+///
+/// The walk keeps its pending fanins on `stack`, not the call stack, so a
+/// chain of any length fits a small thread stack. Each node pushes its
+/// second fanin below its first, so leaves come out in the order of a
+/// recursive first-fanin-first descent, which fixes the rebuilt trees.
+fn collect_supergate(
+    aig: &Aig,
+    id: NodeId,
+    fanouts: &[u32],
+    leaves: &mut Vec<Lit>,
+    stack: &mut Vec<Lit>,
+) {
+    leaves.clear();
+    let (a, b) = aig.and_fanins(id);
+    stack.extend([b, a]);
+    while let Some(f) = stack.pop() {
         if !f.is_complement() && aig.node(f.node()).is_and() && fanouts[f.node().index()] == 1 {
-            collect_supergate(aig, f.node(), fanouts, false, leaves);
+            let (a, b) = aig.and_fanins(f.node());
+            stack.extend([b, a]);
         } else {
             leaves.push(f);
         }
@@ -533,6 +550,34 @@ mod tests {
         let b = balance(&g);
         assert_eq!(b.depth(), 3);
         assert!(sim::random_equiv(&g, &b, 4, 11));
+    }
+
+    #[test]
+    fn supergate_of_a_long_chain_fits_a_small_stack() {
+        // A single-fanout chain x0 & x1 & ... & xn is one super-gate. Its
+        // collection must not recurse per AND: 200,000 ANDs would overflow
+        // a 2 MiB worker stack and abort the process.
+        const N: usize = 200_000;
+        let mut g = Aig::new("chain");
+        let xs: Vec<Lit> = (0..=N).map(|i| g.input(format!("x{i}"))).collect();
+        let acc = xs[1..].iter().fold(xs[0], |acc, &x| g.and(acc, x));
+        g.output("o", acc);
+        let leaves = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let fanouts = g.fanout_counts(true);
+                let (mut leaves, mut stack) = (Vec::new(), Vec::new());
+                collect_supergate(&g, acc.node(), &fanouts, &mut leaves, &mut stack);
+                leaves
+            })
+            .expect("spawn")
+            .join()
+            .expect("collection overflowed its stack");
+        // Each AND stores (x_i, chain below) and the descent takes the
+        // first fanin first: x_n, ..., x_2, then the bottom AND's x0, x1.
+        let mut expected: Vec<Lit> = xs[2..].iter().rev().copied().collect();
+        expected.extend([xs[0], xs[1]]);
+        assert_eq!(leaves, expected);
     }
 
     #[test]

@@ -79,17 +79,8 @@ impl TruthTable {
         match &mut t.repr {
             Repr::Small(w) => *w = VAR_MASKS[var] & Self::tail_mask(vars),
             Repr::Big(words) => {
-                if var < 6 {
-                    for w in words.iter_mut() {
-                        *w = VAR_MASKS[var];
-                    }
-                } else {
-                    let period = 1usize << (var - 6);
-                    for (i, w) in words.iter_mut().enumerate() {
-                        if i / period % 2 == 1 {
-                            *w = !0;
-                        }
-                    }
+                for (i, w) in words.iter_mut().enumerate() {
+                    *w = Self::variable_word(var, i);
                 }
             }
         }
@@ -102,6 +93,31 @@ impl TruthTable {
         TruthTable {
             vars,
             repr: Repr::Small(word & Self::tail_mask(vars)),
+        }
+    }
+
+    /// Build from `2^(vars-6)` words (one word for `vars <= 6`, whose bits
+    /// past `2^vars` are dropped). Allocates only for `vars > 6`.
+    pub(crate) fn from_words(vars: usize, words: &[u64]) -> Self {
+        if vars <= 6 {
+            return Self::from_word(vars, words[0]);
+        }
+        debug_assert_eq!(words.len(), 1usize << (vars - 6));
+        TruthTable {
+            vars,
+            repr: Repr::Big(words.to_vec()),
+        }
+    }
+
+    /// Word `word` of the projection table of variable `var` (any number
+    /// of variables above `var`).
+    pub(crate) fn variable_word(var: usize, word: usize) -> u64 {
+        if var < 6 {
+            VAR_MASKS[var]
+        } else if word >> (var - 6) & 1 == 1 {
+            !0
+        } else {
+            0
         }
     }
 

@@ -1,8 +1,9 @@
 //! Verifies the hot-path allocation guarantees with a counting global
 //! allocator: `Cut::merge` + dominance filtering never allocate,
-//! ≤6-variable `TruthTable` operators never allocate, and costing an
+//! ≤6-variable `TruthTable` operators never allocate, costing an
 //! already-recorded table on a `DryRun` that reuses its buffer never
-//! allocates.
+//! allocates, and refactor's 8-leaf cone walk on a warm scratch allocates
+//! only the table it returns.
 //!
 //! Single `#[test]` on purpose: the counter is process-global, so a second
 //! concurrently running test would perturb it.
@@ -134,5 +135,23 @@ fn hot_paths_do_not_allocate() {
     assert_eq!(
         n, 0,
         "dry-run costing of recorded tables allocated {n} times"
+    );
+
+    // --- Cone walk over an 8-leaf cut (refactor's k) ---
+    use xsfq_aig::cuts::{cut_function_with, CutScratch};
+    let mut g = Aig::new("wide");
+    let xs: Vec<_> = (0..8).map(|i| g.input(format!("x{i}"))).collect();
+    let lo = g.xor_many(&xs[..4]);
+    let hi = g.or_many(&xs[4..]);
+    let root = g.mux(xs[7], lo, !hi);
+    let leaves = g.inputs().to_vec();
+    let mut scratch = CutScratch::new();
+    let cold = cut_function_with(&g, root.node(), &leaves, &mut scratch);
+    let (n, warm) = alloc_count(|| cut_function_with(&g, root.node(), &leaves, &mut scratch));
+    assert_eq!(warm, cold);
+    assert!(!warm.is_inline(), "an 8-leaf table spills to the heap");
+    assert!(
+        n <= 1,
+        "an 8-leaf cone walk on a warm scratch allocated {n} times"
     );
 }

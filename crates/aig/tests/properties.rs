@@ -11,11 +11,14 @@
 //!   fresh one (same cost, same nodes), and
 //! * the rewrite passes' costing vs. the cone walk and a real build: every
 //!   enumerated cut's stored function vs. [`cut_function`], and a
-//!   [`DryRun`] build vs. building into a clone of its base graph.
+//!   [`DryRun`] build vs. building into a clone of its base graph, and
+//! * cut lists carried from one enumeration to the next vs. a cold
+//!   enumeration (leaves and function words).
 
 use proptest::prelude::*;
 
-use xsfq_aig::cuts::{cut_function, enumerate_cuts, Cut};
+use xsfq_aig::cuts::{cut_function, enumerate_cuts, enumerate_cuts_into, Cut, CutArena};
+use xsfq_aig::opt;
 use xsfq_aig::synth::Synthesizer;
 use xsfq_aig::tt::TruthTable;
 use xsfq_aig::{Aig, DryRun, Lit, NodeId, NodeKind};
@@ -91,6 +94,49 @@ fn circuit_from_recipe(recipe: &[(u8, usize, usize)], inputs: usize) -> Aig {
     let o = *pool.last().unwrap();
     g.output("o", o);
     g
+}
+
+/// `g` rebuilt with its ANDs created in another topological order, drawn
+/// from `seed`: the same structure under new node ids.
+fn reordered(g: &Aig, seed: u64) -> Aig {
+    let mut out = Aig::new("reordered");
+    let mut map: Vec<Option<Lit>> = vec![None; g.num_nodes()];
+    map[0] = Some(Lit::FALSE);
+    for (i, &id) in g.inputs().iter().enumerate() {
+        map[id.index()] = Some(out.input(g.input_name(i)));
+    }
+    // Shuffle the ANDs, then sweep the shuffled list, building each AND
+    // whose fanins exist, until every AND is built.
+    let mut pending: Vec<usize> = g.and_ids().map(NodeId::index).collect();
+    let mut state = seed | 1;
+    for i in (1..pending.len()).rev() {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        pending.swap(i, (state % (i as u64 + 1)) as usize);
+    }
+    let lit = |map: &[Option<Lit>], l: Lit| {
+        map[l.node().index()].map(|m| m.complement_if(l.is_complement()))
+    };
+    while !pending.is_empty() {
+        pending.retain(|&i| {
+            let NodeKind::And { a, b } = g.nodes()[i] else {
+                unreachable!("only ANDs are pending");
+            };
+            match (lit(&map, a), lit(&map, b)) {
+                (Some(fa), Some(fb)) => {
+                    map[i] = Some(out.and(fa, fb));
+                    false
+                }
+                _ => true,
+            }
+        });
+    }
+    for o in g.outputs() {
+        let driver = lit(&map, o.lit).expect("every node is built");
+        out.output(o.name.clone(), driver);
+    }
+    out
 }
 
 // ----------------------------------------------------------------- tt refs
@@ -379,6 +425,57 @@ proptest! {
                 prop_assert_eq!(cut.function(), Some(walked), "node {} cut {:?}", node, cut.leaves());
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// A warm arena takes a node's cut list from its previous enumeration
+    /// only when that list is the one a cold enumeration makes: every
+    /// node's list, leaves and function words alike, equals
+    /// [`enumerate_cuts`] on a cold arena. The previous graph is the target
+    /// itself (every AND is then taken), the target after one `b`, `rw`,
+    /// `rwz` or `rf` pass (renumbered cones, some of them changed), an
+    /// unrelated random DAG over as many inputs, or the target with its
+    /// ANDs created in another order, where renumbering flips leaf and
+    /// fanin order.
+    #[test]
+    fn carried_cut_lists_equal_fresh_ones(
+        recipe in prop::collection::vec((any::<u8>(), 0usize..64, 0usize..64), 4..60),
+        unrelated in prop::collection::vec((any::<u8>(), 0usize..64, 0usize..64), 4..60),
+        inputs in 2usize..8,
+        previous in 0u8..7,
+        seed in any::<u64>(),
+        k in 2usize..=6,
+        max_cuts in 1usize..10,
+    ) {
+        let target = circuit_from_recipe(&recipe, inputs);
+        let before = match previous {
+            0 => target.clone(),
+            1 => opt::balance(&target),
+            2 => opt::rewrite(&target),
+            3 => opt::rewrite_zero(&target),
+            4 => opt::refactor_with_cut_size(&target, 8),
+            5 => circuit_from_recipe(&unrelated, inputs),
+            _ => reordered(&target, seed),
+        };
+        let mut warm = CutArena::new();
+        enumerate_cuts_into(&before, k, max_cuts, &mut warm);
+        enumerate_cuts_into(&target, k, max_cuts, &mut warm);
+        if previous == 0 {
+            prop_assert_eq!(warm.reused_nodes(), target.num_ands());
+        }
+        let cold = enumerate_cuts(&target, k, max_cuts);
+        prop_assert_eq!(warm.num_nodes(), cold.num_nodes());
+        for (node, (w, c)) in warm.iter().zip(cold.iter()).enumerate() {
+            prop_assert_eq!(w.len(), c.len(), "cut count differs at node {}", node);
+            for (wc, cc) in w.iter().zip(c) {
+                prop_assert_eq!(wc.leaves(), cc.leaves(), "cut leaves differ at node {}", node);
+                prop_assert_eq!(wc.function(), cc.function(), "node {} cut {:?}", node, cc.leaves());
+            }
+        }
+        prop_assert!(warm.check_integrity().is_ok());
     }
 }
 
