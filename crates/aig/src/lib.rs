@@ -38,9 +38,13 @@
 //! * **Structural hashing** — [`Aig::and`] deduplicates through an
 //!   open-addressing (linear-probe, insert-only) table whose slots hold
 //!   only node indices; keys are read back from the node arena and hashed
-//!   with one 64-bit multiply. [`Aig::num_ands`] is a maintained counter,
-//!   O(1). A [`DryRun`] probes the same table read-only to count what a
-//!   build would add.
+//!   with one 64-bit multiply whose top bits pick the slot. The table
+//!   doubles before it passes load ½, so a lookup probes about 1.3 slots.
+//!   Pass outputs are presized: `balance` and the resynthesis passes
+//!   reserve their input's AND count and [`Aig::compact`] its live count,
+//!   so they do not rehash as they fill. [`Aig::num_ands`] is a maintained
+//!   counter, O(1). A [`DryRun`] probes the same table read-only to count
+//!   what a build would add.
 //! * **Cuts** — [`cuts::Cut`] stores up to [`cuts::MAX_CUT_SIZE`] leaves
 //!   inline (sorted by id) plus a 64-bit signature with bit `id % 64` set
 //!   per leaf. The signature has the subset property

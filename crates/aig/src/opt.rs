@@ -89,6 +89,7 @@ pub(crate) fn balance_counted(aig: &Aig, token: &CancelToken) -> (Aig, u64) {
     let mut out = Aig::new(aig.name().to_string());
     let mut map: Vec<Lit> = vec![Lit::FALSE; aig.num_nodes()];
     map_cis(aig, &mut out, &mut map);
+    out.reserve(aig.num_ands());
     // `levels[i]` is the level of output node `i`; constants and CIs sit at
     // level 0, and `and_leveled` appends exactly when `out.and` allocates.
     let mut levels: Vec<u32> = vec![0; out.num_nodes()];
@@ -273,6 +274,7 @@ fn resynthesis_pass(aig: &Aig, mode: ResynthMode, ctx: &mut PassCtx) -> (Aig, u6
     let mut out = Aig::new(aig.name().to_string());
     let mut map: Vec<Lit> = vec![Lit::FALSE; aig.num_nodes()];
     map_cis(aig, &mut out, &mut map);
+    out.reserve(aig.num_ands());
     let mut commits = 0u64;
     let mut candidates: Vec<Candidate> = Vec::new();
     let mut leaf_lits: Vec<Lit> = Vec::new();
