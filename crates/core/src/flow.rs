@@ -51,10 +51,11 @@ pub struct FlowOptions {
     /// designs; sequential designs are validated by the pulse simulator).
     pub verify: bool,
     /// Width of the batch entry points' design fan-out. `None` uses the
-    /// process-wide executor pool (sized by `XSFQ_THREADS`, defaulting to
-    /// `available_parallelism`); `Some(n)` fans designs out over a private
-    /// `n`-thread pool. Each design runs on one thread, so results are
-    /// identical either way; single-design entry points ignore it.
+    /// process-wide width (`XSFQ_THREADS`, defaulting to
+    /// `available_parallelism`); `Some(n)` fans designs out over at most
+    /// `n` threads, the caller among them. Each design runs on one thread,
+    /// so results are identical either way; single-design entry points
+    /// ignore it.
     pub threads: Option<usize>,
     /// Cooperative cancellation token. Cancelling it aborts every job of a
     /// running batch at the next pass boundary, or within a few hundred
@@ -569,11 +570,11 @@ impl SynthesisFlow {
         self
     }
 
-    /// Fan [`SynthesisFlow::run_many`]'s designs out over a private pool of
-    /// `threads` worker threads (clamped to ≥ 1) instead of the
-    /// process-wide executor. Results are identical for every thread
-    /// count; [`SynthesisFlow::run`] and [`SynthesisFlow::run_job`] run one
-    /// design on the calling thread and ignore it.
+    /// Fan [`SynthesisFlow::run_many`]'s designs out over at most `threads`
+    /// threads (clamped to ≥ 1) instead of the process-wide width
+    /// ([`xsfq_exec::default_threads`]). Results are identical for every
+    /// thread count; [`SynthesisFlow::run`] and [`SynthesisFlow::run_job`]
+    /// run one design on the calling thread and ignore it.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.options.threads = Some(threads.max(1));
@@ -657,12 +658,12 @@ impl SynthesisFlow {
     }
 
     /// Run the flow over a batch of designs, scheduling **whole designs**
-    /// across the executor pool: designs are the unit of parallelism, and
-    /// each one runs start to finish on the worker that claimed it.
+    /// across the executor's fan-out: designs are the unit of parallelism,
+    /// and each one runs start to finish on the thread that claimed it.
     ///
     /// Results come back in input order and are identical to running
-    /// [`SynthesisFlow::run`] per design, for every pool size
-    /// ([`SynthesisFlow::threads`]). Each worker keeps one warm
+    /// [`SynthesisFlow::run`] per design, for every fan-out width
+    /// ([`SynthesisFlow::threads`]). Each thread keeps one warm
     /// [`PassArenas`] set (cut arena, scratch, synthesis memos) across all
     /// the designs it handles — reuse cannot change results, everything the
     /// arenas cache is a pure function of its inputs.
@@ -690,17 +691,16 @@ impl SynthesisFlow {
     /// [`SynthesisFlow::run`] (the CI-gated `chaos` suite pins exactly
     /// this).
     ///
-    /// Results come back in input order. Worker panics are contained to
-    /// their job: the pool is not poisoned, and the worker continues with
-    /// the next design (its warm arenas are rebuilt from scratch — a
+    /// Results come back in input order. A panic is contained to its job:
+    /// it becomes that design's verdict, and the thread that ran it goes on
+    /// to the next design (its warm arenas are rebuilt from scratch — a
     /// performance detail, never a correctness one).
     // `JobError` carries the partial telemetry by value; the `Ok` side
     // (`FlowResult`) is larger still, so boxing the error buys nothing.
     #[allow(clippy::result_large_err)]
     pub fn run_many_isolated(&self, designs: &[Aig]) -> Vec<Result<FlowResult, JobError>> {
         let compiled = self.compiled_script();
-        // The private fan-out pool `threads(n)` asks for, or the
-        // process-wide executor.
+        // The fan-out width `threads(n)` asks for, or the process-wide one.
         let private = self.options.threads.map(ThreadPool::new);
         private
             .as_ref()

@@ -1,12 +1,12 @@
 //! # xsfq-exec — vendored data-parallel executor
 //!
-//! A zero-dependency (std-only) runtime for batch synthesis: [`ThreadPool`]
-//! is a persistent pool of parked worker threads driving a deterministic
-//! data-parallel map ([`ThreadPool::map_init`]). The workspace builds
-//! without crates.io dependencies, so this plays the role rayon-core would
-//! otherwise play — scoped down to the one primitive the flow needs: *map
-//! an index range over immutable shared data, with per-thread mutable
-//! state, into a result slot per index*.
+//! A zero-dependency (std-only) fan-out for batch synthesis: a
+//! [`ThreadPool`] is a width, and [`ThreadPool::map_init`] runs a
+//! deterministic data-parallel map on the calling thread plus scoped
+//! threads (`std::thread::scope`) that it spawns and joins before
+//! returning. It is the one primitive the flow needs: *map an index range
+//! over immutable shared data, with per-thread mutable state, into one
+//! result per index*.
 //!
 //! # Designs are the unit of parallelism
 //!
@@ -23,33 +23,38 @@
 //!
 //! # Work distribution
 //!
-//! Every parallel section maps a slice built before the call, and no item
-//! adds items, so there is nothing to steal: participants claim the next
-//! index from one shared counter until it passes the end. A counter rather
-//! than fixed blocks because item costs vary widely — `run_many`'s designs
-//! differ ~70× — and a participant stuck on one expensive item must not
-//! hold back the items after it.
+//! Every call maps a slice built before the call, and no item adds items,
+//! so there is nothing to steal: participants claim the next index from
+//! one shared counter until it passes the end. A counter rather than fixed
+//! blocks because item costs vary widely — `run_many`'s designs differ
+//! ~70× — and a participant stuck on one expensive item must not hold back
+//! the items after it. The flow fans out once per batch, so spawning the
+//! threads per call costs little next to one design's synthesis, and no
+//! thread outlives the call that spawned it.
 //!
 //! The `model_gate` suite explores the cancel token (with a seeded mutation
-//! it must catch) and pool dispatch exhaustively under the [`mod@sync`]
-//! facade's `model` runtime, Miri runs the unit tests for UB, and
-//! `tools/check_ordering.sh` audits that every non-SeqCst atomic op carries
-//! an `// Ordering:` justification.
+//! it must catch) exhaustively under the [`mod@sync`] facade's `model`
+//! runtime, Miri runs the unit tests for UB, and `tools/check_ordering.sh`
+//! audits that every non-SeqCst atomic op carries an `// Ordering:`
+//! justification. The crate forbids `unsafe`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod sync;
 
-use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use crate::sync::thread::{Builder as ThreadBuilder, JoinHandle};
+use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::time::Instant;
-use crate::sync::{Condvar, Mutex};
 use std::any::Any;
-use std::fmt;
-use std::mem::{ManuallyDrop, MaybeUninit};
-use std::panic::{self, AssertUnwindSafe};
+use std::panic;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
+// The fan-out's index counter and threads are std's even under
+// `--features model`: `xsfq_model` has no scoped threads, and its atomics
+// only work inside `Explorer::check`, so a modeled counter would break
+// every map run outside a model test.
+use std::sync::atomic::AtomicUsize;
+use std::thread;
 
 // ---------------------------------------------------------------------------
 // Cooperative cancellation
@@ -164,64 +169,17 @@ impl<const MUT: u8> CancelTokenImpl<MUT> {
 }
 
 // ---------------------------------------------------------------------------
-// Worker panic payloads
+// Panic payloads
 // ---------------------------------------------------------------------------
 
-/// The panic payload of the **first** worker thread that panicked inside a
-/// parallel section, re-raised by the dispatching thread.
-///
-/// The original payload is preserved (downcast [`WorkerPanic::payload`] to
-/// recover it); [`WorkerPanic::message`] extracts the conventional
-/// `&str`/`String` panic text for error reports. The job-runner layers
-/// above catch this to attribute a fault to a design and pass instead of a
-/// bare "a worker thread panicked".
-pub struct WorkerPanic {
-    /// Participant index (1-based: participant 0 is the dispatcher, whose
-    /// panics propagate unwrapped) of the first worker that panicked.
-    pub worker: usize,
-    /// The worker's original panic payload.
-    pub payload: Box<dyn Any + Send>,
-}
-
-impl WorkerPanic {
-    /// The human-readable panic message, when the payload is the
-    /// conventional `&str` or `String` (as produced by `panic!`).
-    pub fn message(&self) -> &str {
-        panic_message(self.payload.as_ref())
-    }
-}
-
-impl fmt::Debug for WorkerPanic {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "worker {} panicked: {}", self.worker, self.message())
-    }
-}
-
-impl fmt::Display for WorkerPanic {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "worker thread {} panicked: {}",
-            self.worker,
-            self.message()
-        )
-    }
-}
-
-// A caught `WorkerPanic` is routinely boxed into `dyn Error` chains by the
-// layers that catch it (job runners, the serving daemon).
-impl std::error::Error for WorkerPanic {}
-
 /// Extract the conventional panic text from a payload: the `&'static str`
-/// of `panic!("...")`, the `String` of `panic!("{x}")`, the message of a
-/// re-raised [`WorkerPanic`], or a placeholder for custom payloads.
+/// of `panic!("...")`, the `String` of `panic!("{x}")`, or a placeholder
+/// for custom payloads.
 pub fn panic_message(payload: &(dyn Any + Send)) -> &str {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         s
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s
-    } else if let Some(w) = payload.downcast_ref::<WorkerPanic>() {
-        w.message()
     } else {
         "<non-string panic payload>"
     }
@@ -239,73 +197,23 @@ pub mod mutants {
     pub type CancelTokenRelaxed = super::CancelTokenImpl<1>;
 }
 
-type Job = *const (dyn Fn(usize) + Sync);
-
-/// Raw job pointer made sendable; validity is guaranteed by the dispatch
-/// protocol (the dispatcher blocks until every worker finished the job).
-struct SendJob(Job);
-// SAFETY: the pointee is `Sync` (the `Job` type requires it) and the
-// dispatch protocol keeps it alive across the send — the dispatcher does
-// not return from `run` until every worker has finished calling it.
-unsafe impl Send for SendJob {}
-
-struct JobSlot {
-    epoch: u64,
-    job: Option<SendJob>,
-    running: usize,
-    /// First worker panic of the current section: `(worker id, payload)`.
-    /// Only the first is kept — it is the one the dispatcher re-raises.
-    panic: Option<(usize, Box<dyn Any + Send>)>,
-    shutdown: bool,
-}
-
-struct Shared {
-    slot: Mutex<JobSlot>,
-    work: Condvar,
-    done: Condvar,
-}
-
-/// Persistent thread pool.
+/// The width of a data-parallel map.
 ///
-/// `ThreadPool::new(n)` spawns `n - 1` parked workers; the calling thread is
-/// always participant 0 of a parallel section, so `n == 1` means fully
-/// sequential (no threads are spawned at all). One pool may be shared by
-/// many callers — parallel sections are serialized through an internal lock,
-/// never nested.
+/// A `ThreadPool` holds no threads: each [`ThreadPool::map_init`] call runs
+/// on the calling thread plus up to `n − 1` scoped threads it spawns and
+/// joins before returning, so `n == 1` means fully sequential. One pool may
+/// be shared by any number of callers.
+#[derive(Debug)]
 pub struct ThreadPool {
-    shared: Arc<Shared>,
-    handles: Vec<JoinHandle<()>>,
-    /// Serializes whole parallel sections (the pool runs one job at a time).
-    run_lock: Mutex<()>,
+    threads: usize,
 }
 
 impl ThreadPool {
-    /// Pool with `threads` participants (clamped to at least 1).
+    /// Pool with `threads` participants (clamped to at least 1). Spawns
+    /// nothing.
     pub fn new(threads: usize) -> ThreadPool {
-        let shared = Arc::new(Shared {
-            slot: Mutex::new(JobSlot {
-                epoch: 0,
-                job: None,
-                running: 0,
-                panic: None,
-                shutdown: false,
-            }),
-            work: Condvar::new(),
-            done: Condvar::new(),
-        });
-        let handles = (1..threads.max(1))
-            .map(|wid| {
-                let shared = Arc::clone(&shared);
-                ThreadBuilder::new()
-                    .name(format!("xsfq-exec-{wid}"))
-                    .spawn(move || worker_loop(&shared, wid))
-                    .expect("spawn executor worker")
-            })
-            .collect();
         ThreadPool {
-            shared,
-            handles,
-            run_lock: Mutex::new(()),
+            threads: threads.max(1),
         }
     }
 
@@ -315,9 +223,10 @@ impl ThreadPool {
         POOL.get_or_init(|| ThreadPool::new(default_threads()))
     }
 
-    /// Number of participants (workers + the calling thread).
+    /// Number of participants (spawned threads + the calling thread) a map
+    /// over at least that many items runs on.
     pub fn num_threads(&self) -> usize {
-        self.handles.len() + 1
+        self.threads
     }
 
     /// Deterministic parallel map with per-thread state.
@@ -328,20 +237,19 @@ impl ThreadPool {
     /// `(i, items[i])` alone (state may cache but not change results),
     /// which makes the output independent of scheduling and thread count.
     ///
-    /// From two items up, participants claim indices one at a time, in
-    /// ascending order, from a shared counter, so a caller that sorts its
-    /// items largest first gets longest-first scheduling: the expensive
-    /// items start together and the cheap tail fills in around them. Each
-    /// item should be coarse — the flow maps whole designs — because a
-    /// section costs a wake-up and a join.
+    /// The calling thread and `min(n, items.len()) − 1` spawned threads
+    /// (named `xsfq-exec-{i}`) claim indices one at a time, in ascending
+    /// order, from a shared counter, so a caller that sorts its items
+    /// largest first gets longest-first scheduling: the expensive items
+    /// start together and the cheap tail fills in around them. Each item
+    /// should be coarse — the flow maps whole designs — because a call
+    /// spawns and joins its threads. With one participant the map runs
+    /// inline, in index order.
     ///
-    /// `f` must not run a parallel section on the *same* pool: sections
-    /// are serialized, so the nested one would deadlock.
-    ///
-    /// If `f` panics, the panic propagates after all workers stop, and
-    /// results computed so far are **leaked** (not dropped): slots are
-    /// written in claim order, so which are initialized is unknowable
-    /// without extra bookkeeping, and leaking is the safe failure mode.
+    /// If `f` panics, the panic propagates with its original payload once
+    /// every participant has stopped (the calling thread's own panic first,
+    /// then the spawned threads' in spawn order); results computed so far
+    /// are dropped.
     pub fn map_init<I, T, S>(
         &self,
         items: &[I],
@@ -352,181 +260,50 @@ impl ThreadPool {
         I: Sync,
         T: Send,
     {
-        let n = items.len();
-        if self.num_threads() == 1 || n < 2 {
-            let mut state = init();
-            return items
-                .iter()
-                .enumerate()
-                .map(|(i, item)| f(&mut state, i, item))
-                .collect();
-        }
-
-        let mut results: Vec<MaybeUninit<T>> = Vec::with_capacity(n);
-        // SAFETY: MaybeUninit contents are allowed to be uninitialized; the
-        // vector never drops T (only the transmuted result does, once every
-        // slot has been written exactly once).
-        unsafe { results.set_len(n) };
-        let out = SendPtr(results.as_mut_ptr() as *mut T);
         let next = AtomicUsize::new(0);
-
-        let body = move |_wid: usize| {
+        // One participant: claim indices until the counter passes the end,
+        // keeping each result with its index.
+        let participate = || {
             let mut state = init();
+            let mut claimed = Vec::new();
             loop {
                 // Ordering: Relaxed — the read-modify-write alone hands each
                 // index to exactly one participant (all RMWs on one atomic
                 // are totally ordered); no data is published through the
-                // counter, and the results reach the dispatcher through the
-                // job-slot mutex when the section ends.
+                // counter, and the results reach the caller through the
+                // join.
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let value = f(&mut state, i, &items[i]);
-                // SAFETY: the counter hands index `i` to exactly one
-                // participant, so this slot is written exactly once.
-                unsafe { out.slot(i).write(value) };
+                let Some(item) = items.get(i) else {
+                    return claimed;
+                };
+                claimed.push((i, f(&mut state, i, item)));
             }
         };
-        self.run(&body);
-
-        // SAFETY: every participant stopped only once the counter passed
-        // `n`, so every index was claimed and its slot written; all `n`
-        // slots are initialized, and MaybeUninit<T> and T share layout.
-        let mut results = ManuallyDrop::new(results);
-        unsafe { Vec::from_raw_parts(results.as_mut_ptr() as *mut T, n, results.capacity()) }
-    }
-
-    /// Run `body(participant_index)` on every participant and wait for all
-    /// of them. Parallel sections are serialized; nesting (calling back into
-    /// the same pool from inside `body`) would deadlock and is forbidden.
-    fn run(&self, body: &(dyn Fn(usize) + Sync)) {
-        if self.handles.is_empty() {
-            body(0);
-            return;
-        }
-        // A panicking section poisons the lock while unwinding; that is
-        // benign here (the section waited for every worker before
-        // unwinding), so recover instead of propagating the poison.
-        let _section = self
-            .run_lock
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        {
-            let mut slot = self.shared.slot.lock().expect("job slot poisoned");
-            // SAFETY: `body` outlives the job because this function blocks
-            // below until `running` returns to zero.
-            let body_static: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(body) };
-            slot.job = Some(SendJob(body_static));
-            slot.epoch += 1;
-            slot.running = self.handles.len();
-            self.shared.work.notify_all();
-        }
-        // The dispatcher is participant 0.
-        let main_result = panic::catch_unwind(AssertUnwindSafe(|| body(0)));
-        let worker_panic = {
-            let mut slot = self.shared.slot.lock().expect("job slot poisoned");
-            while slot.running > 0 {
-                slot = self.shared.done.wait(slot).expect("job slot poisoned");
-            }
-            slot.job = None;
-            slot.panic.take()
-        };
-        if let Err(payload) = main_result {
-            panic::resume_unwind(payload);
-        }
-        if let Some((worker, payload)) = worker_panic {
-            // Re-raise the first worker's original payload, wrapped so the
-            // catcher learns which worker it was (and the message survives
-            // for error reports) instead of a generic pool panic.
-            panic::panic_any(WorkerPanic { worker, payload });
-        }
-    }
-}
-
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        {
-            let mut slot = self.shared.slot.lock().expect("job slot poisoned");
-            slot.shutdown = true;
-            self.shared.work.notify_all();
-        }
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl std::fmt::Debug for ThreadPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadPool")
-            .field("threads", &self.num_threads())
-            .finish()
-    }
-}
-
-struct SendPtr<T>(*mut T);
-// SAFETY: a raw pointer is Send/Sync-neutral by itself; every dereference
-// site (`slot` callers) separately proves disjoint access — each index is
-// written by exactly one thread — so sharing the pointer value is sound
-// for `T: Send`.
-unsafe impl<T: Send> Send for SendPtr<T> {}
-// SAFETY: as above — the pointer value is shared, disjointness of the
-// actual accesses is proven at each dereference site.
-unsafe impl<T: Send> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// Pointer to slot `i`. A method (rather than direct field access) so
-    /// closures capture the whole `SendPtr` — the `Sync` carrier — instead
-    /// of the raw `*mut T` field, which is not `Sync`.
-    ///
-    /// # Safety
-    ///
-    /// `i` must be in bounds of the allocation `self.0` points into, and
-    /// the caller must uphold the aliasing rules for whatever it does with
-    /// the returned pointer.
-    #[inline]
-    unsafe fn slot(&self, i: usize) -> *mut T {
-        self.0.add(i)
-    }
-}
-
-fn worker_loop(shared: &Shared, wid: usize) {
-    let mut seen = 0u64;
-    loop {
-        let job = {
-            let mut slot = shared.slot.lock().expect("job slot poisoned");
-            loop {
-                if slot.shutdown {
-                    return;
+        let mut claimed = thread::scope(|scope| {
+            let spawned: Vec<_> = (1..self.threads.min(items.len()))
+                .map(|id| {
+                    thread::Builder::new()
+                        .name(format!("xsfq-exec-{id}"))
+                        .spawn_scoped(scope, participate)
+                        .expect("spawn executor thread")
+                })
+                .collect();
+            let mut claimed = participate();
+            for handle in spawned {
+                match handle.join() {
+                    Ok(theirs) => claimed.extend(theirs),
+                    Err(payload) => panic::resume_unwind(payload),
                 }
-                if slot.epoch != seen {
-                    seen = slot.epoch;
-                    break slot.job.as_ref().expect("job published with epoch").0;
-                }
-                slot = shared.work.wait(slot).expect("job slot poisoned");
             }
-        };
-        // SAFETY: the dispatcher keeps `job` alive until `running` drops to
-        // zero, which only happens after this call returns.
-        let result = panic::catch_unwind(AssertUnwindSafe(|| unsafe { (*job)(wid) }));
-        let mut slot = shared.slot.lock().expect("job slot poisoned");
-        if let Err(payload) = result {
-            // First worker wins: later panics of the same section are
-            // usually knock-on effects of the same fault.
-            if slot.panic.is_none() {
-                slot.panic = Some((wid, payload));
-            }
-        }
-        slot.running -= 1;
-        if slot.running == 0 {
-            shared.done.notify_all();
-        }
+            claimed
+        });
+        claimed.sort_unstable_by_key(|&(i, _)| i);
+        claimed.into_iter().map(|(_, value)| value).collect()
     }
 }
 
-/// The worker count of [`ThreadPool::global`] — the width of the flow's
-/// design fan-out — and the daemon's default shard count: the
+/// The width of [`ThreadPool::global`] — the flow's design fan-out — and
+/// the daemon's default shard count: the
 /// `XSFQ_THREADS` environment variable when it holds a positive integer
 /// (surrounding whitespace allowed), otherwise
 /// [`std::thread::available_parallelism`], or 1 when that is unknown.
@@ -534,8 +311,8 @@ pub fn default_threads() -> usize {
     let hardware = || std::thread::available_parallelism().map_or(1, |n| n.get());
     match std::env::var("XSFQ_THREADS") {
         // `0` means "no override"; a malformed value must not silently
-        // collapse the pool to one thread, so it also falls through to the
-        // hardware default.
+        // collapse the fan-out to one thread, so it also falls through to
+        // the hardware default.
         Ok(s) => match s.trim().parse::<usize>() {
             Ok(n) if n >= 1 => n,
             _ => hardware(),
@@ -549,6 +326,11 @@ pub fn default_threads() -> usize {
 #[cfg(all(test, not(feature = "model")))]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::panic::AssertUnwindSafe;
+    use std::sync::{Condvar, Mutex};
+
+    const FIVE_S: Duration = Duration::from_secs(5);
 
     #[test]
     fn map_init_matches_sequential_map() {
@@ -660,51 +442,55 @@ mod tests {
     }
 
     #[test]
-    fn worker_panic_payload_and_id_are_preserved() {
-        // Pin the panic to the last index and stall whichever participant
-        // claims index 0, so the others race through the rest; when a
-        // *worker* (wid >= 1) hits the panic, the dispatcher must re-raise
-        // a WorkerPanic carrying the original message and the worker id.
-        let pool = ThreadPool::new(4);
-        let items: Vec<usize> = (0..512).collect();
-        let n = items.len();
+    fn spawned_participant_panic_reaches_the_caller_with_its_payload() {
+        // The caller's item waits (up to 5 s) for the spawned thread's item
+        // to start, so each participant runs one; the spawned one panics,
+        // and the caller must see its `String` payload, unwrapped.
+        let pool = ThreadPool::new(2);
+        let caller = thread::current().id();
+        let (started, cv) = (Mutex::new(false), Condvar::new());
         let boom = panic::catch_unwind(AssertUnwindSafe(|| {
             pool.map_init(
-                &items,
+                &[0usize, 1],
                 || (),
-                |_, wid_probe, &x| {
-                    // Stall index 0's participant while the others claim
-                    // the tail indices.
-                    if x == 0 {
-                        std::thread::sleep(std::time::Duration::from_millis(50));
-                    }
-                    if x == n - 1 {
+                |_, _, _| {
+                    if thread::current().id() != caller {
+                        *started.lock().unwrap() = true;
+                        cv.notify_all();
                         panic!("intentional payload {}", 41 + 1);
                     }
-                    let _ = wid_probe;
+                    let _ = cv.wait_timeout_while(started.lock().unwrap(), FIVE_S, |s| !*s);
                 },
             )
         }));
-        let payload = boom.expect_err("section must panic");
-        match payload.downcast::<WorkerPanic>() {
-            Ok(wp) => {
-                assert_eq!(wp.message(), "intentional payload 42");
-                assert!(
-                    (1..4).contains(&wp.worker),
-                    "panic must be attributed to a worker, got {}",
-                    wp.worker
-                );
-                assert!(wp.to_string().contains("intentional payload 42"));
-            }
-            Err(other) => {
-                // The dispatcher itself claimed the poisoned index: the
-                // original payload propagates raw.
-                assert_eq!(panic_message(other.as_ref()), "intentional payload 42");
-            }
-        }
-        // The pool stays usable either way.
-        let ok = pool.map_init(&items, || (), |_, _, &x| x + 1);
-        assert_eq!(ok[0], 1);
+        let payload = boom.expect_err("a spawned participant's panic must propagate");
+        let message = payload.downcast_ref::<String>().map(String::as_str);
+        assert_eq!(message, Some("intentional payload 42"));
+        assert_eq!(pool.map_init(&[1usize, 2], || (), |_, _, &x| x + 1), [2, 3]);
+    }
+
+    #[test]
+    fn a_map_runs_on_at_most_one_thread_per_item_the_caller_among_them() {
+        let pool = ThreadPool::new(8);
+        let caller = thread::current().id();
+        // Each item waits (up to 5 s) until all three have started, so each
+        // holds a participant of its own.
+        let (started, cv) = (Mutex::new(Vec::new()), Condvar::new());
+        pool.map_init(
+            &[0usize, 1, 2],
+            || (),
+            |_, _, _| {
+                let mut ids = started.lock().unwrap();
+                ids.push(thread::current().id());
+                cv.notify_all();
+                let _ = cv.wait_timeout_while(ids, FIVE_S, |ids| ids.len() < 3);
+            },
+        );
+        let ids: HashSet<_> = started.into_inner().unwrap().into_iter().collect();
+        assert!(ids.len() <= 3 && ids.contains(&caller), "{ids:?}");
+        // One item: nothing is spawned.
+        let one = pool.map_init(&[0usize], || (), |_, _, _| thread::current().id());
+        assert_eq!(one, [caller]);
     }
 
     #[test]

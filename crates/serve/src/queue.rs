@@ -116,11 +116,11 @@ impl JobQueue {
         let mut s = self.state.lock().unwrap();
         loop {
             let now = Instant::now();
-            // Promote every due retry ahead of fresh admissions: a retry
-            // is older than anything in the ready lane.
-            while s.delayed.peek().is_some_and(|d| d.0.due <= now) {
-                let Reverse(d) = s.delayed.pop().unwrap();
-                s.ready.push_front(d.job);
+            // A due retry goes ahead of fresh admissions — a retry is older
+            // than anything in the ready lane — and the min-heap hands out
+            // the earliest due first.
+            if s.delayed.peek().is_some_and(|d| d.0.due <= now) {
+                return s.delayed.pop().map(|Reverse(d)| d.job);
             }
             if let Some(job) = s.ready.pop_front() {
                 return Some(job);
@@ -198,6 +198,18 @@ mod tests {
         assert!(q.push_retry(job(7), Duration::from_millis(5)).is_ok());
         let got = q.pop().unwrap();
         assert_eq!(got.id, 7);
+    }
+
+    #[test]
+    fn due_retries_pop_in_due_order() {
+        let q = JobQueue::new(4);
+        q.try_push(job(9)).unwrap();
+        for id in 1..=3 {
+            q.push_retry(job(id), Duration::from_millis(id)).unwrap();
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        let order: Vec<u64> = (0..4).map(|_| q.pop().unwrap().id).collect();
+        assert_eq!(order, [1, 2, 3, 9], "due retries first, earliest due first");
     }
 
     #[test]

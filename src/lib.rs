@@ -33,7 +33,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`aig`] | AND-Inverter graphs and optimization passes (ABC substitute), incl. the `pass` script engine |
-//! | [`exec`] | vendored data-parallel executor (thread pool + cancel token) |
+//! | [`exec`] | design fan-out on scoped threads, cancel token |
 //! | [`sat`] | CDCL SAT solver + combinational equivalence checking |
 //! | [`cells`] | xSFQ / RSFQ standard-cell libraries (paper Table 2) |
 //! | [`netlist`] | technology netlists, splitter insertion, JJ accounting |
@@ -47,7 +47,7 @@
 //! | [`timing`] | static timing analysis and slack-matching JTL insertion for mapped netlists |
 //!
 //! The workspace's `xsfq-model` crate, a bounded concurrency model checker
-//! for the executor and the daemon's queue, is test-only and not
+//! for the cancel token and the daemon's queue, is test-only and not
 //! re-exported.
 
 pub use xsfq_aig as aig;
