@@ -61,10 +61,11 @@
 //!   variant (`invert`, `and_with`, `cofactor0_in_place`, …) used by the
 //!   rewriting loops.
 //! * **Sequential resynthesis** — every pass evaluates and commits one node
-//!   at a time, in node-index order, on the calling thread, reusing one
-//!   set of scratch arenas ([`pass::PassArenas`]) across passes and
-//!   designs. Designs, not passes, are the unit of parallelism: the flow's
-//!   `run_many` fans whole designs out over the `xsfq-exec` pool.
+//!   at a time, in node-index order, on the calling thread, reusing the
+//!   scratch arenas of one [`pass::PassCtx`] across passes and designs.
+//!   Designs, not passes, are the unit of parallelism: the flow's
+//!   `run_many` fans whole designs out over `xsfq-exec`, one context per
+//!   thread.
 
 #![warn(missing_docs)]
 

@@ -108,7 +108,7 @@ pub(crate) fn balance_counted(aig: &Aig, token: &CancelToken) -> (Aig, u64) {
     for (n, i) in and_ids.enumerate() {
         // Every EVAL_BATCH nodes: a cancelled job abandons the rebuild.
         if n % EVAL_BATCH == 0 && token.is_cancelled() {
-            return (aig.clone(), commits);
+            return (aig.clone(), 0);
         }
         collect_supergate(
             aig,
@@ -238,10 +238,10 @@ struct Candidate {
 }
 
 /// The evaluate/commit arenas of a pass context (owned by the
-/// [`PassArenas`](crate::pass::PassArenas) so they persist across all
-/// passes of a script). The commit step replays builds recorded in the
-/// same synthesizer the evaluate step costs with.
-#[derive(Default)]
+/// [`PassCtx`] so they persist across every pass and job it runs). The
+/// commit step replays builds recorded in the same synthesizer the evaluate
+/// step costs with.
+#[derive(Debug, Default)]
 pub(crate) struct EvalScratch {
     pub(crate) scratch: CutScratch,
     pub(crate) synth: Synthesizer,
@@ -262,15 +262,14 @@ fn resynthesis_pass(aig: &Aig, mode: ResynthMode, ctx: &mut PassCtx) -> (Aig, u6
     // set of synthesis memos serve every pass of a script (and every design
     // of a batch). Memo entries are pure function values, so sharing them
     // never changes the committed graph.
-    let arenas = &mut ctx.arenas;
     let enumerated: Option<&CutArena> = match &mode {
         ResynthMode::Rewrite { k, max_cuts, .. } => {
-            cuts::enumerate_cuts_into(aig, *k, *max_cuts, &mut arenas.cut_arena);
-            Some(&arenas.cut_arena)
+            cuts::enumerate_cuts_into(aig, *k, *max_cuts, &mut ctx.cut_arena);
+            Some(&ctx.cut_arena)
         }
         ResynthMode::Refactor { .. } => None,
     };
-    let st = &mut arenas.eval;
+    let st = &mut ctx.eval;
     let mut out = Aig::new(aig.name().to_string());
     let mut map: Vec<Lit> = vec![Lit::FALSE; aig.num_nodes()];
     map_cis(aig, &mut out, &mut map);
@@ -286,7 +285,7 @@ fn resynthesis_pass(aig: &Aig, mode: ResynthMode, ctx: &mut PassCtx) -> (Aig, u6
         // even mid-pass. The partial rebuild is abandoned and the input
         // graph returned unchanged (the engine discards it anyway).
         if n % EVAL_BATCH == 0 && token.is_cancelled() {
-            return (aig.clone(), commits);
+            return (aig.clone(), 0);
         }
         candidates.clear();
         evaluate_node(aig, &mode, enumerated, &fanouts, i, st, &mut candidates);
@@ -305,11 +304,18 @@ fn resynthesis_pass(aig: &Aig, mode: ResynthMode, ctx: &mut PassCtx) -> (Aig, u6
     finish(aig, &mut out, &map);
     let out = out.compact();
     // The gain estimates are heuristic; never accept a larger graph
-    // (zero-gain mode intentionally tolerates equal size).
-    if out.num_ands() < aig.num_ands() || (zero_gain && out.num_ands() == aig.num_ands()) {
+    // (zero-gain mode intentionally tolerates equal size). Commits count
+    // only replacements that reach the output: none when the input comes
+    // back, or when the rebuild equals it node for node.
+    if out.num_ands() < aig.num_ands() {
         (out, commits)
+    } else if zero_gain && out.num_ands() == aig.num_ands() {
+        let same = out.nodes() == aig.nodes()
+            && out.outputs() == aig.outputs()
+            && out.latches() == aig.latches();
+        (out, if same { 0 } else { commits })
     } else {
-        (aig.clone(), commits)
+        (aig.clone(), 0)
     }
 }
 

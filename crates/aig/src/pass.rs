@@ -10,9 +10,9 @@
 //!   sequences to the legacy [`Effort`](crate::opt::Effort) paths (pinned
 //!   by the `script_golden` test suite).
 //! * [`CompiledScript`] — a script whose every statement is resolved to one
-//!   of a closed set of passes, run against a [`PassCtx`] that carries the
-//!   shared synthesis arenas, the cancellation token and the telemetry
-//!   sink.
+//!   of a closed set of passes, run against a [`PassCtx`]: one thread's
+//!   warm synthesis arenas plus the record of its current job (the
+//!   cancellation token, the completed passes and the pass in flight).
 //! * [`PassStat`] — per-pass telemetry (wall time, node/depth deltas,
 //!   commit counts) recorded by the script engine and surfaced through the
 //!   flow report.
@@ -25,6 +25,11 @@
 //!         |  PRESET                       -- fast | standard | high (inlined)
 //!         |  PASS ARG*                    -- e.g. "rf -K 10"
 //! ```
+//!
+//! `repeat` blocks nest at most [`MAX_REPEAT_DEPTH`] deep, counting the
+//! block a preset inlines: parsing, compiling, running, printing and
+//! dropping a script each recurse once per level, and scripts arrive from
+//! untrusted clients.
 //!
 //! Pass names (aliases in parentheses): `b` (`balance`), `rw` (`rewrite`),
 //! `rwz` (`rewrite_zero`), `rf` (`refactor`, optional `-K <2..=12>` cut
@@ -62,7 +67,7 @@ use std::time::Instant;
 
 use crate::cuts::CutArena;
 use crate::opt::{self, EvalScratch};
-use crate::Aig;
+use crate::{Aig, AigDefect};
 use xsfq_exec::CancelToken;
 
 /// The SAT sweep a script runs as `f` / `fraig`: merges proven-equivalent
@@ -93,7 +98,8 @@ pub struct PassStat {
     pub depth_after: usize,
     /// Pass-specific commit counter: accepted cut replacements for the
     /// resynthesis passes, rebuilt super-gates for `balance`, proven merges
-    /// for `fraig`, zero for `cleanup`.
+    /// for `fraig`, zero for `cleanup`. A resynthesis or `fraig` pass whose
+    /// output is its input, node for node, reports zero.
     pub commits: u64,
 }
 
@@ -113,61 +119,28 @@ impl fmt::Display for PassStat {
     }
 }
 
-/// Observer hook invoked around every executed pass.
-pub trait PassObserver {
-    /// Called before a pass starts running. Fault reports use this to name
-    /// the pass that was in flight when a job panicked or stalled.
-    fn on_pass_start(&mut self, _name: &str) {}
-    /// Called once per executed pass, in execution order.
-    fn on_pass(&mut self, stat: &PassStat);
-    /// Called with the graph a pass produced, which is exactly the graph
-    /// the rest of the script will see. Paranoid validation hooks in here;
-    /// the default does nothing.
-    fn on_graph(&mut self, _aig: &Aig) {}
-}
-
 // ---------------------------------------------------------------------------
 // PassCtx
 // ---------------------------------------------------------------------------
 
-/// The reusable arena set of a [`PassCtx`]: the cut scratch and the
-/// synthesizer the resynthesis passes evaluate and commit with, plus the
-/// CSR [`CutArena`] the rewrite passes enumerate into, whose cuts carry
-/// their functions. Besides plans, the synthesizer holds the recorded
-/// builds the commit step replays.
+/// One thread's synthesis state and the record of its current job.
 ///
-/// Detach it with [`PassCtx::take_arenas`] and re-install it with
-/// [`PassCtx::reuse_arenas`] to keep the buffers (and the pure-function
-/// synthesis memos: plans and recorded builds) warm across whole designs —
-/// the flow's `run_many` keeps one `PassArenas` per executor worker for an
-/// entire batch. Sharing arenas never changes results: everything they
-/// cache is a pure function of its inputs.
-#[derive(Default)]
-pub struct PassArenas {
+/// The context owns the arenas every pass shares: the cut scratch and the
+/// synthesizer (plans and recorded builds) the resynthesis passes evaluate
+/// and commit with, and the CSR [`CutArena`] the rewrite passes enumerate
+/// into. They stay warm from job to job, which never changes a result:
+/// everything they cache is a pure function of its inputs (the invariant
+/// the `script_golden` suite pins).
+///
+/// [`PassCtx::start`] begins a job, which the context then records: every
+/// completed pass's [`PassStat`], the pass in flight and, when asked, the
+/// defects of every pass output. The caller owns the context, so it can
+/// read the record after a pass panics, and then replaces the context,
+/// whose arenas it can no longer trust, with a fresh one.
+#[derive(Debug, Default)]
+pub struct PassCtx {
     pub(crate) eval: EvalScratch,
     pub(crate) cut_arena: CutArena,
-}
-
-impl fmt::Debug for PassArenas {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PassArenas")
-            .field("cut_capacity", &self.cut_arena.total_cuts())
-            .finish()
-    }
-}
-
-/// Execution context threaded through every pass of a script run.
-///
-/// Carries the [`PassArenas`] — shared across passes so plan memos stay
-/// warm for the whole script — the cancellation token and the telemetry
-/// sink. Arena sharing cannot change results: the memoized synthesis plans
-/// and costs are pure functions of the truth table (the invariant the
-/// `script_golden` suite pins).
-#[derive(Default)]
-pub struct PassCtx<'o> {
-    pub(crate) arenas: PassArenas,
-    telemetry: Vec<PassStat>,
-    observer: Option<&'o mut dyn PassObserver>,
     /// Cooperative cancellation: checked at every pass boundary by the
     /// engine and every few hundred nodes inside the resynthesis and
     /// balance passes. Defaults to a token that never cancels.
@@ -175,24 +148,33 @@ pub struct PassCtx<'o> {
     /// Set once a boundary check observed the token cancelled; the engine
     /// stops the script and callers map it to a structured job error.
     cancelled: bool,
-    /// Executed-pass counter across the whole context lifetime (unlike
-    /// `telemetry.len()`, never drained) — keys chaos fault injection.
-    passes_started: usize,
+    telemetry: Vec<PassStat>,
+    in_flight: Option<String>,
+    /// Whether every pass output goes through [`Aig::validate`].
+    validate: bool,
+    defects: Vec<AigDefect>,
     /// Deterministic fault injection plan for this job (tests only).
     #[cfg(feature = "chaos")]
     chaos: Option<crate::chaos::Injector>,
 }
 
-impl<'o> PassCtx<'o> {
-    /// Context with fresh arenas, a never-cancelled token and no observer.
+impl PassCtx {
+    /// Context with cold arenas, a never-cancelled token and an empty
+    /// record.
     pub fn new() -> Self {
         PassCtx::default()
     }
 
-    /// Install the cancellation token the engine (and every token-aware
-    /// pass) polls. Replaces the default never-cancelled token.
-    pub fn set_token(&mut self, token: CancelToken) {
-        self.token = token;
+    /// Begin a job polled by `token`: the record, the cancel flag, the
+    /// per-pass validation and the chaos plan start empty, while the arenas
+    /// stay warm.
+    pub fn start(&mut self, token: CancelToken) {
+        *self = PassCtx {
+            eval: std::mem::take(&mut self.eval),
+            cut_arena: std::mem::take(&mut self.cut_arena),
+            token,
+            ..PassCtx::default()
+        };
     }
 
     /// The job's cancellation token. The resynthesis and balance passes
@@ -208,42 +190,27 @@ impl<'o> PassCtx<'o> {
         self.cancelled
     }
 
-    /// Install a chaos injection plan for this job (deterministic fault
-    /// injection; see [`crate::chaos`]).
+    /// Install this job's chaos injection plan, if it has one
+    /// (deterministic fault injection; see [`crate::chaos`]).
     #[cfg(feature = "chaos")]
-    pub fn set_chaos(&mut self, injector: crate::chaos::Injector) {
-        self.chaos = Some(injector);
+    pub fn set_chaos(&mut self, injector: Option<crate::chaos::Injector>) {
+        self.chaos = injector;
     }
 
-    /// [`PassCtx::new`] with an observer notified after every pass.
-    pub fn with_observer(observer: &'o mut dyn PassObserver) -> Self {
-        PassCtx {
-            observer: Some(observer),
-            ..PassCtx::default()
-        }
-    }
-
-    /// Install a previously detached arena set. Reusing arenas across
-    /// designs keeps the cut storage and synthesis memos warm without
-    /// changing any result.
-    pub fn reuse_arenas(&mut self, arenas: PassArenas) {
-        self.arenas = arenas;
-    }
-
-    /// Detach the arena set for reuse by a later context (the context keeps
-    /// working with fresh, empty arenas).
-    pub fn take_arenas(&mut self) -> PassArenas {
-        std::mem::take(&mut self.arenas)
+    /// Run [`Aig::validate`] on every pass output of this job and record
+    /// what it finds ([`PassCtx::defects`]).
+    pub fn validate_passes(&mut self) {
+        self.validate = true;
     }
 
     /// The shared CSR cut arena the rewrite passes enumerate into. Exposed
     /// read-only so integrity audits (`CutArena::check_integrity`) can run
-    /// between passes without detaching the arenas.
+    /// between passes.
     pub fn cut_arena(&self) -> &CutArena {
-        &self.arenas.cut_arena
+        &self.cut_arena
     }
 
-    /// Telemetry of every pass executed through this context so far.
+    /// Telemetry of every pass this job completed, in execution order.
     pub fn telemetry(&self) -> &[PassStat] {
         &self.telemetry
     }
@@ -251,6 +218,18 @@ impl<'o> PassCtx<'o> {
     /// Drain the recorded telemetry.
     pub fn take_telemetry(&mut self) -> Vec<PassStat> {
         std::mem::take(&mut self.telemetry)
+    }
+
+    /// The pass that started but did not complete: the one a panic or a
+    /// cancellation hit. `None` between passes.
+    pub fn in_flight(&self) -> Option<&str> {
+        self.in_flight.as_deref()
+    }
+
+    /// What [`Aig::validate`] found in this job's pass outputs, in
+    /// execution order (see [`PassCtx::validate_passes`]).
+    pub fn defects(&self) -> &[AigDefect] {
+        &self.defects
     }
 
     /// Run one pass with telemetry: time it, diff node/depth counts and
@@ -262,15 +241,11 @@ impl<'o> PassCtx<'o> {
             return aig.clone();
         }
         let name = pass.to_string();
-        let pass_index = self.passes_started;
-        self.passes_started += 1;
-        if let Some(obs) = self.observer.as_deref_mut() {
-            obs.on_pass_start(&name);
-        }
-        self.apply_chaos(&name, pass_index);
+        self.in_flight = Some(name.clone());
+        self.apply_chaos(&name);
         // Second boundary check: cancellation may have arrived while the
         // pass was announced (or while a chaos stall held it). The pass
-        // stays "in flight" — announced but never run, so it leaves no
+        // stays in flight — announced but never run, so it leaves no
         // telemetry row and keeps the fault attribution.
         if self.token.is_cancelled() {
             self.cancelled = true;
@@ -289,21 +264,23 @@ impl<'o> PassCtx<'o> {
             depth_after: out.depth(),
             commits,
         };
-        if let Some(obs) = self.observer.as_deref_mut() {
-            obs.on_pass(&stat);
-            obs.on_graph(&out);
+        if self.validate {
+            self.defects.extend(out.validate());
         }
         self.telemetry.push(stat);
+        self.in_flight = None;
         out
     }
 
-    /// Fire the chaos fault planned for this `(job, pass_index)`, if any.
-    /// Compiled to nothing without the `chaos` feature.
+    /// Fire the chaos fault planned for this pass, if any: the job's
+    /// completed-pass count is the index of the pass about to run. Compiled
+    /// to nothing without the `chaos` feature.
     #[cfg(feature = "chaos")]
-    fn apply_chaos(&mut self, pass_name: &str, pass_index: usize) {
+    fn apply_chaos(&self, pass_name: &str) {
         let Some(injector) = &self.chaos else {
             return;
         };
+        let pass_index = self.telemetry.len();
         match injector.fault_at(pass_index) {
             Some(crate::chaos::FaultKind::Panic) => {
                 panic!("chaos: injected panic in pass `{pass_name}` (pass #{pass_index})")
@@ -317,15 +294,7 @@ impl<'o> PassCtx<'o> {
 
     #[cfg(not(feature = "chaos"))]
     #[inline]
-    fn apply_chaos(&mut self, _pass_name: &str, _pass_index: usize) {}
-}
-
-impl fmt::Debug for PassCtx<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PassCtx")
-            .field("passes_run", &self.telemetry.len())
-            .finish()
-    }
+    fn apply_chaos(&self, _pass_name: &str) {}
 }
 
 // ---------------------------------------------------------------------------
@@ -496,7 +465,7 @@ impl Script {
     pub fn parse(text: &str) -> Result<Script, ScriptError> {
         let tokens = tokenize(text);
         let mut pos = 0;
-        let stmts = parse_stmts(&tokens, &mut pos, false)?;
+        let stmts = parse_stmts(&tokens, &mut pos, 0)?;
         if pos != tokens.len() {
             return Err(parse_err(
                 format!("unexpected `{}`", tokens[pos].text),
@@ -689,12 +658,18 @@ fn parse_err(msg: impl Into<String>, tokens: &[Token], pos: usize) -> ScriptErro
     }
 }
 
-/// Parse `;`-separated statements until end of input (`in_block == false`)
-/// or a closing `}` (`in_block == true`, brace consumed by the caller).
+/// How deep `repeat` blocks may nest, counting the block a preset inlines
+/// (presets nest one deep). Every walk over a script recurses once per
+/// level, so the bound keeps a client's script off the bottom of the stack.
+pub const MAX_REPEAT_DEPTH: usize = 16;
+
+/// Parse `;`-separated statements until end of input (`depth == 0`, the
+/// top level) or a closing `}` (inside `depth` enclosing `repeat` blocks,
+/// brace consumed by the caller).
 fn parse_stmts(
     tokens: &[Token],
     pos: &mut usize,
-    in_block: bool,
+    depth: usize,
 ) -> Result<Vec<ScriptStmt>, ScriptError> {
     let mut stmts = Vec::new();
     loop {
@@ -702,13 +677,20 @@ fn parse_stmts(
         while *pos < tokens.len() && tokens[*pos].text == ";" {
             *pos += 1;
         }
-        if *pos >= tokens.len() || (in_block && tokens[*pos].text == "}") {
+        if *pos >= tokens.len() || (depth > 0 && tokens[*pos].text == "}") {
             return Ok(stmts);
         }
         let tok = tokens[*pos].text.as_str();
         match tok {
             "{" | "}" => {
                 return Err(parse_err(format!("unexpected `{tok}`"), tokens, *pos));
+            }
+            "repeat" | "fast" | "standard" | "high" if depth == MAX_REPEAT_DEPTH => {
+                return Err(parse_err(
+                    format!("`repeat` blocks nest deeper than {MAX_REPEAT_DEPTH}"),
+                    tokens,
+                    *pos,
+                ));
             }
             "repeat" => {
                 *pos += 1;
@@ -725,7 +707,7 @@ fn parse_stmts(
                 }
                 let open = *pos;
                 *pos += 1;
-                let body = parse_stmts(tokens, pos, true)?;
+                let body = parse_stmts(tokens, pos, depth + 1)?;
                 if tokens.get(*pos).map(|t| t.text.as_str()) != Some("}") {
                     return Err(parse_err("unclosed `{`", tokens, open));
                 }
@@ -935,24 +917,6 @@ mod tests {
     }
 
     #[test]
-    fn observer_sees_every_pass() {
-        struct Count(usize);
-        impl PassObserver for Count {
-            fn on_pass(&mut self, _stat: &PassStat) {
-                self.0 += 1;
-            }
-        }
-        let g = adder();
-        let compiled = Script::parse("b; rw; b").unwrap().compile(None).unwrap();
-        let mut count = Count(0);
-        let mut ctx = PassCtx::with_observer(&mut count);
-        compiled.run(&g, &mut ctx);
-        assert_eq!(ctx.telemetry().len(), 3);
-        drop(ctx);
-        assert_eq!(count.0, 3);
-    }
-
-    #[test]
     fn repeat_keeps_best_and_stops_early() {
         let g = adder();
         // A repeat of a no-op pass must terminate after one round (no
@@ -968,20 +932,28 @@ mod tests {
     }
 
     #[test]
-    fn context_stays_runnable_after_take_arenas_and_reuse_is_invisible() {
+    fn start_keeps_the_arenas_warm_and_clears_the_record() {
         let g = adder();
         let compiled = Script::parse("b; rw").unwrap().compile(None).unwrap();
         let mut ctx = PassCtx::new();
-        let a = compiled.run(&g, &mut ctx);
-        let arenas = ctx.take_arenas();
-        // The drained context must keep working with fresh arenas.
-        let b = compiled.run(&g, &mut ctx);
-        assert_eq!(a.nodes(), b.nodes());
-        // Warm arenas on a new context cannot change the result.
-        let mut warm = PassCtx::new();
-        warm.reuse_arenas(arenas);
-        let c = compiled.run(&g, &mut warm);
-        assert_eq!(a.nodes(), c.nodes());
+        let cold = compiled.run(&g, &mut ctx);
+        let warm_cuts = ctx.cut_arena().total_cuts();
+        assert!(warm_cuts > 0, "rw enumerated into the arena");
+        // A cancelled job leaves its flag set…
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        ctx.start(cancelled);
+        compiled.run(&g, &mut ctx);
+        assert!(ctx.cancelled());
+        // …and the next job starts with an empty record and warm arenas.
+        ctx.start(CancelToken::new());
+        assert!(!ctx.cancelled());
+        assert!(ctx.telemetry().is_empty());
+        assert_eq!(ctx.cut_arena().total_cuts(), warm_cuts);
+        // Warm arenas cannot change the result.
+        let warm = compiled.run(&g, &mut ctx);
+        assert_eq!(cold.nodes(), warm.nodes());
+        assert_eq!(ctx.telemetry().len(), 2);
     }
 
     #[test]
@@ -1013,6 +985,33 @@ mod tests {
         assert_eq!(token, "");
         let rendered = Script::parse("repeat 2").unwrap_err().to_string();
         assert!(rendered.contains("end of script"), "{rendered}");
+        // Nesting: the bound parses; one level more, or a preset (which
+        // inlines a `repeat`) at the bound, fails at that statement.
+        let nested = |depth: usize, body: &str| {
+            format!(
+                "{}{body}{}",
+                "repeat 1 { ".repeat(depth),
+                " }".repeat(depth)
+            )
+        };
+        let deepest = Script::parse(&nested(MAX_REPEAT_DEPTH, "b")).unwrap();
+        assert_eq!(Script::parse(&deepest.to_string()).unwrap(), deepest);
+        let col = MAX_REPEAT_DEPTH * "repeat 1 { ".len() + 1;
+        for (text, offender) in [
+            (nested(MAX_REPEAT_DEPTH + 1, "b"), "repeat"),
+            (nested(MAX_REPEAT_DEPTH, "fast"), "fast"),
+        ] {
+            let Err(ScriptError::Parse {
+                msg,
+                col: at,
+                token,
+            }) = Script::parse(&text)
+            else {
+                panic!("nesting past the bound must be a parse error");
+            };
+            assert_eq!((at, token.as_str()), (col, offender), "{msg}");
+            assert!(msg.contains("nest deeper than 16"), "{msg}");
+        }
     }
 
     #[test]
@@ -1048,7 +1047,6 @@ mod tests {
 
     #[test]
     fn cancelled_token_stops_the_script_at_a_pass_boundary() {
-        use xsfq_exec::CancelToken;
         let g = adder();
         let compiled = Script::parse("c; b; rw; rf; b; rwz")
             .unwrap()
@@ -1057,7 +1055,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let mut ctx = PassCtx::new();
-        ctx.set_token(token);
+        ctx.start(token);
         let out = compiled.run(&g, &mut ctx);
         assert!(ctx.cancelled());
         assert_eq!(ctx.telemetry().len(), 0, "no pass may start when cancelled");

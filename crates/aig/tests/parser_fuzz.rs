@@ -3,12 +3,14 @@
 //! panic, never abort on an oversized allocation, and never loop. Raw byte
 //! soup exercises the lexing layer; token soup (random words from each
 //! format's vocabulary) reaches much deeper into the grammar, where the
-//! integer-parse and index-range bugs live.
+//! integer-parse and index-range bugs live. Pass scripts arrive from
+//! clients too, so `Script::parse` gets the same token soup.
 
 use proptest::prelude::*;
 
 use xsfq_aig::aiger::read_aiger;
 use xsfq_aig::io::read_blif;
+use xsfq_aig::pass::{Script, MAX_REPEAT_DEPTH};
 
 /// Render a token-soup case: words drawn from `vocab` by index, with
 /// selector-driven separators (space or newline).
@@ -65,6 +67,41 @@ const AIGER_VOCAB: &[&str] = &[
     "name",
     "18446744073709551615",
     "-1",
+];
+
+/// Every word of the script grammar: `repeat` with round counts (zero and
+/// one past `usize::MAX` among them), braces, separators, every pass name
+/// and alias, `-K` with a cut size in and out of range, the presets and a
+/// name no pass answers to.
+const SCRIPT_VOCAB: &[&str] = &[
+    "repeat",
+    "repeat",
+    "0",
+    "1",
+    "3",
+    "18446744073709551616",
+    "{",
+    "}",
+    ";",
+    "b",
+    "balance",
+    "rw",
+    "rewrite",
+    "rwz",
+    "rewrite_zero",
+    "rf",
+    "refactor",
+    "c",
+    "cleanup",
+    "f",
+    "fraig",
+    "-K",
+    "10",
+    "99",
+    "fast",
+    "standard",
+    "high",
+    "nosuch",
 ];
 
 /// Render a structured BLIF case from one `u64` per statement. Each
@@ -174,6 +211,26 @@ proptest! {
         let text = format!("{fmt} {m} {i} {l} {o} {a}\n{}", soup(AIGER_VOCAB, &picks));
         if let Err(e) = read_aiger(text.as_bytes()) {
             prop_assert!(e.line() >= 1, "error lost its line number: {e}");
+        }
+    }
+
+    /// Script soup inside up to twice the nesting bound of `repeat` blocks:
+    /// parsing returns a script or an error, a parsed script compiles or
+    /// returns an error, and it prints back to text that parses to itself.
+    #[test]
+    fn script_parser_is_total_on_token_soup(
+        depth in 0..=2 * MAX_REPEAT_DEPTH,
+        picks in prop::collection::vec((any::<u8>(), any::<bool>()), 0..48),
+    ) {
+        let text = format!(
+            "{}{}{}",
+            "repeat 2 { ".repeat(depth),
+            soup(SCRIPT_VOCAB, &picks),
+            " }".repeat(depth)
+        );
+        if let Ok(script) = Script::parse(&text) {
+            let _ = script.compile(None);
+            prop_assert_eq!(Script::parse(&script.to_string()), Ok(script));
         }
     }
 

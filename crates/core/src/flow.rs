@@ -17,7 +17,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use xsfq_aig::opt::Effort;
-use xsfq_aig::pass::{self, CompiledScript, PassArenas, PassCtx, PassStat, Script, ScriptError};
+use xsfq_aig::pass::{CompiledScript, PassCtx, PassStat, Script, ScriptError};
 use xsfq_aig::Aig;
 use xsfq_cells::{CellKind, InterconnectStyle};
 use xsfq_exec::{panic_message, CancelCause, CancelToken, ThreadPool};
@@ -313,34 +313,6 @@ pub struct StageStat {
     pub stage: FlowStage,
     /// Wall-clock time in nanoseconds.
     pub wall_ns: u64,
-}
-
-/// One job's pass recorder, handed to the pass engine as its
-/// [`pass::PassObserver`]. It lives outside the job's `catch_unwind`
-/// boundary, so the completed-pass telemetry and the name of the pass in
-/// flight survive a panic and land in the [`JobError`]. Under
-/// [`CheckLevel::Paranoid`] it also validates the graph after every pass
-/// (via [`pass::PassObserver::on_graph`]) and accumulates any findings.
-struct PassObserver {
-    check: CheckLevel,
-    lint: Vec<Diag>,
-    passes: Vec<PassStat>,
-    in_flight: Option<String>,
-}
-
-impl pass::PassObserver for PassObserver {
-    fn on_pass_start(&mut self, name: &str) {
-        self.in_flight = Some(name.to_string());
-    }
-    fn on_pass(&mut self, stat: &PassStat) {
-        self.passes.push(stat.clone());
-        self.in_flight = None;
-    }
-    fn on_graph(&mut self, aig: &Aig) {
-        if self.check >= CheckLevel::Paranoid {
-            self.lint.extend(xsfq_lint::lint_aig(aig));
-        }
-    }
 }
 
 /// Per-design report — the row format of the paper's Tables 3–6, plus the
@@ -641,7 +613,7 @@ impl SynthesisFlow {
     }
 
     /// Run the flow on a design: [`SynthesisFlow::run_job`] on the calling
-    /// thread with fresh arenas.
+    /// thread with a fresh [`PassCtx`].
     ///
     /// # Errors
     ///
@@ -653,7 +625,7 @@ impl SynthesisFlow {
     /// expired. A panicking job re-raises its panic with the [`JobError`]
     /// message.
     pub fn run(&self, aig: &Aig) -> Result<FlowResult, FlowError> {
-        self.run_job(aig, &mut PassArenas::default())
+        self.run_job(aig, &mut PassCtx::new())
             .map_err(JobError::into_flow_error)
     }
 
@@ -663,10 +635,10 @@ impl SynthesisFlow {
     ///
     /// Results come back in input order and are identical to running
     /// [`SynthesisFlow::run`] per design, for every fan-out width
-    /// ([`SynthesisFlow::threads`]). Each thread keeps one warm
-    /// [`PassArenas`] set (cut arena, scratch, synthesis memos) across all
-    /// the designs it handles — reuse cannot change results, everything the
-    /// arenas cache is a pure function of its inputs.
+    /// ([`SynthesisFlow::threads`]). Each thread keeps one [`PassCtx`],
+    /// whose arenas (cut arena, scratch, synthesis memos) stay warm across
+    /// all the designs it handles — reuse cannot change results, everything
+    /// the arenas cache is a pure function of its inputs.
     ///
     /// # Errors
     ///
@@ -693,8 +665,9 @@ impl SynthesisFlow {
     ///
     /// Results come back in input order. A panic is contained to its job:
     /// it becomes that design's verdict, and the thread that ran it goes on
-    /// to the next design (its warm arenas are rebuilt from scratch — a
-    /// performance detail, never a correctness one).
+    /// to the next design with a fresh [`PassCtx`] (its warm arenas are
+    /// rebuilt from scratch — a performance detail, never a correctness
+    /// one).
     // `JobError` carries the partial telemetry by value; the `Ok` side
     // (`FlowResult`) is larger still, so boxing the error buys nothing.
     #[allow(clippy::result_large_err)]
@@ -705,34 +678,37 @@ impl SynthesisFlow {
         private
             .as_ref()
             .unwrap_or_else(|| ThreadPool::global())
-            .map_init(designs, PassArenas::default, |arenas, design, aig| {
-                self.job(aig, design, compiled.as_ref(), arenas)
+            .map_init(designs, PassCtx::new, |ctx, design, aig| {
+                self.job(aig, design, compiled.as_ref(), ctx)
             })
     }
 
     /// One fault-isolated job on the calling thread: the serving daemon's
     /// entry point. Unlike [`SynthesisFlow::run_many_isolated`], which owns
-    /// its scheduling, this runs a single design and reuses the caller's
-    /// warm [`PassArenas`] across jobs; the daemon's parallelism is its
-    /// worker shards. Every failure mode surfaces as a structured
-    /// [`JobError`] with `design == 0`, which is also the index a chaos
-    /// plan (test-only `chaos` feature) addresses it by.
+    /// its scheduling, this runs a single design in the caller's
+    /// [`PassCtx`], whose arenas stay warm across jobs; the daemon keeps one
+    /// per worker shard, its unit of parallelism. The context records the
+    /// job, and a job that panicked leaves it fresh. Every failure mode
+    /// surfaces as a structured [`JobError`] with `design == 0`, which is
+    /// also the index a chaos plan (test-only `chaos` feature) addresses it
+    /// by.
     #[allow(clippy::result_large_err)]
-    pub fn run_job(&self, aig: &Aig, arenas: &mut PassArenas) -> Result<FlowResult, JobError> {
-        self.job(aig, 0, self.compiled_script().as_ref(), arenas)
+    pub fn run_job(&self, aig: &Aig, ctx: &mut PassCtx) -> Result<FlowResult, JobError> {
+        self.job(aig, 0, self.compiled_script().as_ref(), ctx)
     }
 
-    /// The job core every entry point runs through. It sets the job up —
-    /// the token with its deadline, the chaos injector for `design`, the
-    /// pass recorder — runs the stage body under `catch_unwind`, and maps
-    /// every failure mode to a [`JobError`].
+    /// The job core every entry point runs through. It starts the job in
+    /// `ctx` — the token with its deadline, per-pass validation under
+    /// [`CheckLevel::Paranoid`], the chaos injector for `design` — runs the
+    /// stage body under `catch_unwind`, and maps every failure mode to a
+    /// [`JobError`] built from the context's record.
     #[allow(clippy::result_large_err)]
     fn job(
         &self,
         aig: &Aig,
         design: usize,
         compiled: Result<&CompiledScript, &ScriptError>,
-        arenas: &mut PassArenas,
+        ctx: &mut PassCtx,
     ) -> Result<FlowResult, JobError> {
         // The configured token (or a never-cancelled default), tightened by
         // the job deadline: it counts from job start, not batch start.
@@ -741,37 +717,22 @@ impl SynthesisFlow {
             Some(deadline) => token.with_timeout(deadline),
             None => token,
         };
+        ctx.start(token.clone());
+        if self.options.check >= CheckLevel::Paranoid {
+            ctx.validate_passes();
+        }
         #[cfg(feature = "chaos")]
-        let chaos = self
-            .options
-            .chaos
-            .as_ref()
-            .and_then(|p| p.for_design(design));
-        let mut observer = PassObserver {
-            check: self.options.check,
-            lint: Vec::new(),
-            passes: Vec::new(),
-            in_flight: None,
-        };
+        if let Some(plan) = &self.options.chaos {
+            ctx.set_chaos(plan.for_design(design));
+        }
         let started = Instant::now();
-        // The recorder and arenas stay valid across an unwind: the recorder
-        // only holds completed pass records and the in-flight pass name,
-        // and a poisoned arena set is discarded with the job (the caller's
-        // store is left with cold arenas).
         let outcome = match compiled {
             Ok(compiled) => panic::catch_unwind(AssertUnwindSafe(|| {
-                self.run_stages(
-                    aig,
-                    compiled,
-                    arenas,
-                    &token,
-                    &mut observer,
-                    #[cfg(feature = "chaos")]
-                    chaos,
-                )
+                self.run_stages(aig, compiled, ctx, &token)
             })),
             Err(e) => Ok(Err(FlowError::Script(e.clone()))),
         };
+        let unwound = outcome.is_err();
         let kind = match outcome {
             Ok(Ok(result)) => return Ok(result),
             Ok(Err(FlowError::Cancelled(CancelCause::Explicit))) => JobErrorKind::Cancelled,
@@ -787,31 +748,31 @@ impl SynthesisFlow {
                 },
             },
         };
-        // `in_flight` is still `Some` when a pass was announced but never
-        // completed: a panic inside it, or a cancellation that hit inside
-        // the pass boundary. Either way it names the faulting pass.
-        Err(JobError {
+        // The record survives an unwind, and the report takes its passes
+        // only once built: a fault in any stage finds all completed passes.
+        let error = JobError {
             design,
             name: aig.name().to_string(),
             kind,
-            pass: observer.in_flight,
+            pass: ctx.in_flight().map(str::to_string),
             elapsed: started.elapsed(),
-            passes: observer.passes,
-        })
+            passes: ctx.take_telemetry(),
+        };
+        if unwound {
+            *ctx = PassCtx::new(); // its arenas were abandoned mid-write
+        }
+        Err(error)
     }
 
     /// The staged pipeline body: Optimize → Pipeline → Polarity → Map →
     /// [Timing] → Verify (Timing only when configured), with per-stage
     /// timing and cancellation checks at every stage boundary.
-    #[allow(clippy::too_many_arguments)]
     fn run_stages(
         &self,
         aig: &Aig,
         compiled: &CompiledScript,
-        arenas: &mut PassArenas,
+        ctx: &mut PassCtx,
         token: &CancelToken,
-        observer: &mut PassObserver,
-        #[cfg(feature = "chaos")] chaos: Option<xsfq_aig::chaos::Injector>,
     ) -> Result<FlowResult, FlowError> {
         let o = &self.options;
         if o.pipeline_stages > 0 && aig.num_latches() > 0 {
@@ -826,38 +787,21 @@ impl SynthesisFlow {
             });
         };
 
-        // -- Optimize: the pass script, with per-pass telemetry. The caller
-        // hands in its warm arena set; it is returned after the script so
-        // the next design reuses it.
+        // -- Optimize: the pass script, recorded in the job's context.
         let start = Instant::now();
-        let (optimized, passes, arena_lint) = {
-            let mut ctx = PassCtx::with_observer(observer);
-            ctx.set_token(token.clone());
-            #[cfg(feature = "chaos")]
-            if let Some(injector) = chaos {
-                ctx.set_chaos(injector);
-            }
-            ctx.reuse_arenas(std::mem::take(arenas));
-            let optimized = compiled.run(aig, &mut ctx);
-            let passes = ctx.take_telemetry();
-            // Audit the cut arena while the ctx still owns it — the CSR
-            // ranges and signatures are scratch state the next pass would
-            // silently trust.
-            let arena_lint = if o.check >= CheckLevel::Paranoid {
-                xsfq_lint::lint_cut_arena(ctx.cut_arena())
-            } else {
-                Vec::new()
-            };
-            *arenas = ctx.take_arenas();
-            (optimized, passes, arena_lint)
-        };
+        let optimized = compiled.run(aig, ctx);
         note(FlowStage::Optimize, start);
         if token.is_cancelled() {
             return Err(cancelled());
         }
         if o.check >= CheckLevel::Stage {
-            let mut diags = std::mem::take(&mut observer.lint);
-            diags.extend(arena_lint);
+            // Paranoid adds every pass output's defects and an audit of the
+            // cut arena. Port names (X008) are checked once, on the output:
+            // every pass copies them verbatim.
+            let mut diags = xsfq_lint::lint_aig_defects(ctx.defects());
+            if o.check >= CheckLevel::Paranoid {
+                diags.extend(xsfq_lint::lint_cut_arena(ctx.cut_arena()));
+            }
             diags.extend(xsfq_lint::lint_aig(&optimized));
             if xsfq_lint::has_errors(&diags) {
                 return Err(FlowError::LintFailed(diags));
@@ -961,7 +905,7 @@ impl SynthesisFlow {
             critical_delay_ps: stats.critical_delay_ps,
             circuit_ghz,
             arch_ghz: circuit_ghz / 2.0,
-            passes,
+            passes: ctx.take_telemetry(),
             stages,
             timing: timing_summary,
         };
@@ -1109,6 +1053,24 @@ mod tests {
         g.output("o", q);
         let err = SynthesisFlow::new().pipeline_stages(1).run(&g).unwrap_err();
         assert!(matches!(err, FlowError::PipelineOnSequential));
+    }
+
+    /// Every pass copies port names verbatim, so a Paranoid run checks them
+    /// once, at the Stage check, and lists each collision once.
+    #[test]
+    fn paranoid_lists_each_port_collision_once() {
+        let mut g = Aig::new("dup");
+        let a = g.input("a");
+        let b = g.input("b");
+        let o = g.and(a, b);
+        g.output("o", o);
+        g.output("o", !o);
+        let flow = SynthesisFlow::new().check(CheckLevel::Paranoid);
+        let Err(FlowError::LintFailed(diags)) = flow.run(&g) else {
+            panic!("colliding output names must fail the lint");
+        };
+        let collisions = diags.iter().filter(|d| d.code == xsfq_lint::Code::X008);
+        assert_eq!(collisions.count(), 1, "{diags:?}");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use std::time::{Duration, Instant};
 
-use xsfq_aig::pass::{PassCtx, PassObserver, PassStat, Script};
+use xsfq_aig::pass::{PassCtx, Script};
 use xsfq_aig::{build, Aig, Lit};
 use xsfq_core::{FlowError, JobErrorKind, SynthesisFlow};
 use xsfq_exec::{CancelCause, CancelToken};
@@ -33,15 +33,11 @@ fn flows() -> Vec<(&'static str, SynthesisFlow)> {
     ]
 }
 
-/// Observer that cancels the token once the first pass completes.
-struct CancelAfterFirstPass {
-    token: CancelToken,
-}
-
-impl PassObserver for CancelAfterFirstPass {
-    fn on_pass(&mut self, _stat: &PassStat) {
-        self.token.cancel();
-    }
+/// A sweep that cancels the job's token and returns its input: scripted
+/// as `f`, it completes as a pass and then cancels the job.
+fn cancelling_sweep(aig: &Aig, token: &CancelToken) -> (Aig, u64) {
+    token.cancel();
+    (aig.clone(), 0)
 }
 
 /// A token cancelled before the run starts must abort before pass 0.
@@ -79,16 +75,11 @@ fn pre_cancelled_token_runs_zero_passes() {
 fn cancel_after_first_pass_stops_at_the_boundary() {
     let g = adder();
     // A long keep-best loop: without cancellation this runs 64 rounds.
-    let compiled = Script::parse("repeat 64 { b; rw; rf; rwz }")
+    let compiled = Script::parse("f; repeat 64 { b; rw; rf; rwz }")
         .unwrap()
-        .compile(Some(xsfq_sat::fraig_pass))
+        .compile(Some(cancelling_sweep))
         .unwrap();
-    let token = CancelToken::default();
-    let mut observer = CancelAfterFirstPass {
-        token: token.clone(),
-    };
-    let mut ctx = PassCtx::with_observer(&mut observer);
-    ctx.set_token(token);
+    let mut ctx = PassCtx::new();
     let cancelled_at = Instant::now();
     compiled.run(&g, &mut ctx);
     let latency = cancelled_at.elapsed();

@@ -8,7 +8,7 @@
 use std::collections::{HashMap, HashSet};
 
 use xsfq_aig::cuts::CutArena;
-use xsfq_aig::Aig;
+use xsfq_aig::{Aig, AigDefect};
 use xsfq_cells::CellKind;
 use xsfq_netlist::{input_pins, output_pins, Driver, NetId, Netlist};
 
@@ -47,11 +47,7 @@ pub fn lint_netlist(n: &Netlist, profile: NetlistProfile) -> Vec<Diag> {
 /// Validate an AIG: structural invariants ([`Aig::validate`], X009) plus
 /// port-name collisions (X008) — the checks `xsfq-serve` runs at admission.
 pub fn lint_aig(aig: &Aig) -> Vec<Diag> {
-    let mut out = Vec::new();
-    for defect in aig.validate() {
-        let site = defect.node.map(Site::Node).unwrap_or(Site::Design);
-        out.push(Diag::new(Code::X009, site, defect.detail));
-    }
+    let mut out = lint_aig_defects(&aig.validate());
     let mut seen_in: HashMap<&str, usize> = HashMap::new();
     for i in 0..aig.num_inputs() {
         let name = aig.input_name(i);
@@ -80,6 +76,15 @@ pub fn lint_aig(aig: &Aig) -> Vec<Diag> {
         }
     }
     out
+}
+
+/// One X009 finding per structural defect [`Aig::validate`] reported.
+pub fn lint_aig_defects(defects: &[AigDefect]) -> Vec<Diag> {
+    let diag = |d: &AigDefect| {
+        let site = d.node.map(Site::Node).unwrap_or(Site::Design);
+        Diag::new(Code::X009, site, d.detail.clone())
+    };
+    defects.iter().map(diag).collect()
 }
 
 /// Audit the CSR cut arena (X010). See `CutArena::check_integrity`.

@@ -46,5 +46,5 @@ mod drc;
 mod timing;
 
 pub use diag::{has_errors, render_json, render_text, CheckLevel, Code, Diag, Severity, Site};
-pub use drc::{lint_aig, lint_cut_arena, lint_netlist, NetlistProfile};
+pub use drc::{lint_aig, lint_aig_defects, lint_cut_arena, lint_netlist, NetlistProfile};
 pub use timing::lint_timing;

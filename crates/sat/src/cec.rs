@@ -13,6 +13,8 @@
 
 use xsfq_aig::Aig;
 
+pub use crate::sweep::check_equivalence;
+
 /// Result of an equivalence check.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum EquivResult {
@@ -28,23 +30,6 @@ impl EquivResult {
     pub fn is_equivalent(&self) -> bool {
         matches!(self, EquivResult::Equivalent)
     }
-}
-
-/// Check combinational equivalence of two AIGs with identical interfaces
-/// (same input count/order and output count/order). Latches, if present,
-/// must match pairwise and are treated as free cut-point inputs, which is
-/// sound for netlists whose registers were not moved (use bounded sequential
-/// checks for retimed designs).
-///
-/// Decided by SAT sweeping ([`crate::sweep::check_equivalence_swept`]) with
-/// default options; the `sweep_agreement` test pins its verdicts and
-/// counterexamples against a monolithic miter oracle.
-///
-/// # Panics
-///
-/// Panics if the interfaces differ.
-pub fn check_equivalence(a: &Aig, b: &Aig) -> EquivResult {
-    crate::sweep::check_equivalence_swept(a, b, &crate::sweep::SweepOptions::default())
 }
 
 /// Convenience wrapper: `true` iff the designs are equivalent.

@@ -9,25 +9,21 @@
 use xsfq_aig::Aig;
 use xsfq_exec::CancelToken;
 
-use crate::sweep::{fraig_with_stats, SweepOptions};
+use crate::sweep::fraig_with_stats;
 
 /// The SAT-sweeping (`fraig`) pass: merge proven-equivalent nodes, keeping
 /// the result only when it is strictly smaller than its input (sweeping
 /// never helps when nothing merges). Returns the output graph and the
-/// number of proven merges. `cancel` is threaded into the sweep, so a
-/// cancelled job escapes a long proving round at a class boundary.
+/// number of proven merges, which is zero when the input comes back.
+/// `cancel` is threaded into the sweep, so a cancelled job escapes a long
+/// proving round at a class boundary.
 pub fn fraig_pass(aig: &Aig, cancel: &CancelToken) -> (Aig, u64) {
-    let opts = SweepOptions {
-        cancel: cancel.clone(),
-        ..SweepOptions::default()
-    };
-    let (swept, stats) = fraig_with_stats(aig, &opts);
-    let out = if swept.num_ands() < aig.num_ands() {
-        swept
+    let (swept, stats) = fraig_with_stats(aig, cancel);
+    if swept.num_ands() < aig.num_ands() {
+        (swept, stats.proved as u64)
     } else {
-        aig.clone()
-    };
-    (out, stats.proved as u64)
+        (aig.clone(), 0)
+    }
 }
 
 #[cfg(test)]

@@ -28,7 +28,7 @@
 //! complement bit; roots are always the lowest node id in their class, so a
 //! merged graph can be rebuilt in one topological pass ([`fraig`]).
 //!
-//! [`check_equivalence_swept`] uses the same engine for CEC: both designs
+//! [`check_equivalence`] uses the same engine for CEC: both designs
 //! are imported into one shared, structurally hashed miter AIG (identical
 //! subgraphs collapse for free), internal equivalences are swept, and only
 //! the surviving output pairs are decided by final unbounded queries.
@@ -40,38 +40,17 @@ use xsfq_exec::CancelToken;
 use crate::cec::EquivResult;
 use crate::solver::{Lit, SatResult, Solver, Var};
 
-/// Tuning knobs for the sweeping engine.
-#[derive(Clone, Debug)]
-pub struct SweepOptions {
-    /// Random simulation words (64 patterns each) seeding the signatures.
-    /// Ignored when the design is small enough for exhaustive simulation.
-    pub sim_words: usize,
-    /// Conflict budget per bounded candidate query. Pairs exceeding it are
-    /// left unmerged (sound: merging is optional) rather than blocking the
-    /// sweep; CEC decides surviving *output* pairs without a budget.
-    pub max_conflicts: u64,
-    /// Maximum simulate → prove → refine rounds.
-    pub max_rounds: usize,
-    /// Seed for the random patterns.
-    pub seed: u64,
-    /// Cooperative cancellation: checked before every candidate class (and
-    /// every round). A cancelled sweep stops proving and returns with the
-    /// merges established so far — sound, since merging is optional. The
-    /// default token never cancels.
-    pub cancel: CancelToken,
-}
-
-impl Default for SweepOptions {
-    fn default() -> Self {
-        SweepOptions {
-            sim_words: 4,
-            max_conflicts: 100,
-            max_rounds: 32,
-            seed: 0x5eed,
-            cancel: CancelToken::default(),
-        }
-    }
-}
+/// Random simulation words (64 patterns each) seeding the signatures.
+/// Unused when the design is small enough for exhaustive simulation.
+const SIM_WORDS: usize = 4;
+/// Conflict budget per bounded candidate query. Pairs exceeding it are left
+/// unmerged (sound: merging is optional) rather than blocking the sweep;
+/// CEC decides surviving *output* pairs without a budget.
+const MAX_CONFLICTS: u64 = 100;
+/// Maximum simulate → prove → refine rounds.
+const MAX_ROUNDS: usize = 32;
+/// Seed for the random patterns.
+const SEED: u64 = 0x5eed;
 
 /// Counters describing what a sweep did.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -108,17 +87,20 @@ struct Sweeper<'a> {
     /// Union-find parent edges with complement: `repr[i].node() == i` marks
     /// a root; roots are always the lowest id of their class.
     repr: Vec<AigLit>,
-    opts: SweepOptions,
+    /// Cooperative cancellation: checked before every candidate class (and
+    /// every round). A cancelled sweep stops proving and keeps the merges
+    /// established so far — sound, since merging is optional.
+    cancel: &'a CancelToken,
     stats: SweepStats,
 }
 
 impl<'a> Sweeper<'a> {
-    fn new(aig: &'a Aig, opts: &SweepOptions) -> Self {
+    fn new(aig: &'a Aig, cancel: &'a CancelToken) -> Self {
         let num_cis = aig.num_inputs() + aig.num_latches();
         let sim = if num_cis <= Simulator::EXHAUSTIVE_LIMIT {
             Simulator::exhaustive(aig)
         } else {
-            Simulator::random(aig, opts.sim_words.max(1), opts.seed)
+            Simulator::random(aig, SIM_WORDS, SEED)
         };
         // Dense Tseitin encoding of the whole graph up front: encoding is
         // linear and cheap next to solving, and a flat Vec beats a map in
@@ -168,7 +150,7 @@ impl<'a> Sweeper<'a> {
             repr: (0..aig.num_nodes())
                 .map(|i| NodeId::from_index(i).lit())
                 .collect(),
-            opts: opts.clone(),
+            cancel,
             stats: SweepStats::default(),
         }
     }
@@ -253,8 +235,8 @@ impl<'a> Sweeper<'a> {
     /// counterexamples, repeat until a round is counterexample-free.
     fn sweep(&mut self) {
         use xsfq_aig::hash::FxHashMap;
-        for round in 0..self.opts.max_rounds.max(1) {
-            if self.opts.cancel.is_cancelled() {
+        for round in 0..MAX_ROUNDS {
+            if self.cancel.is_cancelled() {
                 return;
             }
             self.stats.rounds = round + 1;
@@ -281,7 +263,7 @@ impl<'a> Sweeper<'a> {
             for members in &class_list {
                 // Candidate-class boundary: bail out of a long proving round
                 // in bounded time. Established merges stay valid.
-                if self.opts.cancel.is_cancelled() {
+                if self.cancel.is_cancelled() {
                     return;
                 }
                 let (rep, rep_c) = members[0];
@@ -297,7 +279,7 @@ impl<'a> Sweeper<'a> {
                     if x.node() == y.node() {
                         continue; // already merged (transitively)
                     }
-                    match self.prove_lits_equal(x, y, self.opts.max_conflicts) {
+                    match self.prove_lits_equal(x, y, MAX_CONFLICTS) {
                         PairOutcome::Proved => {
                             self.stats.proved += 1;
                             self.union(x, y);
@@ -354,18 +336,22 @@ fn import_comb(src: &Aig, dst: &mut Aig, cis: &[AigLit]) -> Vec<AigLit> {
         .collect()
 }
 
-/// Check combinational equivalence of two AIGs by SAT sweeping a shared
-/// miter. Verdicts are identical to a classic monolithic miter encoding
-/// (the `sweep_agreement` test keeps one as its oracle). For latch-free
-/// designs a counterexample (one bool per primary input) is a valid
-/// distinguishing pattern; with latches, only the primary-input slice of
-/// the model is reported, and the distinguishing latch values (latches are
-/// free cut-point inputs) are not included.
+/// Check combinational equivalence of two AIGs with identical interfaces
+/// (same input count/order and output count/order) by SAT sweeping a shared
+/// miter. Latches, if present, must match pairwise and are treated as free
+/// cut-point inputs, which is sound for netlists whose registers were not
+/// moved (use bounded sequential checks for retimed designs).
+///
+/// Verdicts are identical to a classic monolithic miter encoding (the
+/// `sweep_agreement` test keeps one as its oracle). For latch-free designs
+/// a counterexample (one bool per primary input) is a valid distinguishing
+/// pattern; with latches, only the primary-input slice of the model is
+/// reported, and the distinguishing latch values are not included.
 ///
 /// # Panics
 ///
 /// Panics if the interfaces (input/output/latch counts) differ.
-pub fn check_equivalence_swept(a: &Aig, b: &Aig, opts: &SweepOptions) -> EquivResult {
+pub fn check_equivalence(a: &Aig, b: &Aig) -> EquivResult {
     assert_eq!(a.num_inputs(), b.num_inputs(), "input counts differ");
     assert_eq!(a.num_outputs(), b.num_outputs(), "output counts differ");
     assert_eq!(a.num_latches(), b.num_latches(), "latch counts differ");
@@ -381,7 +367,8 @@ pub fn check_equivalence_swept(a: &Aig, b: &Aig, opts: &SweepOptions) -> EquivRe
         return EquivResult::Equivalent; // collapsed structurally
     }
 
-    let mut sweeper = Sweeper::new(&miter, opts);
+    let never = CancelToken::default();
+    let mut sweeper = Sweeper::new(&miter, &never);
     sweeper.sweep();
 
     // Only output pairs the sweep did not merge go to the (unbounded)
@@ -410,9 +397,11 @@ pub fn check_equivalence_swept(a: &Aig, b: &Aig, opts: &SweepOptions) -> EquivRe
 /// `fraig`. Latches are cut points (their next-state cones are swept
 /// combinationally), so the pass is safe on sequential designs.
 ///
-/// Returns the merged graph and the sweep counters.
-pub fn fraig_with_stats(aig: &Aig, opts: &SweepOptions) -> (Aig, SweepStats) {
-    let mut sweeper = Sweeper::new(aig, opts);
+/// Returns the merged graph and the sweep counters. `cancel` is polled
+/// before every candidate class; a cancelled sweep keeps the merges proven
+/// so far.
+pub fn fraig_with_stats(aig: &Aig, cancel: &CancelToken) -> (Aig, SweepStats) {
+    let mut sweeper = Sweeper::new(aig, cancel);
     sweeper.sweep();
 
     let mut out = Aig::new(aig.name().to_string());
@@ -450,9 +439,10 @@ pub fn fraig_with_stats(aig: &Aig, opts: &SweepOptions) -> (Aig, SweepStats) {
     (out.compact(), sweeper.stats)
 }
 
-/// [`fraig_with_stats`] with default options, returning only the graph.
+/// [`fraig_with_stats`] with a token that never cancels, returning only the
+/// graph.
 pub fn fraig(aig: &Aig) -> Aig {
-    fraig_with_stats(aig, &SweepOptions::default()).0
+    fraig_with_stats(aig, &CancelToken::default()).0
 }
 
 #[cfg(test)]
@@ -470,8 +460,7 @@ mod tests {
         g1.output_word("s", &s);
         g1.output("c", c);
         let g2 = opt::optimize(&g1, opt::Effort::Standard);
-        let swept = check_equivalence_swept(&g1, &g2, &SweepOptions::default());
-        assert!(swept.is_equivalent());
+        assert!(check_equivalence(&g1, &g2).is_equivalent());
     }
 
     #[test]
@@ -486,9 +475,7 @@ mod tests {
         let b2 = g2.input("b");
         let x2 = g2.or(a2, b2);
         g2.output("o", x2);
-        let EquivResult::Counterexample(cex) =
-            check_equivalence_swept(&g1, &g2, &SweepOptions::default())
-        else {
+        let EquivResult::Counterexample(cex) = check_equivalence(&g1, &g2) else {
             panic!("AND and OR must differ");
         };
         assert_eq!(cex.len(), 2);
@@ -511,7 +498,7 @@ mod tests {
         g.output("x2", x2);
         assert_ne!(x1, x2, "test premise: strash must not share the cones");
         let before = g.num_ands();
-        let (merged, stats) = fraig_with_stats(&g, &SweepOptions::default());
+        let (merged, stats) = fraig_with_stats(&g, &CancelToken::default());
         assert!(stats.proved > 0, "expected at least one merge: {stats:?}");
         assert!(
             merged.num_ands() < before,
@@ -571,7 +558,7 @@ mod tests {
         }
         g.output("o", acc);
         let o = opt::optimize(&g, opt::Effort::Standard);
-        assert!(check_equivalence_swept(&g, &o, &SweepOptions::default()).is_equivalent());
+        assert!(check_equivalence(&g, &o).is_equivalent());
         // And a mutated copy must be caught.
         let mut bad = Aig::new("wide");
         let xs = bad.input_word("x", 16);
@@ -585,7 +572,7 @@ mod tests {
             acc = bad.xor(acc, t);
         }
         bad.output("o", acc);
-        let r = check_equivalence_swept(&g, &bad, &SweepOptions::default());
+        let r = check_equivalence(&g, &bad);
         let EquivResult::Counterexample(cex) = r else {
             panic!("mutation must be caught");
         };

@@ -143,9 +143,10 @@
 //!
 //! **Sizing.** `shards` worker shards (default: one per core, as
 //! `xsfq_exec::default_threads` counts them) each run one job at a time
-//! on their own thread and keep a warm arena set across jobs. A design is
-//! the unit of parallelism: its passes run on its shard's thread, so
-//! throughput scales with `shards` and per-job latency is one core's.
+//! on their own thread and keep one warm pass context across jobs. A
+//! design is the unit of parallelism: its passes run on its shard's
+//! thread, so throughput scales with `shards` and per-job latency is one
+//! core's.
 //! Throughput under concurrent load is measured by perfbench's `serve-hot`
 //! workload (`designs_per_s`, p50/p99 latency).
 //!

@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use xsfq_aig::digest::canonical_digest;
 use xsfq_aig::io::read_netlist_auto;
-use xsfq_aig::pass::{PassArenas, Script};
+use xsfq_aig::pass::{PassCtx, Script};
 use xsfq_core::SynthesisFlow;
 use xsfq_exec::{panic_message, CancelToken};
 use xsfq_lint::{has_errors, lint_aig, CheckLevel, Diag};
@@ -46,7 +46,7 @@ pub struct ServeConfig {
     /// or `<design>.err.json`). Defaults to `state_dir/results`.
     pub out_dir: Option<PathBuf>,
     /// Worker shards; each runs one job at a time on its own thread and
-    /// keeps a warm arena set across jobs.
+    /// keeps one warm pass context across jobs.
     pub shards: usize,
     /// Admission-queue capacity. Beyond it, submissions that miss the
     /// result cache shed with BUSY; hits need no slot.
@@ -422,7 +422,7 @@ fn finish_err(sh: &Shared, job: &Job, kind: &str, verdict: &str) {
 }
 
 /// Run one job to a terminal state (or requeue it for retry).
-fn process(sh: &Arc<Shared>, arenas: &mut PassArenas, mut job: Job) {
+fn process(sh: &Arc<Shared>, ctx: &mut PassCtx, mut job: Job) {
     // Faulted jobs bypass the cache (see admit). Any other job missed at
     // admission, but a twin queued ahead of it may have filled the cache
     // since: replay that instead of synthesizing the design twice.
@@ -466,7 +466,7 @@ fn process(sh: &Arc<Shared>, arenas: &mut PassArenas, mut job: Job) {
         flow = flow.chaos_plan(FaultPlan::new().fault(0, f.pass as usize, kind));
     }
 
-    match flow.run_job(&job.input.aig, arenas) {
+    match flow.run_job(&job.input.aig, ctx) {
         Ok(result) => {
             let mut netlist = Vec::new();
             write_verilog(result.netlist(), &mut netlist).expect("write netlist to memory");
@@ -508,9 +508,10 @@ fn process(sh: &Arc<Shared>, arenas: &mut PassArenas, mut job: Job) {
 }
 
 fn worker_loop(sh: Arc<Shared>) {
-    // Warm arenas live for the shard's lifetime: every job after the first
-    // reuses the cut arena and synthesis plan memos.
-    let mut arenas = PassArenas::default();
+    // One pass context lives for the shard's lifetime: every job after the
+    // first reuses its cut arena and synthesis plan memos, and a job that
+    // panics inside the flow leaves it fresh (`run_job`).
+    let mut ctx = PassCtx::new();
     while let Some(job) = sh.queue.pop() {
         // The shard thread must survive any single job: a panic that
         // escapes `process` (e.g. a mapper or writer bug on one design) would
@@ -519,12 +520,9 @@ fn worker_loop(sh: Arc<Shared>) {
         // restart. Catch it, settle the job as failed, and move on.
         let (id, name, attempt, sink) = (job.id, job.name.clone(), job.attempt, job.sink.clone());
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-            process(&sh, &mut arenas, job);
+            process(&sh, &mut ctx, job);
         }));
         if let Err(payload) = outcome {
-            // The arenas were abandoned mid-pass; start fresh rather than
-            // trust their internal invariants.
-            arenas = PassArenas::default();
             let detail = format!(
                 "job processing panicked: {}",
                 panic_message(payload.as_ref())

@@ -319,7 +319,28 @@ fn malformed_input_gets_a_structured_verdict_not_a_dead_server() {
         }
         other => panic!("expected Err, got {other:?}"),
     }
-    // Answered at admission: nothing was journaled or spooled for either.
+    // A script nested 6500 `repeat` blocks deep: a `rejected` verdict from
+    // the parser's nesting bound, not a stack overflow on the connection
+    // thread.
+    let deep = format!("{}b{}", "repeat 1{".repeat(6500), "}".repeat(6500));
+    match client
+        .submit(&SubmitRequest {
+            script: deep,
+            name: "deep".into(),
+            data: b".model t\n.inputs a\n.outputs y\n.names a y\n1 1\n.end\n".to_vec(),
+            fault: None,
+        })
+        .unwrap()
+    {
+        Response::Err { kind, verdict } => {
+            assert_eq!(kind, "rejected");
+            let v = String::from_utf8(verdict).unwrap();
+            assert!(v.contains("nest deeper than"), "{v}");
+        }
+        other => panic!("expected Err, got {other:?}"),
+    }
+    assert_eq!(client.ping().unwrap(), Response::Pong);
+    // Answered at admission: nothing was journaled or spooled for any.
     assert!(
         journal_lines(&state).is_empty(),
         "{:?}",
@@ -464,8 +485,22 @@ fn recovered_job_rejected_by_admission_reaches_a_terminal_state() {
             None,
         )
         .unwrap();
+        // A healthy design under a script nested 4500 `repeat` blocks
+        // deep, spooled by a build whose parser had no nesting bound.
+        let id = j.next_id();
+        j.record_submit(
+            id,
+            &SubmitRequest {
+                script: format!("{}b{}", "repeat 1{".repeat(4500), "}".repeat(4500)),
+                name: "deep".into(),
+                data: b".model t\n.inputs a\n.outputs y\n.names a y\n1 1\n.end\n".to_vec(),
+                fault: None,
+            },
+            None,
+        )
+        .unwrap();
     }
-    // First restart recovers both jobs; admission answers them, which must
+    // First restart recovers every job; admission answers them, which must
     // still journal a terminal state — not leave them to replay forever.
     let server = Server::start(ServeConfig::new(&state)).unwrap();
     server.shutdown();
@@ -473,7 +508,7 @@ fn recovered_job_rejected_by_admission_reaches_a_terminal_state() {
         .iter()
         .filter(|l| l.starts_with("D ") && l.ends_with(" err"))
         .count();
-    assert_eq!(done, 2, "{:?}", journal_lines(&state));
+    assert_eq!(done, 3, "{:?}", journal_lines(&state));
     let (_, recovered) = xsfq_serve::journal::Journal::open(&state).unwrap();
     assert!(
         recovered.is_empty(),

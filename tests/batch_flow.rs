@@ -4,7 +4,7 @@
 //! while scheduling whole designs across the executor pool — and so must
 //! the other entry points, `run_many_isolated` and `run_job`.
 
-use xsfq::aig::pass::{PassArenas, Script};
+use xsfq::aig::pass::{PassCtx, Script};
 use xsfq::core::{FlowResult, SynthesisFlow};
 
 const DESIGNS: [&str; 5] = ["int2float", "dec", "priority", "cavlc", "s27"];
@@ -39,11 +39,11 @@ fn run_many_over_epfl_matches_sequential_runs() {
         .into_iter()
         .map(|verdict| verdict.unwrap())
         .collect();
-    // The daemon's shape: one warm arena set reused across every design.
-    let mut arenas = PassArenas::default();
+    // The daemon's shape: one warm pass context reused across every design.
+    let mut ctx = PassCtx::new();
     let jobs: Vec<FlowResult> = designs
         .iter()
-        .map(|g| flow.run_job(g, &mut arenas).unwrap())
+        .map(|g| flow.run_job(g, &mut ctx).unwrap())
         .collect();
     for (i, g) in designs.iter().enumerate() {
         let single = flow.run(g).unwrap();

@@ -97,3 +97,28 @@ proptest! {
         prop_assert_eq!(r.report.passes.len(), picks.len(), "one stat per pass");
     }
 }
+
+/// Commit counters count only replacements that reach the output: on a
+/// design the standard script has already converged, each further pass
+/// hands back a graph equal to its input node for node and so reports no
+/// commits.
+#[test]
+fn a_pass_that_changes_nothing_commits_nothing() {
+    let run = |text: &str, g: &Aig| {
+        let compiled = Script::parse(text).unwrap().compile(None).unwrap();
+        let mut ctx = PassCtx::new();
+        let out = compiled.run(g, &mut ctx);
+        (out, ctx.take_telemetry())
+    };
+    let source = xsfq::benchmarks::by_name("int2float").unwrap();
+    let (mut g, _) = run("standard", &source);
+    for pass in ["rw", "rf", "rwz"] {
+        let (out, stats) = run(pass, &g);
+        assert!(
+            out.nodes() == g.nodes() && out.outputs() == g.outputs(),
+            "premise: `{pass}` leaves the converged int2float unchanged"
+        );
+        assert_eq!(stats[0].commits, 0, "`{pass}` changed nothing");
+        g = out;
+    }
+}
