@@ -360,7 +360,7 @@ impl NodeKind {
 
     /// True for latch outputs.
     #[inline]
-    pub fn is_latch(&self) -> bool {
+    fn is_latch(&self) -> bool {
         matches!(self, NodeKind::Latch { .. })
     }
 }

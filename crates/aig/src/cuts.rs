@@ -137,7 +137,7 @@ fn cone_sig(node: NodeId) -> u32 {
 
 impl Cut {
     /// The trivial cut `{node}`; its function is the leaf itself.
-    pub fn trivial(node: NodeId) -> Self {
+    fn trivial(node: NodeId) -> Self {
         let mut leaves = [NodeId::CONST0; MAX_CUT_SIZE];
         leaves[0] = node;
         Cut {
@@ -198,7 +198,7 @@ impl Cut {
 
     /// The 64-bit leaf signature (bit `id % 64` set per leaf).
     #[inline]
-    pub fn signature(&self) -> u64 {
+    fn signature(&self) -> u64 {
         self.sig
     }
 
@@ -789,13 +789,8 @@ impl CutScratch {
 
 /// Compute a reconvergence-driven cut of at most `k` leaves for `root`
 /// (ABC's `abc_NodeFindCut` strategy): greedily expand the leaf whose
-/// expansion adds the fewest new leaves.
-pub fn reconvergence_cut(aig: &Aig, root: NodeId, k: usize) -> Cut {
-    reconvergence_cut_with(aig, root, k, &mut CutScratch::new())
-}
-
-/// [`reconvergence_cut`] with caller-provided scratch (slot payload: 1 =
-/// visited interior, 0 = current leaf).
+/// expansion adds the fewest new leaves. `scratch` is the caller's (slot
+/// payload: 1 = visited interior, 0 = current leaf).
 pub fn reconvergence_cut_with(aig: &Aig, root: NodeId, k: usize, scratch: &mut CutScratch) -> Cut {
     assert!(k <= MAX_CUT_SIZE, "k exceeds MAX_CUT_SIZE");
     scratch.begin(aig.num_nodes());
@@ -959,12 +954,8 @@ pub fn cut_function_with(
 /// if `root` were replaced by a new implementation over the cut leaves.
 ///
 /// `fanouts` must come from [`Aig::fanout_counts`] with roots included.
-pub fn mffc_size(aig: &Aig, root: NodeId, leaves: &[NodeId], fanouts: &[u32]) -> usize {
-    mffc_size_with(aig, root, leaves, fanouts, &mut CutScratch::new())
-}
-
-/// [`mffc_size`] with caller-provided scratch (slot payload: remaining
-/// fanout count, offset by 1 so a leaf marker of 0 stays distinct).
+/// `scratch` is the caller's (slot payload: remaining fanout count, offset
+/// by 1 so a leaf marker of 0 stays distinct).
 pub fn mffc_size_with(
     aig: &Aig,
     root: NodeId,
@@ -1224,7 +1215,7 @@ mod tests {
     #[test]
     fn reconvergence_cut_covers_root() {
         let (g, s, _) = full_adder_aig();
-        let cut = reconvergence_cut(&g, s.node(), 4);
+        let cut = reconvergence_cut_with(&g, s.node(), 4, &mut CutScratch::new());
         assert!(cut.len() <= 4);
         // Evaluating the cut function must succeed (i.e. it is a real cut).
         let _ = cut_function(&g, s.node(), cut.leaves());
@@ -1242,7 +1233,11 @@ mod tests {
         g.output("o", y);
         let fanouts = g.fanout_counts(true);
         let leaves: Vec<NodeId> = g.inputs().to_vec();
-        assert_eq!(mffc_size(&g, y.node(), &leaves, &fanouts), 2);
+        let mut scratch = CutScratch::new();
+        assert_eq!(
+            mffc_size_with(&g, y.node(), &leaves, &fanouts, &mut scratch),
+            2
+        );
 
         // If x is also an output, it survives the replacement.
         let mut g2 = Aig::new("t2");
@@ -1255,6 +1250,9 @@ mod tests {
         g2.output("x", x);
         let fanouts = g2.fanout_counts(true);
         let leaves: Vec<NodeId> = g2.inputs().to_vec();
-        assert_eq!(mffc_size(&g2, y.node(), &leaves, &fanouts), 1);
+        assert_eq!(
+            mffc_size_with(&g2, y.node(), &leaves, &fanouts, &mut scratch),
+            1
+        );
     }
 }

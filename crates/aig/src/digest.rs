@@ -42,23 +42,6 @@ impl fmt::Display for Digest {
     }
 }
 
-impl Digest {
-    /// Parse the 32-hex-digit form produced by `Display`.
-    pub fn from_hex(s: &str) -> Option<Digest> {
-        let s = s.as_bytes();
-        if s.len() != 32 {
-            return None;
-        }
-        let mut out = [0u8; 16];
-        for (i, chunk) in s.chunks_exact(2).enumerate() {
-            let hi = (chunk[0] as char).to_digit(16)?;
-            let lo = (chunk[1] as char).to_digit(16)?;
-            out[i] = (hi * 16 + lo) as u8;
-        }
-        Some(Digest(out))
-    }
-}
-
 /// The SplitMix64 finalizer: a cheap, well-distributed 64-bit permutation.
 #[inline]
 fn sm64(z: u64) -> u64 {
@@ -256,8 +239,8 @@ mod tests {
         assert_eq!(d1, d2);
         let hex = d1.to_string();
         assert_eq!(hex.len(), 32);
-        assert_eq!(Digest::from_hex(&hex), Some(d1));
-        assert_eq!(Digest::from_hex("xyz"), None);
+        let parsed = u128::from_str_radix(&hex, 16).unwrap();
+        assert_eq!(parsed.to_be_bytes(), d1.0);
     }
 
     #[test]

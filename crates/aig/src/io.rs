@@ -406,23 +406,13 @@ impl<'t> Model<'t> {
 
 /// The netlist formats [`read_netlist_auto`] can detect.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum NetlistFormat {
+enum NetlistFormat {
     /// Berkeley Logic Interchange Format (this module's reader).
     Blif,
     /// ASCII AIGER (`aag` header; [`crate::aiger`]).
     AigerAscii,
     /// Binary AIGER (`aig` header; [`crate::aiger`]).
     AigerBinary,
-}
-
-impl fmt::Display for NetlistFormat {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            NetlistFormat::Blif => "blif",
-            NetlistFormat::AigerAscii => "ascii aiger",
-            NetlistFormat::AigerBinary => "binary aiger",
-        })
-    }
 }
 
 /// Error from [`read_netlist_auto`]: either no known format was detected,
@@ -466,7 +456,7 @@ impl Error for ReadNetlistError {
 /// no magic, so anything whose first non-blank, non-comment line starts
 /// with a BLIF dot-command is treated as BLIF. Returns `None` when neither
 /// signature matches.
-pub fn sniff_format(bytes: &[u8]) -> Option<NetlistFormat> {
+fn sniff_format(bytes: &[u8]) -> Option<NetlistFormat> {
     let header_ws = |rest: &[u8]| rest.first().is_some_and(|b| b" \t\r\n".contains(b));
     if bytes.len() >= 4 && &bytes[..3] == b"aag" && header_ws(&bytes[3..]) {
         return Some(NetlistFormat::AigerAscii);
@@ -492,8 +482,9 @@ pub fn sniff_format(bytes: &[u8]) -> Option<NetlistFormat> {
 }
 
 /// Read a netlist in any supported format, detecting the format from the
-/// content ([`sniff_format`]) — the single ingest path of the serving
-/// daemon, where jobs arrive as bytes without trustworthy extensions.
+/// content (an AIGER header keyword, or a leading BLIF dot-command) — the
+/// single ingest path of the serving daemon, where jobs arrive as bytes
+/// without trustworthy extensions.
 ///
 /// # Errors
 ///

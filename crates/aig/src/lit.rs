@@ -104,12 +104,6 @@ impl Lit {
         Lit(self.0 & !1)
     }
 
-    /// Literal with the same node and the given complement flag.
-    #[inline]
-    pub fn with_complement(self, complement: bool) -> Lit {
-        Lit(self.0 & !1 | complement as u32)
-    }
-
     /// XOR the complement flag with `flip` (useful when pushing bubbles).
     #[inline]
     pub fn complement_if(self, flip: bool) -> Lit {
@@ -191,7 +185,6 @@ mod tests {
         let n = NodeId::from_index(5);
         let l = Lit::new(n, true);
         assert_eq!(l.positive(), Lit::new(n, false));
-        assert_eq!(l.with_complement(false), Lit::new(n, false));
         assert_eq!(l.complement_if(true), Lit::new(n, false));
         assert_eq!(l.complement_if(false), l);
         assert_eq!(NodeId::from_index(5).lit(), Lit::new(n, false));

@@ -18,7 +18,7 @@ use crate::{Aig, Lit, NodeId, NodeKind};
 /// # Panics
 ///
 /// Panics if the word slices do not match the input/latch counts.
-pub fn simulate_words(aig: &Aig, input_words: &[u64], latch_words: &[u64]) -> Vec<u64> {
+fn simulate_words(aig: &Aig, input_words: &[u64], latch_words: &[u64]) -> Vec<u64> {
     assert_eq!(input_words.len(), aig.num_inputs(), "input word count");
     assert_eq!(latch_words.len(), aig.num_latches(), "latch word count");
     let mut words = vec![0u64; aig.num_nodes()];
@@ -43,11 +43,6 @@ fn lit_word(words: &[u64], lit: Lit) -> u64 {
     }
 }
 
-/// Value of an edge literal given the node words from [`simulate_words`].
-pub fn lit_value(words: &[u64], lit: Lit) -> u64 {
-    lit_word(words, lit)
-}
-
 /// Evaluate the primary outputs for a single input pattern.
 pub fn eval_outputs(aig: &Aig, inputs: &[bool]) -> Vec<bool> {
     let input_words: Vec<u64> = inputs.iter().map(|&b| if b { !0 } else { 0 }).collect();
@@ -57,41 +52,6 @@ pub fn eval_outputs(aig: &Aig, inputs: &[bool]) -> Vec<bool> {
         .iter()
         .map(|o| lit_word(&words, o.lit) & 1 != 0)
         .collect()
-}
-
-/// Compute the full truth table of every output, for designs with at most 16
-/// inputs. Output `o`'s table has bit `p` set iff the output is 1 under input
-/// pattern `p` (input `i` = bit `i` of `p`).
-///
-/// # Panics
-///
-/// Panics if the design has more than 16 inputs or any latches.
-pub fn exhaustive_truth_tables(aig: &Aig) -> Vec<Vec<u64>> {
-    let n = aig.num_inputs();
-    assert!(n <= 16, "exhaustive simulation limited to 16 inputs");
-    assert_eq!(aig.num_latches(), 0, "combinational designs only");
-    let patterns = 1usize << n;
-    let words = patterns.div_ceil(64);
-    let mut tables = vec![vec![0u64; words]; aig.num_outputs()];
-    for base in (0..patterns).step_by(64) {
-        let mut input_words = vec![0u64; n];
-        for offset in 0..64.min(patterns - base) {
-            let p = base + offset;
-            for (i, w) in input_words.iter_mut().enumerate() {
-                if p >> i & 1 == 1 {
-                    *w |= 1u64 << offset;
-                }
-            }
-        }
-        let node_words = simulate_words(aig, &input_words, &[]);
-        for (o, out) in aig.outputs().iter().enumerate() {
-            tables[o][base / 64] = lit_word(&node_words, out.lit);
-            if patterns - base < 64 {
-                tables[o][base / 64] &= (1u64 << (patterns - base)) - 1;
-            }
-        }
-    }
-    tables
 }
 
 /// Random-simulation equivalence check between two combinational AIGs with
@@ -226,14 +186,8 @@ impl<'a> Simulator<'a> {
 
     /// Number of combinational inputs (primary inputs + latches) a pattern
     /// must supply.
-    pub fn num_cis(&self) -> usize {
+    fn num_cis(&self) -> usize {
         self.aig.num_inputs() + self.aig.num_latches()
-    }
-
-    /// Number of simulated patterns (64 per flushed word; pending patterns
-    /// are not counted until [`Simulator::flush`]).
-    pub fn num_patterns(&self) -> usize {
-        self.rounds.len() * 64
     }
 
     /// Queue a replay pattern (one bool per combinational input). Patterns
@@ -241,7 +195,8 @@ impl<'a> Simulator<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the pattern length does not match [`Simulator::num_cis`].
+    /// Panics if the pattern length is not the number of combinational
+    /// inputs (primary inputs + latches).
     pub fn add_pattern(&mut self, pattern: &[bool]) {
         assert_eq!(pattern.len(), self.num_cis(), "pattern length");
         self.pending.push(pattern.to_vec());
@@ -375,6 +330,9 @@ mod tests {
     use super::*;
     use crate::build;
 
+    /// XOR3's truth table over the 8 patterns `p = c b a`: parity of `p`.
+    const XOR3: u64 = 0x96;
+
     #[test]
     fn words_and_bools_agree() {
         let mut g = Aig::new("t");
@@ -396,15 +354,9 @@ mod tests {
         let c = g.input("c");
         let x = g.xor_many(&[a, b, c]);
         g.output("x", x);
-        let tts = exhaustive_truth_tables(&g);
-        // XOR3 truth table over p = c b a: parity of bits.
-        let mut expect = 0u64;
-        for p in 0..8u64 {
-            if (p.count_ones() & 1) == 1 {
-                expect |= 1 << p;
-            }
-        }
-        assert_eq!(tts[0][0], expect);
+        // Lane p of the words is the input pattern p = c b a.
+        let words = simulate_words(&g, &[0xaa, 0xcc, 0xf0], &[]);
+        assert_eq!(lit_word(&words, x) & 0xff, XOR3);
     }
 
     #[test]
@@ -443,7 +395,7 @@ mod tests {
         sim.add_pattern(&[true, true, true]);
         sim.add_pattern(&[false, true, false]);
         sim.flush();
-        assert_eq!(sim.num_patterns(), 64);
+        assert_eq!(sim.rounds.len(), 1, "one flushed word of 64 patterns");
         let (kf, cf) = sim.canonical_key(abc.node());
         let (kg, cg) = sim.canonical_key(ab.node());
         assert_eq!((kf, cf), (kg, cg), "agreeing patterns leave a candidate");
@@ -468,9 +420,8 @@ mod tests {
         let x = g.xor_many(&[a, b, c]);
         g.output("x", x);
         let sim = Simulator::exhaustive(&g);
-        let tts = exhaustive_truth_tables(&g);
         // The first 8 lanes of round 0 enumerate all 3-input patterns.
-        assert_eq!(sim.word(0, x.node()) & 0xff, tts[0][0]);
+        assert_eq!(sim.word(0, x.node()) & 0xff, XOR3);
     }
 
     #[test]
@@ -502,11 +453,10 @@ mod tests {
         let (s, co) = build::full_adder(&mut g, a, b, c);
         g.output("s", s);
         g.output("co", co);
-        let tts = exhaustive_truth_tables(&g);
         for p in 0..8usize {
+            let inputs: Vec<bool> = (0..3).map(|i| p >> i & 1 == 1).collect();
             let bits = (p & 1) + (p >> 1 & 1) + (p >> 2 & 1);
-            assert_eq!(tts[0][0] >> p & 1 == 1, bits & 1 == 1);
-            assert_eq!(tts[1][0] >> p & 1 == 1, bits >= 2);
+            assert_eq!(eval_outputs(&g, &inputs), [bits & 1 == 1, bits >= 2]);
         }
     }
 }

@@ -58,16 +58,6 @@ pub fn synthesize(aig: &mut Aig, tt: &TruthTable, leaves: &[Lit]) -> Lit {
     Synthesizer::new().build(aig, tt, leaves)
 }
 
-/// Count how many AND nodes [`synthesize`] would create in isolation
-/// (conservative: ignores sharing with the surrounding graph).
-pub fn synthesis_cost(tt: &TruthTable, num_leaves: usize) -> usize {
-    let mut s = Synthesizer::new();
-    let mut scratch = Aig::new("scratch");
-    let leaves: Vec<Lit> = (0..num_leaves).map(|_| scratch.input("")).collect();
-    s.build(&mut scratch, tt, &leaves);
-    scratch.num_ands()
-}
-
 /// Reusable resynthesis engine with per-table plan and recording memos.
 ///
 /// Optimization passes that resynthesize many cuts should reuse one
@@ -398,7 +388,7 @@ fn factored_cost(cover: &[Cube], num_leaves: usize) -> usize {
 
 /// Build a factored form of an SOP cover (SIS-style literal factoring):
 /// recursively divide the cover by its most frequent literal.
-pub fn build_factored<B: Build + ?Sized>(aig: &mut B, cover: &[Cube], leaves: &[Lit]) -> Lit {
+fn build_factored<B: Build + ?Sized>(aig: &mut B, cover: &[Cube], leaves: &[Lit]) -> Lit {
     if cover.is_empty() {
         return Lit::FALSE;
     }
@@ -495,6 +485,14 @@ mod tests {
             let got = sim::eval_outputs(&aig, &inputs)[0];
             assert_eq!(got, word_fn(p), "pattern {p:b}");
         }
+    }
+
+    /// AND nodes [`synthesize`] creates for `tt` over fresh leaves.
+    fn synthesis_cost(tt: &TruthTable, num_leaves: usize) -> usize {
+        let mut scratch = Aig::new("scratch");
+        let leaves: Vec<Lit> = (0..num_leaves).map(|_| scratch.input("")).collect();
+        synthesize(&mut scratch, tt, &leaves);
+        scratch.num_ands()
     }
 
     #[test]

@@ -265,7 +265,7 @@ impl TruthTable {
 
     /// In-place exclusive or with `other`.
     #[inline]
-    pub fn xor_with(&mut self, other: &Self) {
+    fn xor_with(&mut self, other: &Self) {
         assert_eq!(self.vars, other.vars);
         match (&mut self.repr, &other.repr) {
             (Repr::Small(a), Repr::Small(b)) => *a ^= *b,

@@ -5,7 +5,9 @@
 //! tool is redistributable, so this crate implements their *cost
 //! structure*: technology mapping to clocked RSFQ cells, full path
 //! balancing with DRO/DFF insertion, and an exactly-sized clock splitter
-//! tree — the three overheads clock-free xSFQ eliminates.
+//! tree — the three overheads clock-free xSFQ eliminates. One entry point,
+//! [`pbmap`], serves both: the mapping is the same, and a design's latches
+//! become qSeq's state DFFs.
 //!
 //! ```
 //! use xsfq_aig::{Aig, build};
@@ -32,9 +34,11 @@ pub use rsfq_map::{map_rsfq, RsfqDesign};
 use xsfq_aig::opt::{self, Effort};
 use xsfq_aig::Aig;
 
-/// PBMap-style combinational baseline: AIG optimization (same script as the
-/// xSFQ flow, so the comparison isolates architecture) followed by clocked
-/// RSFQ mapping with full path balancing.
+/// PBMap-style combinational and qSeq-style sequential baseline: AIG
+/// optimization (same script as the xSFQ flow, so the comparison isolates
+/// architecture) followed by clocked RSFQ mapping with full path balancing.
+/// Latches become RSFQ DFF cells whose data paths are balanced to the
+/// global logic depth.
 pub fn pbmap(aig: &Aig) -> RsfqDesign {
     pbmap_with_effort(aig, Effort::Standard)
 }
@@ -43,12 +47,6 @@ pub fn pbmap(aig: &Aig) -> RsfqDesign {
 pub fn pbmap_with_effort(aig: &Aig, effort: Effort) -> RsfqDesign {
     let optimized = opt::optimize(aig, effort);
     map_rsfq(&optimized)
-}
-
-/// qSeq-style sequential baseline: identical mapping; latches become RSFQ
-/// DFF cells whose data paths are balanced to the global logic depth.
-pub fn qseq(aig: &Aig) -> RsfqDesign {
-    pbmap(aig)
 }
 
 #[cfg(test)]
@@ -82,7 +80,7 @@ mod tests {
         let nx = g.xor(q, en);
         g.set_latch_next(q, nx);
         g.output("o", q);
-        let d = qseq(&g);
+        let d = pbmap(&g);
         assert_eq!(d.state_dffs, 1);
     }
 }

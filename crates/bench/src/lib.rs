@@ -20,7 +20,7 @@ use xsfq_pulse::{wave, Harness, PulseSim};
 
 /// Effort used across the evaluation (the paper runs stock `resyn2`-class
 /// scripts; `Standard` mirrors that).
-pub const EVAL_EFFORT: Effort = Effort::Standard;
+const EVAL_EFFORT: Effort = Effort::Standard;
 
 /// Table 1: alternating input sequences for LA and FA, reproduced by the
 /// pulse simulator.
@@ -135,26 +135,26 @@ pub fn table2() -> String {
 
 /// One row of Tables 3/4/6.
 #[derive(Clone, Debug)]
-pub struct EvalRow {
+struct EvalRow {
     /// Circuit name.
-    pub name: String,
+    name: String,
     /// Baseline (PBMap/qSeq-style RSFQ) JJs, without clock tree.
-    pub baseline_jj: u64,
+    baseline_jj: u64,
     /// Baseline JJs including the exactly-sized clock tree.
-    pub baseline_jj_clock: u64,
+    baseline_jj_clock: u64,
     /// xSFQ LA/FA cell count.
-    pub la_fa: usize,
+    la_fa: usize,
     /// Duplication penalty (%).
-    pub dupl: f64,
+    dupl: f64,
     /// DROC cells (plain, preloaded).
-    pub drocs: (usize, usize),
+    drocs: (usize, usize),
     /// xSFQ JJ total.
-    pub xsfq_jj: u64,
+    xsfq_jj: u64,
 }
 
 impl EvalRow {
     /// JJ savings without / with clock-splitting overhead on the baseline.
-    pub fn savings(&self) -> (f64, f64) {
+    fn savings(&self) -> (f64, f64) {
         (
             self.baseline_jj as f64 / self.xsfq_jj as f64,
             self.baseline_jj_clock as f64 / self.xsfq_jj as f64,
@@ -163,7 +163,7 @@ impl EvalRow {
 }
 
 /// Run one circuit through both flows.
-pub fn evaluate(name: &str, effort: Effort) -> EvalRow {
+fn evaluate(name: &str, effort: Effort) -> EvalRow {
     let aig = xsfq_benchmarks::by_name(name).unwrap_or_else(|| panic!("unknown circuit {name}"));
     let flow = SynthesisFlow::new().script(Script::preset(effort));
     let r = flow.run(&aig).expect("flow");
@@ -180,7 +180,7 @@ pub fn evaluate(name: &str, effort: Effort) -> EvalRow {
 }
 
 /// Table 3: duplication penalty for the EPFL control circuits.
-pub fn table3() -> Vec<(String, f64)> {
+fn table3() -> Vec<(String, f64)> {
     let mut rows = Vec::new();
     for b in xsfq_benchmarks::table3_circuits() {
         let aig = (b.build)();
@@ -209,7 +209,7 @@ pub fn table3_text() -> String {
 
 /// Table 4: ISCAS85 + EPFL combinational comparison vs the PBMap-style
 /// baseline.
-pub fn table4() -> Vec<EvalRow> {
+fn table4() -> Vec<EvalRow> {
     xsfq_benchmarks::table4_circuits()
         .iter()
         .map(|b| evaluate(b.name, EVAL_EFFORT))
@@ -217,7 +217,7 @@ pub fn table4() -> Vec<EvalRow> {
 }
 
 /// Table 6: ISCAS89 sequential comparison vs the qSeq-style baseline.
-pub fn table6() -> Vec<EvalRow> {
+fn table6() -> Vec<EvalRow> {
     xsfq_benchmarks::table6_circuits()
         .iter()
         .map(|b| evaluate(b.name, EVAL_EFFORT))
@@ -277,25 +277,25 @@ fn render_eval(title: &str, rows: &[EvalRow]) -> String {
 
 /// One row of Table 5 (c6288 pipelining).
 #[derive(Clone, Debug)]
-pub struct Table5Row {
+struct Table5Row {
     /// Architectural / circuit pipeline stages.
-    pub stages: (usize, usize),
+    stages: (usize, usize),
     /// Total JJs.
-    pub jj: u64,
+    jj: u64,
     /// LA/FA cells.
-    pub la_fa: usize,
+    la_fa: usize,
     /// Duplication (%).
-    pub dupl: f64,
+    dupl: f64,
     /// DROCs (plain, preloaded).
-    pub drocs: (usize, usize),
+    drocs: (usize, usize),
     /// Logical depth without / with splitters.
-    pub depth: (usize, usize),
+    depth: (usize, usize),
     /// Circuit / architectural clock (GHz).
-    pub clock_ghz: (f64, f64),
+    clock_ghz: (f64, f64),
 }
 
 /// Table 5: pipelining c6288.
-pub fn table5() -> Vec<Table5Row> {
+fn table5() -> Vec<Table5Row> {
     let aig = xsfq_benchmarks::by_name("c6288").unwrap();
     let mut rows = Vec::new();
     for stages in [0usize, 1, 2] {

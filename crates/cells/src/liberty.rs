@@ -105,59 +105,59 @@ fn write_arc<W: Write>(w: &mut W, related: &str, delay_ps: f64) -> std::io::Resu
     writeln!(w, "      }}")
 }
 
-/// Read the delay arcs back out of Liberty text produced by
-/// [`write_liberty`]: one `(cell, pin, delay_ps)` triple per output pin's
-/// `cell_rise` table, in file order.
-///
-/// This is the round-trip half of the export: the timing engine in
-/// `xsfq-timing` reads its delays from [`CellLibrary::delay`] /
-/// [`CellLibrary::droc_delay`], and those are exactly the values
-/// [`write_liberty`] prints, so `parse_arc_delays(liberty) == library`
-/// pins that the `.lib` a downstream tool consumes and the arrival
-/// windows our own engine computes can never disagree.
-///
-/// The parser is a line scanner for this crate's own output dialect (it
-/// tracks `cell (...)` / `pin (...)` headers and `cell_rise
-/// (single_value)` value lines); unparseable lines are skipped, so it is
-/// total on arbitrary text.
-pub fn parse_arc_delays(liberty: &str) -> Vec<(String, String, f64)> {
-    fn header_name<'a>(line: &'a str, keyword: &str) -> Option<&'a str> {
-        let rest = line.strip_prefix(keyword)?.trim_start();
-        let rest = rest.strip_prefix('(')?;
-        let end = rest.find(')')?;
-        Some(rest[..end].trim())
-    }
-    let mut arcs = Vec::new();
-    let mut cell: Option<String> = None;
-    let mut pin: Option<String> = None;
-    for raw in liberty.lines() {
-        let line = raw.trim();
-        if let Some(name) = header_name(line, "cell ") {
-            cell = Some(name.to_string());
-            pin = None;
-        } else if let Some(name) = header_name(line, "pin ") {
-            pin = Some(name.to_string());
-        } else if let Some(rest) = line.strip_prefix("cell_rise (single_value)") {
-            let (Some(cell), Some(pin)) = (&cell, &pin) else {
-                continue;
-            };
-            let Some(start) = rest.find('"') else {
-                continue;
-            };
-            let Some(len) = rest[start + 1..].find('"') else {
-                continue;
-            };
-            if let Ok(delay) = rest[start + 1..start + 1 + len].parse::<f64>() {
-                arcs.push((cell.clone(), pin.clone(), delay));
-            }
-        }
-    }
-    arcs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Read the delay arcs back out of Liberty text produced by
+    /// `write_liberty`: one `(cell, pin, delay_ps)` triple per output pin's
+    /// `cell_rise` table, in file order.
+    ///
+    /// This is the round-trip half of the export: the timing engine in
+    /// `xsfq-timing` reads its delays from `CellLibrary::delay` /
+    /// `CellLibrary::droc_delay`, and those are exactly the values
+    /// `write_liberty` prints, so `parse_arc_delays(liberty) == library`
+    /// pins that the `.lib` a downstream tool consumes and the arrival
+    /// windows our own engine computes can never disagree.
+    ///
+    /// The parser is a line scanner for this crate's own output dialect (it
+    /// tracks `cell (...)` / `pin (...)` headers and `cell_rise
+    /// (single_value)` value lines); unparseable lines are skipped, so it is
+    /// total on arbitrary text.
+    fn parse_arc_delays(liberty: &str) -> Vec<(String, String, f64)> {
+        fn header_name<'a>(line: &'a str, keyword: &str) -> Option<&'a str> {
+            let rest = line.strip_prefix(keyword)?.trim_start();
+            let rest = rest.strip_prefix('(')?;
+            let end = rest.find(')')?;
+            Some(rest[..end].trim())
+        }
+        let mut arcs = Vec::new();
+        let mut cell: Option<String> = None;
+        let mut pin: Option<String> = None;
+        for raw in liberty.lines() {
+            let line = raw.trim();
+            if let Some(name) = header_name(line, "cell ") {
+                cell = Some(name.to_string());
+                pin = None;
+            } else if let Some(name) = header_name(line, "pin ") {
+                pin = Some(name.to_string());
+            } else if let Some(rest) = line.strip_prefix("cell_rise (single_value)") {
+                let (Some(cell), Some(pin)) = (&cell, &pin) else {
+                    continue;
+                };
+                let Some(start) = rest.find('"') else {
+                    continue;
+                };
+                let Some(len) = rest[start + 1..].find('"') else {
+                    continue;
+                };
+                if let Ok(delay) = rest[start + 1..start + 1 + len].parse::<f64>() {
+                    arcs.push((cell.clone(), pin.clone(), delay));
+                }
+            }
+        }
+        arcs
+    }
 
     #[test]
     fn liberty_contains_all_cells_and_values() {

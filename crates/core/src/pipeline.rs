@@ -90,7 +90,7 @@ pub fn choose_rank_levels(aig: &Aig, arch_stages: usize, window: u32) -> Vec<u32
 /// outputs, say) paid its whole live range, a real blowup on deep EPFL
 /// designs like `div` and `hyp`. The `crossing_widths_matches_reference`
 /// proptest pins this against the naive loop.
-pub fn crossing_widths(aig: &Aig) -> Vec<usize> {
+fn crossing_widths(aig: &Aig) -> Vec<usize> {
     let levels = aig.levels();
     let depth = aig.depth() as u32;
     // For each node: the maximum consumer level.

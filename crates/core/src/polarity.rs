@@ -24,7 +24,7 @@ pub enum OutputPolarity {
 impl OutputPolarity {
     /// Flip the polarity.
     #[must_use]
-    pub fn flipped(self) -> Self {
+    fn flipped(self) -> Self {
         match self {
             OutputPolarity::Positive => OutputPolarity::Negative,
             OutputPolarity::Negative => OutputPolarity::Positive,
@@ -64,7 +64,7 @@ pub struct PolarityAssignment {
 
 impl PolarityAssignment {
     /// All-positive assignment for a design.
-    pub fn all_positive(aig: &Aig) -> Self {
+    fn all_positive(aig: &Aig) -> Self {
         PolarityAssignment {
             outputs: vec![OutputPolarity::Positive; aig.num_outputs()],
         }
@@ -83,7 +83,7 @@ pub struct RailRequirements {
 impl RailRequirements {
     /// Number of LA/FA cells implied (pairs count twice). Only AND nodes
     /// cost cells; inputs, latches and constants provide rails for free.
-    pub fn cell_count(&self, aig: &Aig) -> usize {
+    fn cell_count(&self, aig: &Aig) -> usize {
         aig.and_ids()
             .map(|id| self.needs_pos[id.index()] as usize + self.needs_neg[id.index()] as usize)
             .sum()
@@ -112,7 +112,7 @@ impl RailRequirements {
 /// Compute rail requirements for a given assignment (backward bubble
 /// pushing). `dual_rail` forces both rails everywhere (the §3.1.1/§3.1.3
 /// mappings).
-pub fn rail_requirements(
+fn rail_requirements(
     aig: &Aig,
     assignment: &PolarityAssignment,
     dual_rail: bool,

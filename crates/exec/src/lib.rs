@@ -73,13 +73,13 @@ pub enum CancelCause {
 /// per-handle deadline.
 ///
 /// Cloning shares the flag — cancelling any clone cancels them all — while
-/// [`CancelToken::with_deadline`] / [`CancelToken::with_timeout`] derive a
-/// handle that *additionally* expires at an instant of its own (the flow's
-/// job runner derives one per job from the batch-wide token). Checking is
-/// cheap (one atomic load, plus one monotonic-clock read when a deadline is
-/// set), so long-running work can poll at every natural boundary: the pass
-/// engine checks between passes and every few hundred nodes inside a pass,
-/// which bounds cancellation latency to that much work.
+/// [`CancelToken::with_timeout`] derives a handle that *additionally*
+/// expires at an instant of its own (the flow's job runner derives one per
+/// job from the batch-wide token). Checking is cheap (one atomic load, plus
+/// one monotonic-clock read when a deadline is set), so long-running work
+/// can poll at every natural boundary: the pass engine checks between
+/// passes and every few hundred nodes inside a pass, which bounds
+/// cancellation latency to that much work.
 ///
 /// A token that is never cancelled and has no deadline never reports
 /// cancelled; [`CancelToken::default`] is exactly that, so APIs can thread a
@@ -106,7 +106,7 @@ impl<const MUT: u8> CancelTokenImpl<MUT> {
     /// This handle, expiring at `deadline` (the shared flag is unchanged —
     /// other clones do not inherit the deadline).
     #[must_use]
-    pub fn with_deadline(&self, deadline: Instant) -> CancelTokenImpl<MUT> {
+    fn with_deadline(&self, deadline: Instant) -> CancelTokenImpl<MUT> {
         CancelTokenImpl {
             flag: Arc::clone(&self.flag),
             deadline: Some(match self.deadline {

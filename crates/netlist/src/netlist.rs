@@ -471,16 +471,6 @@ impl Netlist {
         self.cells.iter().filter(|c| c.kind == kind).count()
     }
 
-    /// Total splitters a physical version of this netlist needs:
-    /// `Σ max(0, fanout − 1)` over all nets. With every signal consumed at
-    /// least once this equals the paper's Equation 1.
-    pub fn required_splitters(&self) -> usize {
-        self.fanout_counts()
-            .iter()
-            .map(|&f| (f as usize).saturating_sub(1))
-            .sum()
-    }
-
     /// Materialize balanced splitter trees so every net drives at most one
     /// sink. Uses the library's xSFQ or RSFQ splitter depending on what the
     /// driving side is (RSFQ cells get RSFQ splitters).
@@ -649,7 +639,6 @@ mod tests {
         assert_eq!(n.cells().len(), 1);
         assert_eq!(n.num_nets(), 3);
         assert_eq!(n.fanout_counts(), vec![1, 1, 1]);
-        assert_eq!(n.required_splitters(), 0);
     }
 
     #[test]
@@ -662,10 +651,10 @@ mod tests {
         let y = n.add_cell(CellKind::La, &[a, x])[0];
         n.add_output("y", y);
         n.add_output("a_copy", a);
-        assert_eq!(n.required_splitters(), 2);
+        assert_eq!(n.fanout_counts()[a.index()], 3);
         // Equation 1: gates + outs − inps = 2 + 2 − 2 = 2.
         let eq1 = n.cells().len() + n.outputs().len() - n.inputs().len();
-        assert_eq!(n.required_splitters(), eq1);
+        assert_eq!(n.insert_splitters().count_kind(CellKind::Splitter), eq1);
     }
 
     #[test]

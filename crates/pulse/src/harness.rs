@@ -48,13 +48,6 @@ impl<'a> Harness<'a> {
         }
     }
 
-    /// Override the phase length.
-    #[must_use]
-    pub fn phase_ps(mut self, phase_ps: f64) -> Self {
-        self.phase_ps = phase_ps;
-        self
-    }
-
     /// Set the pipeline latency in logical cycles (= architectural stages).
     #[must_use]
     pub fn latency_cycles(mut self, cycles: usize) -> Self {

@@ -33,4 +33,4 @@ pub mod sweep;
 pub use cec::{check_equivalence, equivalent, EquivResult};
 pub use pass::fraig_pass;
 pub use solver::{Lit, SatResult, Solver, Var};
-pub use sweep::{fraig, fraig_with_stats, SweepStats};
+pub use sweep::{fraig_with_stats, SweepStats};

@@ -1,7 +1,7 @@
 //! SAT sweeping as a scripted optimization pass.
 //!
 //! The structural passes in `xsfq-aig` cannot see functionally equivalent
-//! cones with different structure; [`fraig`](crate::sweep::fraig) can.
+//! cones with different structure; [`fraig_with_stats`] can.
 //! [`fraig_pass`] is the [`Sweep`](xsfq_aig::pass::Sweep) a script runs as
 //! `f` / `fraig` (`"standard; f"`): the synthesis flow compiles its scripts
 //! with `Script::compile(Some(fraig_pass))`.

@@ -3,9 +3,9 @@
 //! reduction.
 //!
 //! The solver is *incremental*: clauses (and learnt clauses) are retained
-//! across [`Solver::solve_with_assumptions`] calls, new clauses may be added
-//! between solves, and [`Solver::solve_limited`] bounds a query by conflict
-//! count — which is what lets the SAT-sweeping engine ([`crate::sweep`]) fire
+//! across [`Solver::solve_limited`] calls, new clauses may be added between
+//! solves, and each query's assumptions and conflict budget are its own —
+//! which is what lets the SAT-sweeping engine ([`crate::sweep`]) fire
 //! thousands of small equivalence queries at one shared encoding. The
 //! one-shot [`Solver::solve`] is a wrapper over the incremental core.
 //!
@@ -52,7 +52,7 @@ impl Lit {
     }
 
     /// True if the literal is negated.
-    pub fn is_negative(self) -> bool {
+    fn is_negative(self) -> bool {
         self.0 & 1 == 1
     }
 
@@ -128,7 +128,8 @@ pub struct Solver {
     ok: bool,
     num_learnts: usize,
     /// Learnt-clause count that triggers a reduction; `None` uses the
-    /// MiniSat-style default `4000 + 4 × num_vars`.
+    /// MiniSat-style default `4000 + 4 × num_vars`. Unit tests set a tiny
+    /// limit to force reductions mid-solve.
     reduce_limit: Option<usize>,
     /// Statistics: number of conflicts encountered.
     pub conflicts: u64,
@@ -154,14 +155,6 @@ impl Solver {
     /// Number of variables allocated.
     pub fn num_vars(&self) -> usize {
         self.assigns.len()
-    }
-
-    /// Override the learnt-clause count that triggers a reduction (the
-    /// default is MiniSat's `4000 + 4 × num_vars`). Primarily a test/tuning
-    /// knob: a tiny limit forces reductions mid-solve, which the
-    /// verdict-stability unit tests rely on.
-    pub fn set_reduce_limit(&mut self, limit: Option<usize>) {
-        self.reduce_limit = limit;
     }
 
     /// Allocate a fresh variable.
@@ -533,7 +526,7 @@ impl Solver {
 
     /// Solve under the given assumption literals (forced at decision levels
     /// before any free decisions).
-    pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SatResult {
+    fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SatResult {
         self.solve_limited(assumptions, u64::MAX)
             .expect("unbounded solve always decides")
     }
@@ -858,7 +851,7 @@ mod tests {
         // Deterministic hard case: PHP(6, 5) needs far more conflicts than
         // the limit, so reductions definitely fire mid-solve.
         let mut s = Solver::new();
-        s.set_reduce_limit(Some(10));
+        s.reduce_limit = Some(10);
         pigeonhole(&mut s, 6, 5);
         assert_eq!(s.solve_limited(&[], u64::MAX), Some(SatResult::Unsat));
         assert!(s.reductions > 0, "tiny limit must force reductions");
@@ -889,7 +882,7 @@ mod tests {
                 break;
             }
             let mut s = Solver::new();
-            s.set_reduce_limit(Some(6));
+            s.reduce_limit = Some(6);
             let vars: Vec<Var> = (0..nvars).map(|_| s.new_var()).collect();
             for cl in &clauses {
                 let lits: Vec<Lit> = cl.iter().map(|&(v, neg)| vars[v].lit(neg)).collect();

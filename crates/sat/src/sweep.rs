@@ -439,12 +439,6 @@ pub fn fraig_with_stats(aig: &Aig, cancel: &CancelToken) -> (Aig, SweepStats) {
     (out.compact(), sweeper.stats)
 }
 
-/// [`fraig_with_stats`] with a token that never cancels, returning only the
-/// graph.
-pub fn fraig(aig: &Aig) -> Aig {
-    fraig_with_stats(aig, &CancelToken::default()).0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -524,7 +518,7 @@ mod tests {
         let anb = g.and(a, !b);
         let f = g.and(ab, anb);
         g.output("o", f);
-        let merged = fraig(&g);
+        let (merged, _) = fraig_with_stats(&g, &CancelToken::default());
         assert_eq!(merged.num_ands(), 0, "constant cone must vanish");
         assert_eq!(merged.outputs()[0].lit, AigLit::FALSE);
     }
@@ -539,7 +533,7 @@ mod tests {
         // A redundant MUX-form XOR cone feeding an output.
         let n2 = g.mux(d, !q, q);
         g.output("o", n2);
-        let merged = fraig(&g);
+        let (merged, _) = fraig_with_stats(&g, &CancelToken::default());
         assert_eq!(merged.num_latches(), 1);
         assert!(merged.latches()[0].init);
         assert!(equivalent(&g, &merged));

@@ -18,7 +18,8 @@ pub enum JobSink {
     /// A job-directory submission: write `<base>.v` + `<base>.json` on
     /// success, `<base>.err.json` on failure.
     Dir {
-        /// Output path without extension.
+        /// Output path without extension; the suffixes are appended, so a
+        /// dotted base such as `s420.1` keeps its whole name.
         base: PathBuf,
     },
     /// A journal-recovered job whose requester is gone: run it for its

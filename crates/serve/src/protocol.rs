@@ -263,17 +263,13 @@ pub fn encode_result_segments(netlist: &[u8], report: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Compose the full OK body from a cache-hit flag and encoded segments.
+/// Encode the body bytes of an OK response (without the frame header) from
+/// a cache-hit flag and the segments of [`encode_result_segments`].
 pub fn encode_ok_body(cache_hit: bool, segments: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(segments.len() + 1);
     out.push(cache_hit as u8);
     out.extend_from_slice(segments);
     out
-}
-
-/// Encode the body bytes of an OK response (without the frame header).
-pub fn encode_ok(cache_hit: bool, netlist: &[u8], report: &[u8]) -> Vec<u8> {
-    encode_ok_body(cache_hit, &encode_result_segments(netlist, report))
 }
 
 /// Encode the body bytes of an ERR response.
@@ -382,7 +378,7 @@ mod tests {
 
     #[test]
     fn responses_round_trip() {
-        let ok = encode_ok(true, b"module m;", b"{}");
+        let ok = encode_ok_body(true, &encode_result_segments(b"module m;", b"{}"));
         assert_eq!(
             decode_response(KIND_OK, &ok).unwrap(),
             Response::Ok {

@@ -43,7 +43,9 @@ pub struct ServeConfig {
     /// Directory to poll for dropped-in `.blif` / `.aag` / `.aig` jobs.
     pub watch_dir: Option<PathBuf>,
     /// Where directory jobs' results land (`<design>.v` + `<design>.json`,
-    /// or `<design>.err.json`). Defaults to `state_dir/results`.
+    /// or `<design>.err.json`, where `<design>` is the dropped file's name
+    /// without its last extension: `s420.1.blif` gives `s420.1.v`).
+    /// Defaults to `state_dir/results`.
     pub out_dir: Option<PathBuf>,
     /// Worker shards; each runs one job at a time on its own thread and
     /// keeps one warm pass context across jobs.
@@ -129,16 +131,11 @@ struct Shared {
     draining: AtomicBool,
     /// Live TCP connections, each holding a [`ConnectionSlot`].
     connections: Arc<AtomicUsize>,
-    max_connections: usize,
-    retry_limit: u32,
-    retry_base: Duration,
-    job_deadline: Option<Duration>,
-    check: CheckLevel,
-    timing: Option<TimingOptions>,
+    /// The daemon's settings, as started.
+    cfg: ServeConfig,
     /// Cache-key component covering everything job-independent the result
     /// depends on (deadline, checking level, timing, flow defaults).
     config_fp: String,
-    default_script: String,
 }
 
 /// The structured failure verdict (`xsfq-serve-verdict/1`); `diags` are
@@ -214,7 +211,7 @@ fn vet(sh: &Shared, request: &SubmitRequest) -> Result<Input, Refusal> {
         }
     }
     let script = if request.script.is_empty() {
-        sh.default_script.clone()
+        sh.cfg.default_script.clone()
     } else {
         request.script.clone()
     };
@@ -227,7 +224,7 @@ fn vet(sh: &Shared, request: &SubmitRequest) -> Result<Input, Refusal> {
     // fail deep inside the flow — or worse, synthesize a netlist with
     // colliding dual-rail port names. Reject it here with the findings
     // attached, before the cache could answer for it.
-    if sh.check >= CheckLevel::Stage {
+    if sh.cfg.check >= CheckLevel::Stage {
         let diags = lint_aig(&aig);
         if has_errors(&diags) {
             return Err(Refusal {
@@ -373,7 +370,12 @@ fn deliver(sink: &JobSink, kind: u8, body: Vec<u8>) {
             let _ = tx.send((kind, body));
         }
         JobSink::Dir { base } => {
-            let write = |path: PathBuf, bytes: &[u8]| {
+            // Append the suffix: `with_extension` would replace the last
+            // dotted part of a name like `s420.1`.
+            let write = |suffix: &str, bytes: &[u8]| {
+                let mut path = base.clone().into_os_string();
+                path.push(suffix);
+                let path = PathBuf::from(path);
                 if let Some(parent) = path.parent() {
                     let _ = fs::create_dir_all(parent);
                 }
@@ -383,11 +385,11 @@ fn deliver(sink: &JobSink, kind: u8, body: Vec<u8>) {
                 Ok(protocol::Response::Ok {
                     netlist, report, ..
                 }) => {
-                    write(base.with_extension("v"), &netlist);
-                    write(base.with_extension("json"), &report);
+                    write(".v", &netlist);
+                    write(".json", &report);
                 }
                 Ok(protocol::Response::Err { verdict, .. }) => {
-                    write(base.with_extension("err.json"), &verdict);
+                    write(".err.json", &verdict);
                 }
                 _ => {}
             }
@@ -435,7 +437,7 @@ fn process(sh: &Arc<Shared>, ctx: &mut PassCtx, mut job: Job) {
     }
 
     let mut flow = match SynthesisFlow::new()
-        .check(sh.check)
+        .check(sh.cfg.check)
         .cancel_token(sh.cancel.clone())
         .script_str(&job.input.key.script)
     {
@@ -449,10 +451,10 @@ fn process(sh: &Arc<Shared>, ctx: &mut PassCtx, mut job: Job) {
             return;
         }
     };
-    if let Some(d) = sh.job_deadline {
+    if let Some(d) = sh.cfg.job_deadline {
         flow = flow.job_deadline(d);
     }
-    if let Some(t) = &sh.timing {
+    if let Some(t) = &sh.cfg.timing {
         flow = flow.timing(t.clone());
     }
     #[cfg(feature = "chaos")]
@@ -479,9 +481,10 @@ fn process(sh: &Arc<Shared>, ctx: &mut PassCtx, mut job: Job) {
             finish_ok(sh, &job, body);
         }
         Err(e) => {
-            if e.kind.is_transient() && job.attempt < sh.retry_limit {
+            if e.kind.is_transient() && job.attempt < sh.cfg.retry_limit {
                 job.attempt += 1;
                 let backoff = sh
+                    .cfg
                     .retry_base
                     .saturating_mul(1u32 << (job.attempt - 1).min(16));
                 // Ordering: Relaxed — telemetry counter (see admit).
@@ -646,7 +649,7 @@ fn accept_loop(sh: Arc<Shared>, listener: TcpListener) {
     while !sh.stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((mut stream, _peer)) => {
-                let Some(slot) = ConnectionSlot::acquire(&sh.connections, sh.max_connections)
+                let Some(slot) = ConnectionSlot::acquire(&sh.connections, sh.cfg.max_connections)
                 else {
                     let _ = stream.set_nonblocking(false);
                     let _ = write_frame(&mut stream, KIND_BUSY, &1000u32.to_be_bytes());
@@ -738,7 +741,6 @@ fn watcher_loop(sh: Arc<Shared>, watch_dir: PathBuf, out_dir: PathBuf) {
 pub struct Server {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
-    drain_grace: Duration,
     workers: Vec<JoinHandle<()>>,
     accept: Option<JoinHandle<()>>,
     watcher: Option<JoinHandle<()>>,
@@ -767,15 +769,10 @@ impl Server {
             stop: AtomicBool::new(false),
             draining: AtomicBool::new(false),
             connections: Arc::new(AtomicUsize::new(0)),
-            max_connections: cfg.max_connections,
-            retry_limit: cfg.retry_limit,
-            retry_base: cfg.retry_base,
-            job_deadline: cfg.job_deadline,
-            check: cfg.check,
-            timing: cfg.timing.clone(),
+            cfg,
             config_fp,
-            default_script: cfg.default_script.clone(),
         });
+        let cfg = &shared.cfg;
 
         // Requeue everything the previous incarnation accepted but never
         // finished. TCP jobs' clients are gone: they re-run for the cache
@@ -834,7 +831,6 @@ impl Server {
         Ok(Server {
             shared,
             local_addr,
-            drain_grace: cfg.drain_grace,
             workers,
             accept,
             watcher,
@@ -854,7 +850,7 @@ impl Server {
         self.shared.queue.close();
         {
             let cancel = self.shared.cancel.clone();
-            let grace = self.drain_grace;
+            let grace = self.shared.cfg.drain_grace;
             // Detached on purpose: joining would stall shutdown for the
             // full grace even when the queue drains instantly.
             thread::spawn(move || {

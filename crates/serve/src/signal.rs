@@ -56,8 +56,3 @@ pub fn install() {
 pub fn triggered() -> bool {
     TRIGGERED.load(Ordering::SeqCst)
 }
-
-/// Reset the latch (tests only).
-pub fn reset() {
-    TRIGGERED.store(false, Ordering::SeqCst);
-}

@@ -234,13 +234,37 @@ fn watched_directory_jobs_produce_result_files() {
     fs::write(watch.join("int2float.blif"), blif_bytes(&aig)).unwrap();
     // Garbage gets a structured rejection file, not a wedged daemon.
     fs::write(watch.join("garbage.blif"), b"not a netlist at all\n").unwrap();
+    // A dotted name keeps every dotted part in its result files.
+    let dotted = xsfq_benchmarks::by_name("s420.1").unwrap();
+    fs::write(watch.join("s420.1.blif"), blif_bytes(&dotted)).unwrap();
+    fs::write(watch.join("garbage.2.blif"), b"not a netlist either\n").unwrap();
 
     let deadline = Instant::now() + Duration::from_secs(120);
     let ok_v = out.join("int2float.v");
     let ok_json = out.join("int2float.json");
     let err_json = out.join("garbage.err.json");
-    while (!ok_v.exists() || !ok_json.exists() || !err_json.exists()) && Instant::now() < deadline {
+    let dotted_v = out.join("s420.1.v");
+    let dotted_json = out.join("s420.1.json");
+    let dotted_err = out.join("garbage.2.err.json");
+    let expected = [
+        &ok_v,
+        &ok_json,
+        &err_json,
+        &dotted_v,
+        &dotted_json,
+        &dotted_err,
+    ];
+    while !expected.iter().all(|p| p.exists()) && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(50));
+    }
+    for path in expected {
+        assert!(path.exists(), "missing result file {}", path.display());
+    }
+    for truncated in ["s420.v", "s420.json", "s420.err.json", "garbage.2.json"] {
+        assert!(
+            !out.join(truncated).exists(),
+            "a dotted name must not be truncated to {truncated}"
+        );
     }
     let netlist = fs::read(&ok_v).expect("netlist result file");
     let (solo_netlist, solo_report) = {
@@ -260,6 +284,21 @@ fn watched_directory_jobs_produce_result_files() {
     );
     let verdict = fs::read_to_string(&err_json).unwrap();
     assert!(verdict.contains("\"kind\":\"parse\""), "got: {verdict}");
+    let verdict = fs::read_to_string(&dotted_err).unwrap();
+    assert!(verdict.contains("\"kind\":\"parse\""), "got: {verdict}");
+    // Watched jobs run the daemon's default script, `standard`.
+    let result = SynthesisFlow::new()
+        .script_str("standard")
+        .unwrap()
+        .run(&dotted)
+        .unwrap();
+    let mut solo_dotted = Vec::new();
+    write_verilog(result.netlist(), &mut solo_dotted).unwrap();
+    assert_eq!(
+        fs::read(&dotted_v).unwrap(),
+        solo_dotted,
+        "dotted job netlist differs from solo"
+    );
     assert!(
         !watch.join("int2float.blif").exists(),
         "ingested job files are consumed"

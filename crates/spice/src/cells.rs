@@ -75,28 +75,6 @@ pub fn splitter() -> CellFixture {
     }
 }
 
-/// DC-to-SFQ converter (§2.2): a one-shot escape pair. The DC step first
-/// overdrives the output junction, which slips once; the shed fluxon
-/// steers the standing current into the high-Ic escape branch, where it
-/// sits below critical forever after. Exactly one pulse per step edge.
-pub fn dc_to_sfq() -> CellFixture {
-    let mut c = Circuit::new();
-    let drive = c.node();
-    // Output junction directly on the drive node.
-    let j = c.junction(drive, Node::GROUND, IC, RSHUNT, CJ);
-    // Escape branch: large loop inductor into an oversized junction that
-    // carries the standing DC without flipping.
-    let b = c.node();
-    c.inductor(drive, b, 20e-12);
-    let _j_escape = c.junction(b, Node::GROUND, 2.0 * IC, RSHUNT / 2.0, 2.0 * CJ);
-    // The DC line is driven externally with `circuit.step(...)` at `drive`.
-    CellFixture {
-        circuit: c,
-        inputs: vec![drive],
-        output_junctions: vec![j],
-    }
-}
-
 /// Last-Arrival cell (Muller C element, dual-rail AND — paper Figure 2i).
 ///
 /// Two storage loops share an output junction. Each input pulse flips its
@@ -254,18 +232,6 @@ mod tests {
         let wf = transient(&fx.circuit, &opts(100.0));
         assert_eq!(wf.pulse_count(&fx.circuit, fx.output_junctions[0]), 1);
         assert_eq!(wf.pulse_count(&fx.circuit, fx.output_junctions[1]), 1);
-    }
-
-    #[test]
-    fn dc_to_sfq_emits_once() {
-        let mut fx = dc_to_sfq();
-        fx.circuit.step(fx.inputs[0], 25.0, 150e-6);
-        let wf = transient(&fx.circuit, &opts(150.0));
-        assert_eq!(
-            wf.pulse_count(&fx.circuit, fx.output_junctions[0]),
-            1,
-            "a DC step converts to exactly one fluxon"
-        );
     }
 
     #[test]

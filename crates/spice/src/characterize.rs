@@ -22,7 +22,7 @@ pub struct CellDelay {
 /// input and timing the output junction's 2π slip relative to the *last*
 /// injection (matching how clock-to-Q / propagation delays are read off
 /// JJ phase plots).
-pub fn measure_delay(fixture: &CellFixture, input_times_ps: &[f64], t_end_ps: f64) -> Option<f64> {
+fn measure_delay(fixture: &CellFixture, input_times_ps: &[f64], t_end_ps: f64) -> Option<f64> {
     let mut fx = fixture.clone();
     for (node, &t) in fixture.inputs.iter().zip(input_times_ps) {
         fx.circuit.pulse(*node, t, KICK, KICK_W);

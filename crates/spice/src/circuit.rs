@@ -51,17 +51,6 @@ pub struct Inductor {
     pub l: f64,
 }
 
-/// An ohmic resistor.
-#[derive(Copy, Clone, Debug)]
-pub struct Resistor {
-    /// Positive terminal.
-    pub a: Node,
-    /// Negative terminal.
-    pub b: Node,
-    /// Resistance (Ω).
-    pub r: f64,
-}
-
 /// A current source waveform.
 #[derive(Copy, Clone, Debug)]
 pub enum Waveform {
@@ -76,13 +65,6 @@ pub enum Waveform {
         t0: f64,
         /// Width (s).
         width: f64,
-    },
-    /// A DC level switched on at `t0` (models the DC preload line of §2.2).
-    Step {
-        /// Level after the step (A).
-        level: f64,
-        /// Switch-on time (s).
-        t0: f64,
     },
 }
 
@@ -101,13 +83,6 @@ impl Waveform {
                 } else {
                     let x = (t - t0) / width;
                     amplitude * (std::f64::consts::PI * x).sin().powi(2)
-                }
-            }
-            Waveform::Step { level, t0 } => {
-                if t >= t0 {
-                    level
-                } else {
-                    0.0
                 }
             }
         }
@@ -129,7 +104,6 @@ pub struct Circuit {
     num_nodes: usize,
     junctions: Vec<Junction>,
     inductors: Vec<Inductor>,
-    resistors: Vec<Resistor>,
     sources: Vec<CurrentSource>,
 }
 
@@ -165,11 +139,6 @@ impl Circuit {
         self.inductors.push(Inductor { a, b, l });
     }
 
-    /// Add a resistor.
-    pub fn resistor(&mut self, a: Node, b: Node, r: f64) {
-        self.resistors.push(Resistor { a, b, r });
-    }
-
     /// Add a DC bias current into `node`.
     pub fn bias(&mut self, node: Node, amps: f64) {
         self.sources.push(CurrentSource {
@@ -190,17 +159,6 @@ impl Circuit {
         });
     }
 
-    /// Add a DC step (preload line).
-    pub fn step(&mut self, node: Node, t0_ps: f64, level: f64) {
-        self.sources.push(CurrentSource {
-            node,
-            wave: Waveform::Step {
-                level,
-                t0: t0_ps * 1e-12,
-            },
-        });
-    }
-
     /// Junctions (read access for the solver and analyses).
     pub fn junctions(&self) -> &[Junction] {
         &self.junctions
@@ -209,11 +167,6 @@ impl Circuit {
     /// Inductors.
     pub fn inductors(&self) -> &[Inductor] {
         &self.inductors
-    }
-
-    /// Resistors.
-    pub fn resistors(&self) -> &[Resistor] {
-        &self.resistors
     }
 
     /// Sources.
@@ -238,12 +191,6 @@ mod tests {
         assert_eq!(p.at(0.0), 0.0);
         assert!((p.at(2e-12) - 1e-3).abs() < 1e-12, "peak at midpoint");
         assert_eq!(p.at(4e-12), 0.0);
-        let s = Waveform::Step {
-            level: 5e-5,
-            t0: 1e-12,
-        };
-        assert_eq!(s.at(0.5e-12), 0.0);
-        assert_eq!(s.at(2e-12), 5e-5);
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub struct Waveforms {
 
 impl Waveforms {
     /// Phase across a junction (a minus b) at every sample.
-    pub fn junction_phase(&self, circuit: &Circuit, junction: usize) -> Vec<f64> {
+    fn junction_phase(&self, circuit: &Circuit, junction: usize) -> Vec<f64> {
         let j = circuit.junctions()[junction];
         self.phase[j.a.index()]
             .iter()
@@ -135,12 +135,6 @@ pub fn transient(circuit: &Circuit, options: &TransientOptions) -> Waveforms {
             let i = K_PHI * dphi / l.l;
             add(l.a, -i);
             add(l.b, i);
-        }
-        for r in circuit.resistors() {
-            let drate = rate[r.a.index()] - rate[r.b.index()];
-            let i = K_PHI * drate / r.r;
-            add(r.a, -i);
-            add(r.b, i);
         }
         for s in circuit.sources() {
             add(s.node, s.wave.at(t));

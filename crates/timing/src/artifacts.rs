@@ -11,7 +11,7 @@ use crate::TimingSummary;
 
 /// Histogram of skew slack (`allowed − skew`) over joins and rail pairs:
 /// `(lo, hi, count)` per bin, lowest bin first.
-pub fn slack_histogram(analysis: &TimingAnalysis, bins: usize) -> Vec<(f64, f64, usize)> {
+fn slack_histogram(analysis: &TimingAnalysis, bins: usize) -> Vec<(f64, f64, usize)> {
     let values: Vec<f64> = analysis
         .joins
         .iter()

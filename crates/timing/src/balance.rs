@@ -20,21 +20,21 @@ use crate::{BalanceMode, TimingOptions, TimingSummary};
 /// Where JTL buffers go: `(cell, input pin, count)` plus
 /// `(output port index, count)` for dual-rail output alignment.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct BalancePlan {
+struct BalancePlan {
     /// JTL chains spliced in front of cell input pins.
-    pub pin_pads: Vec<(u32, u8, u32)>,
+    pin_pads: Vec<(u32, u8, u32)>,
     /// JTL chains spliced in front of output ports.
-    pub port_pads: Vec<(u32, u32)>,
+    port_pads: Vec<(u32, u32)>,
 }
 
 impl BalancePlan {
     /// True when nothing needs padding.
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.pin_pads.is_empty() && self.port_pads.is_empty()
     }
 
     /// Total JTL buffers the plan inserts.
-    pub fn total(&self) -> usize {
+    fn total(&self) -> usize {
         self.pin_pads
             .iter()
             .map(|&(_, _, k)| k as usize)
@@ -89,11 +89,7 @@ fn pads_for(diff: f64, jtl: f64, mode: BalanceMode) -> u32 {
 /// RSFQ-family joins are skipped (JTL padding is the xSFQ balancing
 /// mechanism; clocked RSFQ cells are aligned by their clock, and mixing
 /// styles would trip the X007 lint).
-pub fn plan_buffers(
-    netlist: &Netlist,
-    analysis: &TimingAnalysis,
-    opts: &TimingOptions,
-) -> BalancePlan {
+fn plan_buffers(netlist: &Netlist, analysis: &TimingAnalysis, opts: &TimingOptions) -> BalancePlan {
     let jtl = netlist.library().delay(CellKind::Jtl);
     let mut plan = BalancePlan::default();
     for join in &analysis.joins {
@@ -129,7 +125,7 @@ pub fn plan_buffers(
 /// exact prefix of the result's cell list), port names and order, and the
 /// trigger-clocked set; only the pin/port connections named by the plan
 /// are routed through freshly appended JTL chains.
-pub fn apply_plan(netlist: &Netlist, plan: &BalancePlan) -> Netlist {
+fn apply_plan(netlist: &Netlist, plan: &BalancePlan) -> Netlist {
     let ncells = netlist.cells().len();
     let mut pin_pad = vec![[0u32; 2]; ncells];
     for &(ci, pin, k) in &plan.pin_pads {

@@ -84,7 +84,7 @@ pub mod artifacts;
 pub mod balance;
 
 pub use analysis::{EndpointKind, EndpointTiming, JoinTiming, RailPairTiming, TimingAnalysis};
-pub use balance::{balance_netlist, plan_buffers, BalanceOutcome, BalancePlan};
+pub use balance::{balance_netlist, BalanceOutcome};
 
 use xsfq_netlist::writers::Json;
 use xsfq_netlist::Netlist;
